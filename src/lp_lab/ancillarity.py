@@ -14,13 +14,14 @@ from .errors import (
     ParameterSpaceMismatch,
     SpaceTooLarge,
 )
-from .model import FiniteModel, ModelDataPair, pairs_isomorphic
+from .model import FiniteModel, ModelDataPair, column_embedding, proportional
 from .partition import Partition, all_partitions, is_function_of
 from .sufficiency import likelihood_partition
 
-# Bell-number growth: Bell(12) is ~4.2M, the practical ceiling for
-# exhaustive enumeration. Override per call, or via LP_LAB_MAX_SPACE in
-# the CLI.
+# Bound on |X| for exhaustive ancillary enumeration, which filters all
+# Bell(|X|) set partitions: Bell(12) is ~4.2M and takes minutes per call.
+# The relations C and Durbin-C do not enumerate, so it does not limit them.
+# Override per call, or via LP_LAB_MAX_SPACE in the CLI.
 DEFAULT_MAX_SPACE = 12
 
 
@@ -153,28 +154,40 @@ def _conditioning_witness(
     parent: ModelDataPair,
     child: ModelDataPair,
     which: str,
-    max_space: int,
-    admissible: Optional[Partition],
+    durbin: bool,
 ) -> Optional[CWitness]:
-    if child.model.n_points > parent.model.n_points:
+    """Condition ``parent`` on one block to a copy of ``child``, if possible.
+
+    A block B holding the observed point does this iff, for the m > 0 with
+    col_P(x_obs) = m * col_Q(y_obs), B's columns are the multiset
+    {m * col_Q(y)}. B then has mass m under every parameter, so
+    {B, X \\ B} is ancillary. Equal columns are interchangeable, so the
+    first match decides, also whether B is a union of likelihood classes.
+    """
+    source, target = parent.model, child.model
+    m = proportional(
+        source.column(parent.observed), target.column(child.observed)
+    )
+    if m is None:
         return None
-    for a in enumerate_ancillaries(parent.model, max_space):
-        if len(a.block_of(parent.observed)) != child.model.n_points:
-            continue
-        if admissible is not None and not is_function_of(a, admissible):
-            continue
-        conditional = condition_on_block(parent, a)
-        phi = pairs_isomorphic(conditional, child)
-        if phi is not None:
-            return CWitness(which, a, conditional, phi)
-    return None
+    scaled = [tuple(m * v for v in column) for column in target.columns()]
+    phi = column_embedding(
+        scaled, child.observed, source.columns(), parent.observed
+    )
+    if phi is None:
+        return None
+    image = {x: y for y, x in enumerate(phi)}
+    rest = [x for x in range(source.n_points) if x not in image]
+    ancillary = Partition.of(source.n_points, [image, rest] if rest else [image])
+    if durbin and not is_function_of(ancillary, likelihood_partition(source)):
+        return None
+    conditional = condition_on_block(parent, ancillary)
+    bijection = tuple(image[x] for x in sorted(image))
+    return CWitness(which, ancillary, conditional, bijection)
 
 
 def c_related(
-    p1: ModelDataPair,
-    p2: ModelDataPair,
-    max_space: int = DEFAULT_MAX_SPACE,
-    durbin: bool = False,
+    p1: ModelDataPair, p2: ModelDataPair, durbin: bool = False
 ) -> Optional[CWitness]:
     """One conditioning step (either direction), up to isomorphism.
 
@@ -182,24 +195,22 @@ def c_related(
     of the other. The trivial ancillary makes C reflexive and relates any
     two isomorphic pairs. With ``durbin=True`` the witnessing ancillary
     must be a function of the parent's minimal sufficient partition.
+    Decided by a multiset-inclusion test on columns, so negatives are
+    exact and no ancillary is enumerated.
     """
     if p1.model.theta_labels != p2.model.theta_labels:
         raise ParameterSpaceMismatch(
             f"{p1.model.theta_labels} vs {p2.model.theta_labels}"
         )
-    mss1 = likelihood_partition(p1.model) if durbin else None
-    witness = _conditioning_witness(p1, p2, "first", max_space, mss1)
+    witness = _conditioning_witness(p1, p2, "first", durbin)
     if witness is not None:
         return witness
-    mss2 = likelihood_partition(p2.model) if durbin else None
-    return _conditioning_witness(p2, p1, "second", max_space, mss2)
+    return _conditioning_witness(p2, p1, "second", durbin)
 
 
-def durbin_c_related(
-    p1: ModelDataPair, p2: ModelDataPair, max_space: int = DEFAULT_MAX_SPACE
-) -> Optional[CWitness]:
+def durbin_c_related(p1: ModelDataPair, p2: ModelDataPair) -> Optional[CWitness]:
     """C restricted to ancillaries that are functions of the parent's MSS."""
-    return c_related(p1, p2, max_space, durbin=True)
+    return c_related(p1, p2, durbin=True)
 
 
 def verify_c_witness(

@@ -104,16 +104,19 @@ def _partition_text(partition: Partition, labels) -> str:
     )
 
 
-_KINDS = {
-    "S": RelationKind.S,
-    "C": RelationKind.C,
-    "L": RelationKind.L,
-    "SC": RelationKind.S_OR_C,
-    "DURBIN": RelationKind.DURBIN_C,
-}
+_KINDS = sorted(kind.value for kind in RelationKind)
 
 
-def cmd_validate(args, printer, max_space) -> int:
+def _enumeration_bound() -> int:
+    """The |X| bound for ancillary enumeration, from LP_LAB_MAX_SPACE."""
+    raw = os.environ.get("LP_LAB_MAX_SPACE", DEFAULT_MAX_SPACE)
+    try:
+        return int(raw)
+    except ValueError:
+        raise LpLabError(f"LP_LAB_MAX_SPACE is not an integer: {raw!r}") from None
+
+
+def cmd_validate(args, printer) -> int:
     import json
 
     data = json.loads(Path(args.file).read_text(encoding="utf-8"))
@@ -143,7 +146,7 @@ def cmd_validate(args, printer, max_space) -> int:
     return EXIT_OK
 
 
-def cmd_reduce(args, printer, max_space) -> int:
+def cmd_reduce(args, printer) -> int:
     from .sufficiency import reduce_to_mss
 
     pair = load_pair(args.file)
@@ -168,11 +171,11 @@ def cmd_reduce(args, printer, max_space) -> int:
     return EXIT_OK
 
 
-def cmd_relate(args, printer, max_space) -> int:
-    kind = _KINDS[args.kind]
+def cmd_relate(args, printer) -> int:
+    kind = RelationKind(args.kind)
     p1 = load_pair(args.first)
     p2 = load_pair(args.second)
-    witness = relations.related(p1, p2, kind, max_space)
+    witness = relations.related(p1, p2, kind)
     payload = {
         "command": "relate",
         "kind": args.kind,
@@ -192,9 +195,10 @@ def cmd_relate(args, printer, max_space) -> int:
     return EXIT_OK
 
 
-def cmd_ancillaries(args, printer, max_space) -> int:
+def cmd_ancillaries(args, printer) -> int:
     model = load_model(args.file)
     labels = model.sample_labels
+    max_space = _enumeration_bound()
     try:
         catalog = ancillary_catalog(model, max_space)
         laminal = catalog.laminal
@@ -242,7 +246,7 @@ def cmd_ancillaries(args, printer, max_space) -> int:
     return EXIT_OK
 
 
-def cmd_birnbaumize(args, printer, max_space) -> int:
+def cmd_birnbaumize(args, printer) -> int:
     p1 = load_pair(args.first)
     p2 = load_pair(args.second)
     mixture, e1, e2 = relations.birnbaumize(p1, p2)
@@ -260,10 +264,10 @@ def cmd_birnbaumize(args, printer, max_space) -> int:
     return EXIT_OK
 
 
-def cmd_efm(args, printer, max_space) -> int:
+def cmd_efm(args, printer) -> int:
     p1 = load_pair(args.first)
     p2 = load_pair(args.second)
-    result = relations.efm_parent(p1, p2, max_space)
+    result = relations.efm_parent(p1, p2)
     labels = result.parent.model.sample_labels
     payload = {
         "command": "efm",
@@ -283,14 +287,14 @@ def cmd_efm(args, printer, max_space) -> int:
     return EXIT_OK
 
 
-def cmd_chain(args, printer, max_space) -> int:
+def cmd_chain(args, printer) -> int:
     p1 = load_pair(args.first)
     p2 = load_pair(args.second)
     if args.kind == "SC":
-        chain = relations.birnbaum_chain(p1, p2, max_space)
+        chain = relations.birnbaum_chain(p1, p2)
     else:
-        chain = relations.efm_parent(p1, p2, max_space).chain
-    verified = relations.verify_chain(chain, max_space)
+        chain = relations.efm_parent(p1, p2).chain
+    verified = relations.verify_chain(chain)
     payload = {
         "command": "chain",
         "kind": args.kind,
@@ -306,7 +310,7 @@ def cmd_chain(args, printer, max_space) -> int:
     return EXIT_OK if verified else EXIT_NEGATIVE
 
 
-def cmd_closure(args, printer, max_space) -> int:
+def cmd_closure(args, printer) -> int:
     directory = Path(args.dir)
     files = sorted(directory.glob("*.pair"))
     if not files:
@@ -322,10 +326,10 @@ def cmd_closure(args, printer, max_space) -> int:
                     _, e1, e2 = relations.birnbaumize(a, b)
                     extra.extend([e1, e2])
                 else:
-                    extra.append(relations.efm_parent(a, b, max_space).parent)
+                    extra.append(relations.efm_parent(a, b).parent)
         members.extend(extra)
     universe = Universe.of(members)
-    result = relations.closure(universe, _KINDS[args.kind], max_space)
+    result = relations.closure(universe, RelationKind(args.kind))
     payload = {
         "command": "closure",
         "kind": args.kind,
@@ -346,11 +350,12 @@ def cmd_closure(args, printer, max_space) -> int:
     return EXIT_OK
 
 
-def cmd_search(args, printer, max_space) -> int:
+def cmd_search(args, printer) -> int:
     bounds = search.SearchBounds(
         args.theta_size, args.max_space, args.max_denominator
     )
     if args.what == "c-transitivity":
+        max_space = _enumeration_bound()
         found = search.search_c_transitivity_counterexample(bounds, max_space)
         payload = {
             "command": "search",
@@ -368,7 +373,7 @@ def cmd_search(args, printer, max_space) -> int:
         ]
         printer.emit(payload, lines)
         return EXIT_OK
-    found = search.search_l_minus_sc(bounds, max_space)
+    found = search.search_l_minus_sc(bounds)
     payload = {
         "command": "search",
         "what": args.what,
@@ -385,7 +390,7 @@ def cmd_search(args, printer, max_space) -> int:
     return EXIT_OK
 
 
-def cmd_rb(args, printer, max_space) -> int:
+def cmd_rb(args, printer) -> int:
     pair = load_pair(args.file)
     prior = load_prior(args.prior)
     hypotheses = []
@@ -438,7 +443,7 @@ def cmd_rb(args, printer, max_space) -> int:
     return EXIT_OK
 
 
-def cmd_check(args, printer, max_space) -> int:
+def cmd_check(args, printer) -> int:
     pair = load_pair(args.file)
     if args.what == "model":
         if args.ancillary:
@@ -489,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_reduce)
 
     p = sub.add_parser("relate", help="one-step relation oracle")
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    p.add_argument("--kind", choices=_KINDS, required=True)
     p.add_argument("first")
     p.add_argument("second")
     p.set_defaults(handler=cmd_relate)
@@ -517,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_chain)
 
     p = sub.add_parser("closure", help="equivalence closure of a universe")
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    p.add_argument("--kind", choices=_KINDS, required=True)
     p.add_argument("--dir", required=True)
     p.add_argument("--augment", choices=["birnbaum", "efm"])
     p.set_defaults(handler=cmd_closure)
@@ -556,9 +561,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     printer = Printer(args.machine, args.decimal)
-    max_space = int(os.environ.get("LP_LAB_MAX_SPACE", DEFAULT_MAX_SPACE))
     try:
-        return args.handler(args, printer, max_space)
+        return args.handler(args, printer)
     except LpLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,6 +25,10 @@ class UnreachablePoint(ModelValidationError):
     """A sample point has probability zero under every parameter value."""
 
 
+class MalformedRational(LpLabError, ValueError):
+    """A probability or weight is not an exact rational such as "p/q"."""
+
+
 class LengthMismatch(LpLabError):
     pass
 

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 from .errors import (
     DuplicateLabel,
     LengthMismatch,
+    MalformedRational,
     NegativeEntry,
     NonStochasticRow,
     UnreachablePoint,
@@ -31,7 +32,10 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
         return Fraction(text)
     if isinstance(text, float):
         raise TypeError("floating point probabilities are not accepted")
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except (ValueError, ZeroDivisionError):
+        raise MalformedRational(f"{text!r} is not a rational number") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -193,28 +197,34 @@ def pairs_isomorphic(
     all theta, x and phi(observed1) = observed2; None if no such map exists.
     """
     m1, m2 = p1.model, p2.model
-    if m1.theta_labels != m2.theta_labels:
+    if m1.theta_labels != m2.theta_labels or m1.n_points != m2.n_points:
         return None
-    if m1.n_points != m2.n_points:
-        return None
-    cols1 = m1.columns()
-    cols2 = m2.columns()
-    if cols1[p1.observed] != cols2[p2.observed]:
+    phi = column_embedding(m1.columns(), p1.observed, m2.columns(), p2.observed)
+    return None if phi is None else tuple(phi)
+
+
+def column_embedding(
+    columns: Sequence[tuple[Fraction, ...]],
+    observed: int,
+    into: Sequence[tuple[Fraction, ...]],
+    into_observed: int,
+) -> Optional[list[int]]:
+    """Injective phi with columns[x] == into[phi[x]] and phi[observed] ==
+    into_observed, or None; equal columns of ``into`` go in index order."""
+    if columns[observed] != into[into_observed]:
         return None
     free: dict[tuple[Fraction, ...], list[int]] = {}
-    for x in range(m2.n_points):
-        if x != p2.observed:
-            free.setdefault(cols2[x], []).append(x)
-    phi = [-1] * m1.n_points
-    phi[p1.observed] = p2.observed
-    for x in range(m1.n_points):
-        if x == p1.observed:
-            continue
-        bucket = free.get(cols1[x])
-        if not bucket:
-            return None
-        phi[x] = bucket.pop(0)
-    return tuple(phi)
+    for x, column in enumerate(into):
+        if x != into_observed:
+            free.setdefault(column, []).append(x)
+    phi = [into_observed] * len(columns)
+    for x, column in enumerate(columns):
+        if x != observed:
+            bucket = free.get(column)
+            if not bucket:
+                return None
+            phi[x] = bucket.pop(0)
+    return phi
 
 
 def _canonical_order(columns: list[tuple[Fraction, ...]]) -> list[int]:

@@ -15,6 +15,7 @@ from .ancillarity import (
     CWitness,
     c_related,
     condition_on_block,
+    enumerate_ancillaries,
     verify_c_witness,
 )
 from .errors import NotLRelated, ParameterSpaceMismatch
@@ -25,8 +26,8 @@ from .model import (
     likelihood_vector,
     proportional,
 )
-from .partition import Partition
-from .sufficiency import SWitness, s_related
+from .partition import Partition, is_function_of
+from .sufficiency import SWitness, likelihood_partition, s_related
 
 
 class RelationKind(enum.Enum):
@@ -52,24 +53,21 @@ def l_related(
 
 
 def related(
-    p1: ModelDataPair,
-    p2: ModelDataPair,
-    kind: RelationKind,
-    max_space: int = DEFAULT_MAX_SPACE,
+    p1: ModelDataPair, p2: ModelDataPair, kind: RelationKind
 ) -> Optional[StepWitness]:
     """Dispatch to the one-step oracle for the given relation kind."""
     if kind is RelationKind.S:
         return s_related(p1, p2)
     if kind is RelationKind.C:
-        return c_related(p1, p2, max_space)
+        return c_related(p1, p2)
     if kind is RelationKind.DURBIN_C:
-        return c_related(p1, p2, max_space, durbin=True)
+        return c_related(p1, p2, durbin=True)
     if kind is RelationKind.L:
         return l_related(p1, p2)
     witness = s_related(p1, p2)
     if witness is not None:
         return witness
-    return c_related(p1, p2, max_space)
+    return c_related(p1, p2)
 
 
 @dataclass(frozen=True)
@@ -93,14 +91,12 @@ class WitnessChain:
     steps: tuple[ChainStep, ...]
 
 
-def verify_chain(
-    chain: WitnessChain, max_space: int = DEFAULT_MAX_SPACE
-) -> bool:
+def verify_chain(chain: WitnessChain) -> bool:
     """Re-run the independent oracle on every consecutive node pair."""
     if len(chain.nodes) != len(chain.steps) + 1:
         return False
     for a, b, step in zip(chain.nodes, chain.nodes[1:], chain.steps):
-        if related(a, b, step.kind, max_space) is None:
+        if related(a, b, step.kind) is None:
             return False
         if isinstance(step.witness, CWitness):
             first, second = (a, b) if step.forward else (b, a)
@@ -155,11 +151,7 @@ def birnbaumize(
     return mixture, e1, e2
 
 
-def birnbaum_chain(
-    p1: ModelDataPair,
-    p2: ModelDataPair,
-    max_space: int = DEFAULT_MAX_SPACE,
-) -> WitnessChain:
+def birnbaum_chain(p1: ModelDataPair, p2: ModelDataPair) -> WitnessChain:
     """The three-step chain p1 -C- (M*,(1,x1)) -S- (M*,(2,x2)) -C- p2.
 
     Requires proportional likelihoods; every step is verified by the
@@ -168,9 +160,9 @@ def birnbaum_chain(
     if l_related(p1, p2) is None:
         raise NotLRelated("inputs do not have proportional likelihoods")
     _, e1, e2 = birnbaumize(p1, p2)
-    w1 = c_related(p1, e1, max_space)
+    w1 = c_related(p1, e1)
     ws = s_related(e1, e2)
-    w2 = c_related(e2, p2, max_space)
+    w2 = c_related(e2, p2)
     if w1 is None or ws is None or w2 is None:
         raise NotLRelated("mixture chain failed oracle verification")
     return WitnessChain(
@@ -197,9 +189,7 @@ class DurbinChainAttempt:
 
 
 def birnbaum_chain_durbin(
-    p1: ModelDataPair,
-    p2: ModelDataPair,
-    max_space: int = DEFAULT_MAX_SPACE,
+    p1: ModelDataPair, p2: ModelDataPair
 ) -> DurbinChainAttempt:
     """Attempt the Birnbaum chain with only MSS-measurable ancillaries.
 
@@ -207,16 +197,13 @@ def birnbaum_chain_durbin(
     partition merges the two embedded observations into one block, so the
     component indicator is inadmissible and the outer C steps fail.
     """
-    from .partition import is_function_of
-    from .sufficiency import likelihood_partition
-
     if l_related(p1, p2) is None:
         raise NotLRelated("inputs do not have proportional likelihoods")
     mixture, e1, e2 = birnbaumize(p1, p2)
     indicator = component_indicator(p1, p2)
     admissible = is_function_of(indicator, likelihood_partition(mixture))
-    first = c_related(p1, e1, max_space, durbin=True)
-    last = c_related(e2, p2, max_space, durbin=True)
+    first = c_related(p1, e1, durbin=True)
+    last = c_related(e2, p2, durbin=True)
     return DurbinChainAttempt(admissible, first, last)
 
 
@@ -236,11 +223,7 @@ class EfmResult:
     chain: WitnessChain
 
 
-def efm_parent(
-    p1: ModelDataPair,
-    p2: ModelDataPair,
-    max_space: int = DEFAULT_MAX_SPACE,
-) -> EfmResult:
+def efm_parent(p1: ModelDataPair, p2: ModelDataPair) -> EfmResult:
     """Mixture with weights 1/(1+c), c/(1+c) equalizing the observed points.
 
     With likelihood(p1) = c * likelihood(p2) the two embedded observed
@@ -270,8 +253,8 @@ def efm_parent(
             for block in indicator.blocks
         ],
     )
-    step1 = c_related(p1, parent, max_space)
-    step2 = c_related(parent, p2, max_space)
+    step1 = c_related(p1, parent)
+    step2 = c_related(parent, p2)
     if step1 is None or step2 is None:
         raise NotLRelated("EFM chain failed oracle verification")
     chain = WitnessChain(
@@ -370,11 +353,7 @@ class ClosureResult:
         return WitnessChain(tuple(members[k] for k in path), tuple(steps))
 
 
-def closure(
-    universe: Universe,
-    kind: RelationKind,
-    max_space: int = DEFAULT_MAX_SPACE,
-) -> ClosureResult:
+def closure(universe: Universe, kind: RelationKind) -> ClosureResult:
     """Equivalence classes of the chain-closure restricted to the universe.
 
     Chains never leave the universe; enlarging it can only merge classes.
@@ -392,20 +371,15 @@ def closure(
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
+            witness = related(members[i], members[j], kind)
+            if witness is None:
+                continue
+            step_kind = kind
             if kind is RelationKind.S_OR_C:
-                witness: Optional[StepWitness] = s_related(
-                    members[i], members[j]
-                )
-                step_kind = RelationKind.S
-                if witness is None:
-                    witness = c_related(members[i], members[j], max_space)
-                    step_kind = RelationKind.C
-            else:
-                witness = related(members[i], members[j], kind, max_space)
-                step_kind = kind
-            if witness is not None:
-                edges.append(ClosureEdge(i, j, step_kind, witness))
-                parent[find(i)] = find(j)
+                is_s = isinstance(witness, SWitness)
+                step_kind = RelationKind.S if is_s else RelationKind.C
+            edges.append(ClosureEdge(i, j, step_kind, witness))
+            parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -441,7 +415,6 @@ class RelationPropertiesReport:
 def relation_properties_report(
     universe: Universe,
     kind: RelationKind,
-    max_space: int = DEFAULT_MAX_SPACE,
     max_counterexamples: int = 5,
 ) -> RelationPropertiesReport:
     """Audit reflexivity, symmetry and transitivity of the one-step relation.
@@ -454,7 +427,7 @@ def relation_properties_report(
     neighbors: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            if related(members[i], members[j], kind, max_space) is not None:
+            if related(members[i], members[j], kind) is not None:
                 neighbors[i].add(j)
     refl = [(i,) for i in range(n) if i not in neighbors[i]]
     sym = [
@@ -488,8 +461,6 @@ def conditional_pairs(
     pair: ModelDataPair, max_space: int = DEFAULT_MAX_SPACE
 ) -> list[tuple[Partition, ModelDataPair]]:
     """All one-step conditionals of a pair, one per ancillary partition."""
-    from .ancillarity import enumerate_ancillaries
-
     return [
         (a, condition_on_block(pair, a))
         for a in enumerate_ancillaries(pair.model, max_space)

@@ -1,7 +1,7 @@
 import pytest
 
 from lp_lab import fixtures
-from lp_lab.model import pair_at
+from lp_lab.model import ModelDataPair, pair_at, validate_model
 
 
 @pytest.fixture
@@ -32,3 +32,27 @@ def fe():
 @pytest.fixture
 def at():
     return pair_at
+
+
+@pytest.fixture
+def seven_point_l_pairs():
+    """Two non-isomorphic 7-point pairs with likelihoods in ratio 2.
+
+    Their Birnbaum mixture has 14 points, above the ancillary enumeration
+    bound DEFAULT_MAX_SPACE.
+    """
+    points = [f"x{i}" for i in range(1, 8)]
+    first = validate_model(
+        ["t1", "t2"],
+        points,
+        [["1/7"] * 7, ["1/14", "1/14", "1/7", "1/7", "1/7", "3/14", "3/14"]],
+    )
+    second = validate_model(
+        ["t1", "t2"],
+        points,
+        [
+            ["6/84"] + ["13/84"] * 6,
+            ["3/84", "10/84", "11/84", "12/84", "13/84", "14/84", "21/84"],
+        ],
+    )
+    return ModelDataPair(first, 0), ModelDataPair(second, 0)

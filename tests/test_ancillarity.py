@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lp_lab.ancillarity import (
+    DEFAULT_MAX_SPACE,
     ancillary_catalog,
     c_related,
     condition_on_block,
@@ -18,7 +19,7 @@ from lp_lab.errors import NotAncillary, SpaceTooLarge
 from lp_lab.generate import random_pair
 from lp_lab.model import ModelDataPair, validate_model
 from lp_lab.partition import Partition
-from lp_lab.relations import l_related
+from lp_lab.relations import birnbaumize, l_related
 from lp_lab.sufficiency import likelihood_partition
 
 F = Fraction
@@ -124,6 +125,23 @@ def test_c_related_reflexive(fb):
 
 def test_c_related_absent(fb, fc, at):
     assert c_related(at(fb, "y2"), at(fc, "z1")) is None
+
+
+def test_c_related_above_enumeration_bound(seven_point_l_pairs):
+    p1, p2 = seven_point_l_pairs
+    _, e1, e2 = birnbaumize(p1, p2)
+    assert e1.model.n_points == 14 > DEFAULT_MAX_SPACE
+    with pytest.raises(SpaceTooLarge):
+        enumerate_ancillaries(e1.model)
+    for pair, embedded in ((p1, e1), (p2, e2)):
+        witness = c_related(pair, embedded)
+        assert witness is not None
+        assert witness.parent == "second"
+        assert verify_c_witness(pair, embedded, witness)
+        # the MSS of the mixture merges the two observations across the
+        # component indicator, so the Durbin restriction rejects the step
+        assert durbin_c_related(pair, embedded) is None
+    assert c_related(p1, e2) is None
 
 
 def test_c_implies_l_random():

@@ -4,6 +4,7 @@ import pytest
 
 from lp_lab.cli import run
 from lp_lab.model import pair_at
+from lp_lab.relations import birnbaumize
 from lp_lab.serialization import save_pair, save_prior, save_model
 
 
@@ -176,3 +177,49 @@ def test_decimal_annotation(files, capsys):
         == 0
     )
     assert "1.500" in capsys.readouterr().out
+
+
+def test_relate_c_ignores_enumeration_bound(files, monkeypatch, capsys):
+    monkeypatch.setenv("LP_LAB_MAX_SPACE", "1")
+    assert run(["relate", "--kind", "C", files["pairB1"], files["pairB1"]]) == 0
+    assert "C: related" in capsys.readouterr().out
+
+
+def test_relate_c_above_enumeration_bound(tmp_path, seven_point_l_pairs, capsys):
+    p1, p2 = seven_point_l_pairs
+    _, e1, _ = birnbaumize(p1, p2)
+    small, mixture = str(tmp_path / "small.pair"), str(tmp_path / "mixture.pair")
+    save_pair(p1, small)
+    save_pair(e1, mixture)
+    assert run(["--machine", "relate", "--kind", "C", small, mixture]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"]["parent"] == "second"
+    assert run(["relate", "--kind", "DURBIN", small, mixture]) == 1
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_invalid_enumeration_bound_is_usage_error(files, monkeypatch, capsys):
+    monkeypatch.setenv("LP_LAB_MAX_SPACE", "abc")
+    assert run(["ancillaries", files["modelD"]]) == 2
+    _one_line_error(capsys)
+
+
+def test_zero_denominator_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "zero.pair"
+    bad.write_text(
+        json.dumps(
+            {
+                "theta": ["t1"],
+                "space": ["a", "b"],
+                "probs": [["1/0", "1/2"]],
+                "observed": "a",
+            }
+        )
+    )
+    for argv in (["validate", str(bad)], ["relate", "--kind", "C", str(bad), str(bad)]):
+        assert run(argv) == 2
+        _one_line_error(capsys)
