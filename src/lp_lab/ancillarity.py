@@ -4,6 +4,7 @@ Durbin-restricted C."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -20,8 +21,9 @@ from .sufficiency import likelihood_partition
 
 # Bound on |X| for exhaustive ancillary enumeration, which filters all
 # Bell(|X|) set partitions: Bell(12) is ~4.2M and takes minutes per call.
-# The relations C and Durbin-C do not enumerate, so it does not limit them.
-# Override per call, or via LP_LAB_MAX_SPACE in the CLI.
+# It also bounds balanced_blocks (2^(|X|-1) candidate blocks). The relations
+# C and Durbin-C do not enumerate, so it does not limit them. Override per
+# call, or via LP_LAB_MAX_SPACE for the CLI's `ancillaries`.
 DEFAULT_MAX_SPACE = 12
 
 
@@ -63,6 +65,45 @@ def block_masses(model: FiniteModel, partition: Partition) -> Optional[
 def is_ancillary(model: FiniteModel, partition: Partition) -> bool:
     """True iff every block has the same exact mass under every parameter."""
     return block_masses(model, partition) is not None
+
+
+def balanced_blocks(
+    model: FiniteModel, point: int, max_space: int = DEFAULT_MAX_SPACE
+) -> list[frozenset[int]]:
+    """Every block B holding ``point`` whose mass is free of the parameter.
+
+    B is balanced iff {B, X \\ B} is ancillary. Each B comes once, in the
+    restricted-growth order of {B, X \\ B}, so B = X comes first. The test
+    is in integers: with D the common denominator, B is balanced iff the
+    sum over B of D*f_theta(x) - D*f_theta1(x) is 0 for every theta. Only
+    2^(|X|-1) candidates are visited, not Bell(|X|) partitions.
+    """
+    n = model.n_points
+    if n > max_space:
+        raise SpaceTooLarge(f"|X| = {n} exceeds enumeration bound {max_space}")
+    scale = math.lcm(*(v.denominator for row in model.probs for v in row))
+    first, *others = [
+        [v.numerator * (scale // v.denominator) for v in row]
+        for row in model.probs
+    ]
+    diffs = [tuple(row[x] - first[x] for row in others) for x in range(n)]
+    # Bit b of a mask stands for point n-1-b. Counting the masks up lists
+    # the label strings of {A, X \ A}, with 0 in A and the set bits in
+    # X \ A, in restricted-growth order. X is balanced, so A is balanced
+    # iff the set bits are: totals[mask] sums their differences.
+    zero = tuple(0 for _ in others)
+    totals = [zero]
+    everything = frozenset(range(n))
+    blocks = [everything]
+    for mask in range(1, 1 << (n - 1)):
+        low = mask & -mask
+        diff = diffs[n - low.bit_length()]
+        total = tuple(a + b for a, b in zip(totals[mask ^ low], diff))
+        totals.append(total)
+        if total == zero:
+            rest = frozenset(x for x in range(1, n) if mask >> (n - 1 - x) & 1)
+            blocks.append(rest if point in rest else everything - rest)
+    return blocks
 
 
 def enumerate_ancillaries(

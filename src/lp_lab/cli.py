@@ -33,10 +33,13 @@ from .model import canonical_form, format_rational
 from .partition import Partition
 from .relations import RelationKind, Universe
 from .serialization import (
+    load_json,
     load_model,
     load_pair,
     load_prior,
+    model_from_dict,
     model_to_dict,
+    pair_from_dict,
     pair_to_dict,
     partition_to_labels,
     render_machine,
@@ -117,11 +120,9 @@ def _enumeration_bound() -> int:
 
 
 def cmd_validate(args, printer) -> int:
-    import json
-
-    data = json.loads(Path(args.file).read_text(encoding="utf-8"))
-    if "observed" in data:
-        pair = load_pair(args.file)
+    data = load_json(args.file)
+    if isinstance(data, dict) and "observed" in data:
+        pair = pair_from_dict(data)
         payload = {
             "command": "validate",
             "input": pair_to_dict(pair),
@@ -133,7 +134,7 @@ def cmd_validate(args, printer) -> int:
             f"|X| = {pair.model.n_points}, observed = {pair.observed_label}"
         ]
     else:
-        model = load_model(args.file)
+        model = model_from_dict(data)
         payload = {
             "command": "validate",
             "input": model_to_dict(model),
@@ -318,10 +319,9 @@ def cmd_closure(args, printer) -> int:
     members = [load_pair(f) for f in files]
     if args.augment:
         extra = []
+        peers = relations.l_class_peers(members)
         for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                if relations.l_related(a, b) is None:
-                    continue
+            for b in (members[j] for j in peers[i] if j > i):
                 if args.augment == "birnbaum":
                     _, e1, e2 = relations.birnbaumize(a, b)
                     extra.extend([e1, e2])
@@ -355,8 +355,7 @@ def cmd_search(args, printer) -> int:
         args.theta_size, args.max_space, args.max_denominator
     )
     if args.what == "c-transitivity":
-        max_space = _enumeration_bound()
-        found = search.search_c_transitivity_counterexample(bounds, max_space)
+        found = search.search_c_transitivity_counterexample(bounds)
         payload = {
             "command": "search",
             "what": args.what,

@@ -13,9 +13,9 @@ from typing import Optional, Sequence, Union
 from .ancillarity import (
     DEFAULT_MAX_SPACE,
     CWitness,
+    balanced_blocks,
     c_related,
     condition_on_block,
-    enumerate_ancillaries,
     verify_c_witness,
 )
 from .errors import NotLRelated, ParameterSpaceMismatch
@@ -24,6 +24,7 @@ from .model import (
     ModelDataPair,
     canonical_form,
     likelihood_vector,
+    normalized_direction,
     proportional,
 )
 from .partition import Partition, is_function_of
@@ -50,6 +51,24 @@ def l_related(
             f"{p1.model.theta_labels} vs {p2.model.theta_labels}"
         )
     return proportional(likelihood_vector(p1), likelihood_vector(p2))
+
+
+def l_class_key(pair: ModelDataPair) -> tuple[Fraction, ...]:
+    """Invariant of L: on one parameter space, two pairs have equal keys
+    iff l_related holds between them."""
+    return normalized_direction(likelihood_vector(pair))
+
+
+def l_class_peers(pairs: Sequence[ModelDataPair]) -> list[list[int]]:
+    """For each pair, the ascending indices of the pairs with its l_class_key.
+
+    Every relation kind implies L, so only peers can be related in one step.
+    """
+    keys = [l_class_key(p) for p in pairs]
+    buckets: dict[tuple[Fraction, ...], list[int]] = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
+    return [buckets[key] for key in keys]
 
 
 def related(
@@ -357,9 +376,12 @@ def closure(universe: Universe, kind: RelationKind) -> ClosureResult:
     """Equivalence classes of the chain-closure restricted to the universe.
 
     Chains never leave the universe; enlarging it can only merge classes.
+    The oracle runs only on pairs i < j of one L class, in the order of i
+    then j; no other pair can hold a one-step edge.
     """
     members = universe.members
     n = len(members)
+    peers = l_class_peers(members)
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -370,7 +392,9 @@ def closure(universe: Universe, kind: RelationKind) -> ClosureResult:
 
     edges = []
     for i in range(n):
-        for j in range(i + 1, n):
+        for j in peers[i]:
+            if j <= i:
+                continue
             witness = related(members[i], members[j], kind)
             if witness is None:
                 continue
@@ -419,14 +443,16 @@ def relation_properties_report(
 ) -> RelationPropertiesReport:
     """Audit reflexivity, symmetry and transitivity of the one-step relation.
 
-    Every ordered pair is decided by the actual oracle; failures are
-    reported with explicit index tuples into the universe.
+    Every ordered pair within one L class is decided by the actual oracle;
+    pairs across classes are related under no kind. Failures are reported
+    with explicit index tuples into the universe.
     """
     members = universe.members
     n = len(members)
+    peers = l_class_peers(members)
     neighbors: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
-        for j in range(n):
+        for j in peers[i]:
             if related(members[i], members[j], kind) is not None:
                 neighbors[i].add(j)
     refl = [(i,) for i in range(n) if i not in neighbors[i]]
@@ -460,8 +486,19 @@ def relation_properties_report(
 def conditional_pairs(
     pair: ModelDataPair, max_space: int = DEFAULT_MAX_SPACE
 ) -> list[tuple[Partition, ModelDataPair]]:
-    """All one-step conditionals of a pair, one per ancillary partition."""
-    return [
-        (a, condition_on_block(pair, a))
-        for a in enumerate_ancillaries(pair.model, max_space)
-    ]
+    """All one-step conditionals of a pair, one per balanced block B that
+    holds the observed point, each with its ancillary {B, X \\ B}.
+
+    The list is in restricted-growth order of the ancillaries. Among all
+    ancillaries having B as the observed point's block, {B, X \\ B} comes
+    first in that order, so the distinct conditionals appear in the same
+    order as when conditioning on every ancillary partition in turn.
+    ``max_space`` bounds |X|, as 2^(|X|-1) blocks are tested.
+    """
+    n = pair.model.n_points
+    out = []
+    for block in balanced_blocks(pair.model, pair.observed, max_space):
+        rest = set(range(n)) - block
+        ancillary = Partition.of(n, [block, rest] if rest else [block])
+        out.append((ancillary, condition_on_block(pair, ancillary)))
+    return out

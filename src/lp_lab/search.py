@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .ancillarity import DEFAULT_MAX_SPACE, CWitness, c_related
+from .ancillarity import CWitness, c_related
 from .errors import ModelValidationError
 from .model import (
     FiniteModel,
@@ -112,14 +112,15 @@ class TransitivityCounterexample:
 
 def search_c_transitivity_counterexample(
     bounds: SearchBounds = SearchBounds(),
-    max_space_enum: int = DEFAULT_MAX_SPACE,
 ) -> Optional[TransitivityCounterexample]:
     """First triple (p1, p2, p3) with C(p1,p2), C(p2,p3) but not C(p1,p3).
 
-    p1 and p3 are taken among the conditionals of a scanned pair p2, so the
-    two positive claims hold by construction (and are re-verified by the
-    oracle); the negative claim is decided exactly by the C oracle, which
-    enumerates nothing. ``max_space_enum`` bounds the conditionals of p2.
+    p1 and p3 are taken among the conditionals of a scanned pair p2, one
+    per balanced block holding its observed point, so the two positive
+    claims hold by construction (and are re-verified by the oracle); the
+    negative claim is decided exactly by the C oracle, which enumerates
+    nothing. ``bounds.max_space`` caps |X| of the scanned models;
+    conditional_pairs refuses models above DEFAULT_MAX_SPACE points.
     """
     for model in enumerate_models(
         bounds.theta_size, bounds.max_space, bounds.max_denominator
@@ -128,7 +129,7 @@ def search_c_transitivity_counterexample(
             p2 = ModelDataPair(model, x)
             conditionals = []
             seen: set[ModelDataPair] = set()
-            for _, cond in conditional_pairs(p2, max_space_enum):
+            for _, cond in conditional_pairs(p2):
                 key = canonical_form(cond)
                 if key not in seen:
                     seen.add(key)

@@ -35,11 +35,65 @@ def model_to_dict(model: FiniteModel) -> dict:
     }
 
 
+# JSON type names, for schema messages
+_JSON_TYPES = {
+    dict: "object",
+    list: "array",
+    str: "string",
+    int: "number",
+    float: "number",
+    bool: "boolean",
+    type(None): "null",
+}
+
+
+# Types json.loads gives for labels and for exact rationals ("p/q" or an
+# integer); bool is a type of its own, so true and false are not rationals
+_STR = {str}
+_RATIONAL = {str, int}
+
+
+def _array(value: Any, types: set) -> bool:
+    return type(value) is list and set(map(type, value)) <= types
+
+
+# field -> (shape test, what the field must be)
+_LABELS = (lambda v: _array(v, _STR), "an array of strings")
+_RATIONALS = (lambda v: _array(v, _RATIONAL), 'an array of rationals such as "1/2"')
+_ROWS = (
+    lambda v: type(v) is list and all(_array(row, _RATIONAL) for row in v),
+    'an array of rows of rationals such as "1/2"',
+)
+_STRING = (lambda v: type(v) is str, "a string")
+_SCHEMAS = {
+    "model": {"theta": _LABELS, "space": _LABELS, "probs": _ROWS},
+    "pair": {"theta": _LABELS, "space": _LABELS, "probs": _ROWS, "observed": _STRING},
+    "prior": {"theta": _LABELS, "weights": _RATIONALS},
+}
+
+
+def check_schema(data: Any, kind: str) -> None:
+    """Raise LpLabError unless ``data`` has the JSON shape of a ``kind``
+    ("model", "pair" or "prior") description. Values are checked later."""
+    if not isinstance(data, dict):
+        found = _JSON_TYPES.get(type(data), type(data).__name__)
+        raise LpLabError(f"{kind} description must be a JSON object, not {found}")
+    for field, (valid, expected) in _SCHEMAS[kind].items():
+        if field not in data:
+            raise LpLabError(f"missing field '{field}' in {kind} description")
+        if not valid(data[field]):
+            raise LpLabError(
+                f"field '{field}' of the {kind} description must be {expected}"
+            )
+
+
+def _model(data: dict) -> FiniteModel:
+    return validate_model(data["theta"], data["space"], data["probs"])
+
+
 def model_from_dict(data: dict) -> FiniteModel:
-    try:
-        return validate_model(data["theta"], data["space"], data["probs"])
-    except KeyError as exc:
-        raise LpLabError(f"missing field {exc} in model description")
+    check_schema(data, "model")
+    return _model(data)
 
 
 def pair_to_dict(pair: ModelDataPair) -> dict:
@@ -49,11 +103,9 @@ def pair_to_dict(pair: ModelDataPair) -> dict:
 
 
 def pair_from_dict(data: dict) -> ModelDataPair:
-    model = model_from_dict(data)
-    try:
-        observed = data["observed"]
-    except KeyError:
-        raise LpLabError("missing field 'observed' in pair description")
+    check_schema(data, "pair")
+    model = _model(data)
+    observed = data["observed"]
     if observed not in model.sample_labels:
         raise LpLabError(f"observed label {observed!r} not in sample space")
     return ModelDataPair(model, model.sample_labels.index(observed))
@@ -67,13 +119,11 @@ def prior_to_dict(prior: Prior) -> dict:
 
 
 def prior_from_dict(data: dict) -> Prior:
-    try:
-        return Prior.of(data["theta"], data["weights"])
-    except KeyError as exc:
-        raise LpLabError(f"missing field {exc} in prior description")
+    check_schema(data, "prior")
+    return Prior.of(data["theta"], data["weights"])
 
 
-def _load_json(path: str | Path) -> dict:
+def load_json(path: str | Path) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -85,15 +135,15 @@ def _load_json(path: str | Path) -> dict:
 
 
 def load_model(path: str | Path) -> FiniteModel:
-    return model_from_dict(_load_json(path))
+    return model_from_dict(load_json(path))
 
 
 def load_pair(path: str | Path) -> ModelDataPair:
-    return pair_from_dict(_load_json(path))
+    return pair_from_dict(load_json(path))
 
 
 def load_prior(path: str | Path) -> Prior:
-    return prior_from_dict(_load_json(path))
+    return prior_from_dict(load_json(path))
 
 
 def _dump(data: dict, path: str | Path) -> None:

@@ -6,6 +6,7 @@ import pytest
 from lp_lab.ancillarity import (
     DEFAULT_MAX_SPACE,
     ancillary_catalog,
+    balanced_blocks,
     c_related,
     condition_on_block,
     durbin_c_related,
@@ -52,6 +53,15 @@ def test_enumerate_ancillaries_one_point():
 def test_space_too_large(fd):
     with pytest.raises(SpaceTooLarge):
         enumerate_ancillaries(fd, max_space=3)
+
+
+def test_balanced_blocks_fix_d(fd):
+    # restricted-growth order of {B, X \ B}: 0000, 0011, 0110
+    assert balanced_blocks(fd, 0) == [{0, 1, 2, 3}, {0, 1}, {0, 3}]
+    assert balanced_blocks(fd, 2) == [{0, 1, 2, 3}, {2, 3}, {1, 2}]
+    assert balanced_blocks(validate_model(["t1"], ["o"], [["1"]]), 0) == [{0}]
+    with pytest.raises(SpaceTooLarge):
+        balanced_blocks(fd, 0, max_space=3)
 
 
 def test_maximal_ancillaries(fd, fb):

@@ -202,6 +202,14 @@ def _one_line_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bound", ["1", "abc"])
+def test_search_ignores_enumeration_bound(bound, monkeypatch, capsys):
+    # the search's own --max-space caps |X|; LP_LAB_MAX_SPACE is for ancillaries
+    monkeypatch.setenv("LP_LAB_MAX_SPACE", bound)
+    assert run(["--machine", "search", "c-transitivity"]) == 0
+    assert json.loads(capsys.readouterr().out)["found"] is not None
+
+
 def test_invalid_enumeration_bound_is_usage_error(files, monkeypatch, capsys):
     monkeypatch.setenv("LP_LAB_MAX_SPACE", "abc")
     assert run(["ancillaries", files["modelD"]]) == 2
