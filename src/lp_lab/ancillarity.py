@@ -21,9 +21,9 @@ from .sufficiency import likelihood_partition
 
 # Bound on |X| for exhaustive ancillary enumeration, which filters all
 # Bell(|X|) set partitions: Bell(12) is ~4.2M and takes minutes per call.
-# It also bounds balanced_blocks (2^(|X|-1) candidate blocks). The relations
-# C and Durbin-C do not enumerate, so it does not limit them. Override per
-# call, or via LP_LAB_MAX_SPACE for the CLI's `ancillaries`.
+# Override per call, or via LP_LAB_MAX_SPACE for the CLI's `ancillaries`.
+# The relations C and Durbin-C do not enumerate, so it does not limit them;
+# conditional_pairs, which tests 2^(|X|-1) blocks, refuses larger models.
 DEFAULT_MAX_SPACE = 12
 
 
@@ -67,9 +67,7 @@ def is_ancillary(model: FiniteModel, partition: Partition) -> bool:
     return block_masses(model, partition) is not None
 
 
-def balanced_blocks(
-    model: FiniteModel, point: int, max_space: int = DEFAULT_MAX_SPACE
-) -> list[frozenset[int]]:
+def balanced_blocks(model: FiniteModel, point: int) -> list[frozenset[int]]:
     """Every block B holding ``point`` whose mass is free of the parameter.
 
     B is balanced iff {B, X \\ B} is ancillary. Each B comes once, in the
@@ -79,8 +77,6 @@ def balanced_blocks(
     2^(|X|-1) candidates are visited, not Bell(|X|) partitions.
     """
     n = model.n_points
-    if n > max_space:
-        raise SpaceTooLarge(f"|X| = {n} exceeds enumeration bound {max_space}")
     scale = math.lcm(*(v.denominator for row in model.probs for v in row))
     first, *others = [
         [v.numerator * (scale // v.denominator) for v in row]

@@ -121,7 +121,7 @@ def _enumeration_bound() -> int:
 
 def cmd_validate(args, printer) -> int:
     data = load_json(args.file)
-    if isinstance(data, dict) and "observed" in data:
+    if "observed" in data:
         pair = pair_from_dict(data)
         payload = {
             "command": "validate",

@@ -18,7 +18,7 @@ from .ancillarity import (
     condition_on_block,
     verify_c_witness,
 )
-from .errors import NotLRelated, ParameterSpaceMismatch
+from .errors import NotLRelated, ParameterSpaceMismatch, SpaceTooLarge
 from .model import (
     FiniteModel,
     ModelDataPair,
@@ -483,9 +483,7 @@ def relation_properties_report(
     )
 
 
-def conditional_pairs(
-    pair: ModelDataPair, max_space: int = DEFAULT_MAX_SPACE
-) -> list[tuple[Partition, ModelDataPair]]:
+def conditional_pairs(pair: ModelDataPair) -> list[tuple[Partition, ModelDataPair]]:
     """All one-step conditionals of a pair, one per balanced block B that
     holds the observed point, each with its ancillary {B, X \\ B}.
 
@@ -493,11 +491,16 @@ def conditional_pairs(
     ancillaries having B as the observed point's block, {B, X \\ B} comes
     first in that order, so the distinct conditionals appear in the same
     order as when conditioning on every ancillary partition in turn.
-    ``max_space`` bounds |X|, as 2^(|X|-1) blocks are tested.
+    2^(|X|-1) blocks are tested, so |X| above DEFAULT_MAX_SPACE raises
+    SpaceTooLarge.
     """
     n = pair.model.n_points
+    if n > DEFAULT_MAX_SPACE:
+        raise SpaceTooLarge(
+            f"|X| = {n} exceeds enumeration bound {DEFAULT_MAX_SPACE}"
+        )
     out = []
-    for block in balanced_blocks(pair.model, pair.observed, max_space):
+    for block in balanced_blocks(pair.model, pair.observed):
         rest = set(range(n)) - block
         ancillary = Partition.of(n, [block, rest] if rest else [block])
         out.append((ancillary, condition_on_block(pair, ancillary)))

@@ -35,50 +35,43 @@ def model_to_dict(model: FiniteModel) -> dict:
     }
 
 
-# JSON type names, for schema messages
-_JSON_TYPES = {
-    dict: "object",
-    list: "array",
-    str: "string",
-    int: "number",
-    float: "number",
-    bool: "boolean",
-    type(None): "null",
-}
+def _scalars(value: Any) -> bool:
+    """An array of labels or exact rationals ("p/q" or an integer): JSON
+    strings or integers. bool is a type of its own, so true and false are
+    neither."""
+    return type(value) is list and all(type(v) in (str, int) for v in value)
 
 
-# Types json.loads gives for labels and for exact rationals ("p/q" or an
-# integer); bool is a type of its own, so true and false are not rationals
-_STR = {str}
-_RATIONAL = {str, int}
+def _rows(value: Any) -> bool:
+    return type(value) is list and all(map(_scalars, value))
 
 
-def _array(value: Any, types: set) -> bool:
-    return type(value) is list and set(map(type, value)) <= types
+def _string(value: Any) -> bool:
+    return type(value) is str
 
 
 # field -> (shape test, what the field must be)
-_LABELS = (lambda v: _array(v, _STR), "an array of strings")
-_RATIONALS = (lambda v: _array(v, _RATIONAL), 'an array of rationals such as "1/2"')
-_ROWS = (
-    lambda v: type(v) is list and all(_array(row, _RATIONAL) for row in v),
-    'an array of rows of rationals such as "1/2"',
-)
-_STRING = (lambda v: type(v) is str, "a string")
-_SCHEMAS = {
-    "model": {"theta": _LABELS, "space": _LABELS, "probs": _ROWS},
-    "pair": {"theta": _LABELS, "space": _LABELS, "probs": _ROWS, "observed": _STRING},
-    "prior": {"theta": _LABELS, "weights": _RATIONALS},
+_SHAPES = {
+    "theta": (_scalars, "an array of strings or integers"),
+    "space": (_scalars, "an array of strings or integers"),
+    "probs": (_rows, 'an array of rows of rationals such as "1/2"'),
+    "observed": (_string, "a string"),
+    "weights": (_scalars, 'an array of rationals such as "1/2"'),
+}
+_FIELDS = {
+    "model": ("theta", "space", "probs"),
+    "pair": ("theta", "space", "probs", "observed"),
+    "prior": ("theta", "weights"),
 }
 
 
 def check_schema(data: Any, kind: str) -> None:
     """Raise LpLabError unless ``data`` has the JSON shape of a ``kind``
     ("model", "pair" or "prior") description. Values are checked later."""
-    if not isinstance(data, dict):
-        found = _JSON_TYPES.get(type(data), type(data).__name__)
-        raise LpLabError(f"{kind} description must be a JSON object, not {found}")
-    for field, (valid, expected) in _SCHEMAS[kind].items():
+    if type(data) is not dict:
+        raise LpLabError("description must be a JSON object")
+    for field in _FIELDS[kind]:
+        valid, expected = _SHAPES[field]
         if field not in data:
             raise LpLabError(f"missing field '{field}' in {kind} description")
         if not valid(data[field]):
@@ -123,15 +116,19 @@ def prior_from_dict(data: dict) -> Prior:
     return Prior.of(data["theta"], data["weights"])
 
 
-def load_json(path: str | Path) -> Any:
+def load_json(path: str | Path) -> dict:
+    """The JSON object held by a model, pair or prior file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise LpLabError(f"cannot read {path}: {exc}")
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LpLabError(f"{path} is not valid JSON: {exc}")
+    if type(data) is not dict:
+        raise LpLabError(f"{path} must hold a JSON object")
+    return data
 
 
 def load_model(path: str | Path) -> FiniteModel:

@@ -20,7 +20,7 @@ from lp_lab.errors import NotAncillary, SpaceTooLarge
 from lp_lab.generate import random_pair
 from lp_lab.model import ModelDataPair, validate_model
 from lp_lab.partition import Partition
-from lp_lab.relations import birnbaumize, l_related
+from lp_lab.relations import birnbaumize, conditional_pairs, l_related
 from lp_lab.sufficiency import likelihood_partition
 
 F = Fraction
@@ -60,8 +60,19 @@ def test_balanced_blocks_fix_d(fd):
     assert balanced_blocks(fd, 0) == [{0, 1, 2, 3}, {0, 1}, {0, 3}]
     assert balanced_blocks(fd, 2) == [{0, 1, 2, 3}, {2, 3}, {1, 2}]
     assert balanced_blocks(validate_model(["t1"], ["o"], [["1"]]), 0) == [{0}]
+
+
+def test_conditional_pairs_refuse_large_space(seven_point_l_pairs):
+    p1, p2 = seven_point_l_pairs
+    _, e1, _ = birnbaumize(p1, p2)
+    assert e1.model.n_points == 14 > DEFAULT_MAX_SPACE
+    # balanced_blocks itself has no bound: X comes first, and the copy of
+    # the first component is among the balanced blocks
+    blocks = balanced_blocks(e1.model, e1.observed)
+    assert blocks[0] == set(range(14)) and set(range(7)) in blocks
     with pytest.raises(SpaceTooLarge):
-        balanced_blocks(fd, 0, max_space=3)
+        conditional_pairs(e1)
+    assert len(conditional_pairs(p1)) == len(balanced_blocks(p1.model, 0))
 
 
 def test_maximal_ancillaries(fd, fb):

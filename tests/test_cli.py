@@ -210,6 +210,13 @@ def test_search_ignores_enumeration_bound(bound, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["found"] is not None
 
 
+def test_search_above_enumeration_bound_stops_at_first_find(capsys):
+    # conditional_pairs refuses |X| > 12, but the search finds a triple long
+    # before it scans models that large
+    assert run(["--machine", "search", "c-transitivity", "--max-space", "13"]) == 0
+    assert json.loads(capsys.readouterr().out)["found"] is not None
+
+
 def test_invalid_enumeration_bound_is_usage_error(files, monkeypatch, capsys):
     monkeypatch.setenv("LP_LAB_MAX_SPACE", "abc")
     assert run(["ancillaries", files["modelD"]]) == 2

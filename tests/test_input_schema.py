@@ -1,8 +1,9 @@
 """Malformed pair, model and prior files: exit 2 with one `error:` line.
 
 Each mangling breaks the JSON shape the loaders require (top-level object,
-arrays of string labels, arrays of rational strings or integers, a string
-observed label), so the input is invalid whatever else it holds.
+arrays of labels as strings or integers, arrays of rational strings or
+integers, a string observed label), so the input is invalid whatever else
+it holds.
 """
 
 import io
@@ -47,7 +48,7 @@ _containers = st.one_of(
 _non_object = _json.filter(lambda v: not isinstance(v, dict))
 _non_array = _json.filter(lambda v: not isinstance(v, list))
 _non_string = _json.filter(lambda v: not isinstance(v, str))
-_non_rational = st.one_of(
+_non_scalar = st.one_of(
     st.none(), st.booleans(), st.floats(allow_nan=False), _containers
 )
 
@@ -69,14 +70,12 @@ def mangled(draw, kind):
     else:
         items = data[field]
         i = draw(st.integers(0, len(items) - 1))
-        if field in ("theta", "space"):
-            items[i] = draw(_non_string)
-        elif field == "weights":
-            items[i] = draw(_non_rational)
+        if field != "probs":
+            items[i] = draw(_non_scalar)
         elif draw(st.booleans()):
             items[i] = draw(_non_array)
         else:
-            items[i][draw(st.integers(0, 2))] = draw(_non_rational)
+            items[i][draw(st.integers(0, 2))] = draw(_non_scalar)
     return data
 
 
@@ -146,7 +145,7 @@ def test_arbitrary_field_values_never_escape(workdir, data):
     "text, message",
     [
         ('{"theta": ["t1"], "space": ["a", "b"], "probs": [[0.5, "1/2"]], "observed": "a"}', "'probs'"),
-        ('[{"theta": ["t1"]}]', "JSON object, not array"),
+        ('[{"theta": ["t1"]}]', "known.pair must hold a JSON object"),
         ('{"theta": ["t1"], "space": ["a", "b"], "probs": "ab", "observed": "a"}', "'probs'"),
         ('{"theta": "t1", "space": ["a", "b"], "probs": [["1/2", "1/2"]], "observed": "a"}', "'theta'"),
     ],
@@ -159,3 +158,16 @@ def test_known_malformed_pairs(workdir, text, message):
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err
+
+
+def test_numeric_labels_load(workdir):
+    pair = workdir / "numeric.pair"
+    pair.write_text(
+        '{"theta": [1, 2], "space": [1, 2, 3], "observed": "2",'
+        ' "probs": [["1/3", "1/3", "1/3"], [0, 1, 0]]}'
+    )
+    prior = workdir / "numeric.prior"
+    prior.write_text('{"theta": [1, 2], "weights": ["1/4", "3/4"]}')
+    assert _run(["validate", str(pair)]) == (0, "")
+    assert _run(["relate", "--kind", "L", str(pair), str(pair)]) == (0, "")
+    assert _run(["rb", "analyze", str(pair), "--prior", str(prior)]) == (0, "")
