@@ -9,6 +9,7 @@ decimal rendering (annotation only, the exact value is always printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -26,8 +27,6 @@ from .evidence import (
     check_model_mss,
     check_prior_conflict,
     evidence_report,
-    rb_estimate,
-    rb_strength,
 )
 from .model import canonical_form, format_rational
 from .partition import Partition
@@ -390,6 +389,8 @@ def cmd_search(args, printer) -> int:
 
 
 def cmd_rb(args, printer) -> int:
+    if args.what == "strength" and not args.theta:
+        raise LpLabError("rb strength requires --theta")
     pair = load_pair(args.file)
     prior = load_prior(args.prior)
     hypotheses = []
@@ -405,13 +406,10 @@ def cmd_rb(args, printer) -> int:
     lines = []
     if args.what == "estimate":
         lines.append(
-            "relative belief estimate: "
-            + ", ".join(sorted(rb_estimate(pair, prior)))
+            "relative belief estimate: " + ", ".join(report.estimate)
         )
     elif args.what == "strength":
-        if not args.theta:
-            raise LpLabError("rb strength requires --theta")
-        value = rb_strength(pair, prior, args.theta)
+        value = report.strength(prior.index_of(args.theta))
         payload["strength"] = to_jsonable(value)
         lines.append(
             f"strength({args.theta}) = {printer.rational(value)}"
@@ -467,7 +465,22 @@ def cmd_check(args, printer) -> int:
     return EXIT_OK
 
 
+def _digits(text: str) -> int:
+    """The K of --decimal K: a whole number of decimal places, 0 or more."""
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = -1
+    if digits < 0:
+        raise argparse.ArgumentTypeError(
+            f"K must be a nonnegative integer, got {text!r}"
+        )
+    return digits
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The lp-lab parser; built on first use and shared by every run call."""
     parser = argparse.ArgumentParser(
         prog="lp-lab",
         description="Exact-arithmetic lab for the S/C/L relation algebra, "
@@ -478,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--decimal",
-        type=int,
+        type=_digits,
         metavar="K",
         help="annotate rationals with a K-digit decimal rendering",
     )
@@ -554,9 +567,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    """Run one lp-lab command line and return its exit code.
+
+    The parser is built once per process, on the first call, and holds no
+    per-call state: every call parses into a fresh Namespace.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     printer = Printer(args.machine, args.decimal)

@@ -52,6 +52,12 @@ class Prior:
         n = len(theta_labels)
         return Prior.of(theta_labels, [Fraction(1, n)] * n)
 
+    def index_of(self, label: str) -> int:
+        """Position of a parameter label; UnknownTheta if it is not one."""
+        if label not in self.theta_labels:
+            raise UnknownTheta(f"unknown parameter label {label!r}")
+        return self.theta_labels.index(label)
+
 
 class Direction(enum.Enum):
     FOR = "for"
@@ -66,42 +72,88 @@ def _check_match(model: FiniteModel, prior: Prior) -> None:
         )
 
 
+def _joint(model: FiniteModel, prior: Prior, x: int) -> list[Fraction]:
+    """pi(theta) f_theta(x) for each theta; the entries sum to m(x)."""
+    return [w * row[x] for w, row in zip(prior.weights, model.probs)]
+
+
+def _bayes(
+    pair: ModelDataPair, prior: Prior
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """m(x_obs) and the posterior, from the column of the observed point."""
+    _check_match(pair.model, prior)
+    joint = _joint(pair.model, prior, pair.observed)
+    m = sum(joint)
+    return m, tuple(j / m for j in joint)
+
+
+def _ratios(post: Sequence[Fraction], prior: Prior) -> tuple[Fraction, ...]:
+    return tuple(p / w for p, w in zip(post, prior.weights))
+
+
+def _masses(
+    post: Sequence[Fraction], prior: Prior, indices: Sequence[int]
+) -> tuple[Fraction, Fraction]:
+    """Prior and posterior probability of the hypothesis at ``indices``."""
+    return (
+        sum(prior.weights[i] for i in indices),
+        sum(post[i] for i in indices),
+    )
+
+
+def _odds_ratio(p_a: Fraction, q_a: Fraction) -> Optional[Fraction]:
+    if q_a == 1:
+        return None
+    return (q_a / (1 - q_a)) / (p_a / (1 - p_a))
+
+
+def _direction(p_a: Fraction, q_a: Fraction) -> Direction:
+    if q_a > p_a:
+        return Direction.FOR
+    if q_a < p_a:
+        return Direction.AGAINST
+    return Direction.NEUTRAL
+
+
+def _strength(
+    post: Sequence[Fraction], rb: Sequence[Fraction], index: int
+) -> Fraction:
+    cutoff = rb[index]
+    return sum(
+        (p for p, value in zip(post, rb) if value <= cutoff),
+        Fraction(0),
+    )
+
+
+def _estimate(labels: Sequence[str], rb: Sequence[Fraction]) -> set[str]:
+    best = max(rb)
+    return {label for label, value in zip(labels, rb) if value == best}
+
+
 def prior_predictive(
     model: FiniteModel, prior: Prior
 ) -> tuple[Fraction, ...]:
     """m(x) = sum_theta pi(theta) f_theta(x); entries sum to 1."""
     _check_match(model, prior)
     return tuple(
-        sum(w * row[x] for w, row in zip(prior.weights, model.probs))
-        for x in range(model.n_points)
+        sum(_joint(model, prior, x)) for x in range(model.n_points)
     )
 
 
 def posterior(pair: ModelDataPair, prior: Prior) -> tuple[Fraction, ...]:
     """pi(theta | x) over the parameter space; sums to 1 exactly."""
-    _check_match(pair.model, prior)
-    m = prior_predictive(pair.model, prior)[pair.observed]
-    return tuple(
-        w * row[pair.observed] / m
-        for w, row in zip(prior.weights, pair.model.probs)
-    )
+    return _bayes(pair, prior)[1]
 
 
 def relative_belief(
     pair: ModelDataPair, prior: Prior
 ) -> tuple[Fraction, ...]:
     """RB(theta | x) = posterior / prior = f_theta(x) / m(x)."""
-    post = posterior(pair, prior)
-    return tuple(p / w for p, w in zip(post, prior.weights))
+    return _ratios(posterior(pair, prior), prior)
 
 
 def _hypothesis_indices(prior: Prior, hypothesis: Sequence[str]) -> list[int]:
-    indices = []
-    for label in hypothesis:
-        if label not in prior.theta_labels:
-            raise UnknownTheta(f"unknown parameter label {label!r}")
-        indices.append(prior.theta_labels.index(label))
-    return sorted(set(indices))
+    return sorted({prior.index_of(label) for label in hypothesis})
 
 
 def bayes_factor(
@@ -117,12 +169,7 @@ def bayes_factor(
         raise DegenerateHypothesis(
             "hypothesis must be a nonempty proper subset of the parameter space"
         )
-    post = posterior(pair, prior)
-    p_a = sum(prior.weights[i] for i in indices)
-    q_a = sum(post[i] for i in indices)
-    if q_a == 1:
-        return None
-    return (q_a / (1 - q_a)) / (p_a / (1 - p_a))
+    return _odds_ratio(*_masses(posterior(pair, prior), prior, indices))
 
 
 def evidence_direction(
@@ -132,23 +179,12 @@ def evidence_direction(
     indices = _hypothesis_indices(prior, hypothesis)
     if not indices:
         raise EmptyHypothesis("hypothesis must be nonempty")
-    post = posterior(pair, prior)
-    p_a = sum(prior.weights[i] for i in indices)
-    q_a = sum(post[i] for i in indices)
-    if q_a > p_a:
-        return Direction.FOR
-    if q_a < p_a:
-        return Direction.AGAINST
-    return Direction.NEUTRAL
+    return _direction(*_masses(posterior(pair, prior), prior, indices))
 
 
 def rb_estimate(pair: ModelDataPair, prior: Prior) -> set[str]:
     """Parameter values maximizing the relative belief ratio; ties kept."""
-    rb = relative_belief(pair, prior)
-    best = max(rb)
-    return {
-        label for label, value in zip(prior.theta_labels, rb) if value == best
-    }
+    return _estimate(prior.theta_labels, relative_belief(pair, prior))
 
 
 def rb_strength(
@@ -159,15 +195,9 @@ def rb_strength(
     Small values mean the evidence for theta0 is weak even when its
     relative belief ratio exceeds 1.
     """
-    if theta0 not in prior.theta_labels:
-        raise UnknownTheta(f"unknown parameter label {theta0!r}")
-    rb = relative_belief(pair, prior)
+    index = prior.index_of(theta0)
     post = posterior(pair, prior)
-    cutoff = rb[prior.theta_labels.index(theta0)]
-    return sum(
-        (p for p, value in zip(post, rb) if value <= cutoff),
-        Fraction(0),
-    )
+    return _strength(post, _ratios(post, prior), index)
 
 
 def check_model_mss(pair: ModelDataPair) -> Fraction:
@@ -231,39 +261,43 @@ class EvidenceReport:
     estimate: tuple[str, ...]
     hypotheses: tuple[HypothesisRecord, ...]
 
+    def strength(self, index: int) -> Fraction:
+        """rb_strength of the parameter value at ``index``."""
+        return _strength(self.posterior, self.rb, index)
+
 
 def evidence_report(
     pair: ModelDataPair,
     prior: Prior,
     hypotheses: Sequence[Sequence[str]] = (),
 ) -> EvidenceReport:
-    """Full evidence summary for a pair, a prior and optional hypotheses."""
-    m = prior_predictive(pair.model, prior)[pair.observed]
-    post = posterior(pair, prior)
-    rb = relative_belief(pair, prior)
+    """Full evidence summary for a pair, a prior and optional hypotheses.
+
+    The posterior is computed once; every other field is derived from it.
+    """
+    m, post = _bayes(pair, prior)
+    rb = _ratios(post, prior)
     records = []
     for hypothesis in hypotheses:
         indices = _hypothesis_indices(prior, hypothesis)
-        labels = tuple(prior.theta_labels[i] for i in indices)
-        p_a = sum(prior.weights[i] for i in indices)
-        q_a = sum(post[i] for i in indices)
-        proper = 0 < len(indices) < len(prior.theta_labels)
+        if not indices:
+            raise EmptyHypothesis("hypothesis must be nonempty")
+        p_a, q_a = _masses(post, prior, indices)
+        proper = len(indices) < len(prior.theta_labels)
         records.append(
             HypothesisRecord(
-                labels,
+                tuple(prior.theta_labels[i] for i in indices),
                 p_a,
                 q_a,
-                bayes_factor(pair, prior, labels) if proper else None,
-                evidence_direction(pair, prior, labels),
-                rb_strength(pair, prior, labels[0])
-                if len(labels) == 1
-                else None,
+                _odds_ratio(p_a, q_a) if proper else None,
+                _direction(p_a, q_a),
+                _strength(post, rb, indices[0]) if len(indices) == 1 else None,
             )
         )
     return EvidenceReport(
         m,
         post,
         rb,
-        tuple(sorted(rb_estimate(pair, prior))),
+        tuple(sorted(_estimate(prior.theta_labels, rb))),
         tuple(records),
     )

@@ -170,8 +170,18 @@ def partition_to_labels(
     ]
 
 
+# JSON leaves, matched by exact type: most of the values rendered are these
+_JSON_LEAVES = frozenset({type(None), str, int, bool})
+
+
 def to_jsonable(value: Any) -> Any:
     """Render any lp-lab value as JSON-able data with exact rationals."""
+    if type(value) in _JSON_LEAVES:
+        return value
+    if isinstance(value, dict):
+        return {str(k): to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, enum.Enum):
@@ -189,14 +199,9 @@ def to_jsonable(value: Any) -> Any:
             field.name: to_jsonable(getattr(value, field.name))
             for field in dataclasses.fields(value)
         }
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [to_jsonable(v) for v in items]
-    if value is None or isinstance(value, (str, int, bool)):
+    if isinstance(value, (set, frozenset)):
+        return [to_jsonable(v) for v in sorted(value, key=repr)]
+    if isinstance(value, (str, int)):
         return value
     raise TypeError(f"cannot serialize {type(value).__name__}")
 

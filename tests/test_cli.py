@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lp_lab.cli import run
+from lp_lab.cli import build_parser, run
 from lp_lab.model import pair_at
 from lp_lab.relations import birnbaumize
 from lp_lab.serialization import save_pair, save_prior, save_model
@@ -177,6 +177,80 @@ def test_decimal_annotation(files, capsys):
         == 0
     )
     assert "1.500" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("digits", ["-2", "-1", "x"])
+def test_negative_decimal_is_usage_error(files, digits, capsys):
+    argv = ["--decimal", digits, "relate", "--kind", "L"]
+    assert run(argv + [files["pairB2"], files["pairC1"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: lp-lab")
+    assert "argument --decimal: K must be a nonnegative integer" in captured.err
+
+
+def test_decimal_zero_keeps_whole_part(files, capsys):
+    argv = ["--decimal", "0", "relate", "--kind", "L"]
+    assert run(argv + [files["pairB2"], files["pairC1"]]) == 0
+    assert capsys.readouterr().out == "L: related with c = 3/2 (~1)\n"
+
+
+def test_cached_parser_keeps_no_state_between_calls(files, capsys):
+    rb = ["rb", "analyze", files["pairB1"], "--prior", files["prior"]]
+    rb += ["--hypothesis", "t1"]
+    calls = [
+        ["--machine", "--decimal", "3"] + rb,
+        rb,
+        ["rb", "estimate", files["pairB1"]],  # --prior missing
+        ["--help"],
+        ["--help"],
+        ["relate", "--kind", "L", files["pairB2"], files["pairC1"]],
+    ]
+
+    def outcome(argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    # each call alone, on a parser built for it
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(outcome(argv))
+    build_parser.cache_clear()
+    shared = [outcome(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert shared == alone
+
+    machine, plain, usage, help1, help2, relate = shared
+    assert machine[0] == 0
+    report = json.loads(machine[1])["report"]
+    assert report["posterior"] == ["2/3", "1/3"]
+    assert plain == (
+        0,
+        "posterior: (2/3, 1/3)\n"
+        "RB:        (4/3, 2/3)\n"
+        "estimate:  t1\n"
+        "A = {t1}: BF = 2, evidence for\n",
+        "",
+    )
+    assert usage[0] == 2 and usage[1] == ""
+    assert "the following arguments are required: --prior" in usage[2]
+    assert help1 == help2
+    assert help1[0] == 0 and help1[1].startswith("usage: lp-lab")
+    assert relate == (0, "L: related with c = 3/2\n", "")
+
+
+def test_rb_strength_needs_theta_before_reading_files(capsys):
+    argv = ["rb", "strength", "missing.pair", "--prior", "missing.prior"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: rb strength requires --theta\n"
+
+
+def test_rb_strength_unknown_theta_is_usage_error(files, capsys):
+    argv = ["rb", "strength", files["pairB1"], "--prior", files["prior"]]
+    assert run(argv + ["--theta", "t9"]) == 2
+    assert capsys.readouterr().err == "error: unknown parameter label 't9'\n"
 
 
 def test_relate_c_ignores_enumeration_bound(files, monkeypatch, capsys):
