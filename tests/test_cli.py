@@ -180,7 +180,7 @@ def test_decimal_annotation(files, capsys):
 
 
 @pytest.mark.parametrize("digits", ["-2", "-1", "x"])
-def test_negative_decimal_is_usage_error(files, digits, capsys):
+def test_invalid_decimal_is_usage_error(files, digits, capsys):
     argv = ["--decimal", digits, "relate", "--kind", "L"]
     assert run(argv + [files["pairB2"], files["pairC1"]]) == 2
     captured = capsys.readouterr()
