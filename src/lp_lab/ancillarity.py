@@ -4,18 +4,20 @@ Durbin-restricted C."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (
-    NotAncillary,
-    NotUnique,
-    ParameterSpaceMismatch,
-    SpaceTooLarge,
+from .errors import NotAncillary, SpaceTooLarge
+from .model import (
+    FiniteModel,
+    ModelDataPair,
+    check_same_theta,
+    column_embedding,
+    proportional,
 )
-from .model import FiniteModel, ModelDataPair, column_embedding, proportional
 from .partition import Partition, all_partitions, is_function_of
 from .sufficiency import likelihood_partition
 
@@ -132,29 +134,13 @@ def laminal_ancillary(
 ) -> Partition:
     """The finest ancillary that is a function of every maximal ancillary.
 
-    Raises NotUnique (carrying the antichain of finest candidates) if no
-    single finest candidate exists.
+    It always exists and is the join of the maximal ancillaries. A union of
+    blocks of an ancillary has parameter-free mass, so each block of the
+    join is balanced and the join is ancillary; and any statistic that is a
+    function of every maximal ancillary is a function of their join.
     """
-    ancillaries = enumerate_ancillaries(model, max_space)
     maximal = maximal_ancillaries(model, max_space)
-    candidates = [
-        a
-        for a in ancillaries
-        if all(is_function_of(a, m) for m in maximal)
-    ]
-    finest = [
-        a
-        for a in candidates
-        if all(a.refines(b) for b in candidates)
-    ]
-    if len(finest) != 1:
-        minimal = [
-            a
-            for a in candidates
-            if not any(b != a and b.refines(a) for b in candidates)
-        ]
-        raise NotUnique("no unique finest common-coarsening ancillary", minimal)
-    return finest[0]
+    return functools.reduce(Partition.join, maximal)
 
 
 def ancillary_catalog(
@@ -235,10 +221,7 @@ def c_related(
     Decided by a multiset-inclusion test on columns, so negatives are
     exact and no ancillary is enumerated.
     """
-    if p1.model.theta_labels != p2.model.theta_labels:
-        raise ParameterSpaceMismatch(
-            f"{p1.model.theta_labels} vs {p2.model.theta_labels}"
-        )
+    check_same_theta(p1.model.theta_labels, p2.model.theta_labels)
     witness = _conditioning_witness(p1, p2, "first", durbin)
     if witness is not None:
         return witness

@@ -16,12 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import relations, search
-from .ancillarity import (
-    DEFAULT_MAX_SPACE,
-    ancillary_catalog,
-    enumerate_ancillaries,
-)
-from .errors import LpLabError, NotUnique
+from .ancillarity import DEFAULT_MAX_SPACE, ancillary_catalog
+from .errors import LpLabError
 from .evidence import (
     check_model_ancillary,
     check_model_mss,
@@ -198,49 +194,22 @@ def cmd_relate(args, printer) -> int:
 def cmd_ancillaries(args, printer) -> int:
     model = load_model(args.file)
     labels = model.sample_labels
-    max_space = _enumeration_bound()
-    try:
-        catalog = ancillary_catalog(model, max_space)
-        laminal = catalog.laminal
-        laminal_error = None
-    except NotUnique as exc:
-        catalog = None
-        laminal = None
-        laminal_error = exc
-    if catalog is None:
-        ancillaries = enumerate_ancillaries(model, max_space)
-        from .ancillarity import maximal_ancillaries
-
-        maximal = maximal_ancillaries(model, max_space)
-    else:
-        ancillaries = list(catalog.all)
-        maximal = list(catalog.maximal)
-    shown = ancillaries
-    if args.maximal:
-        shown = maximal
+    catalog = ancillary_catalog(model, _enumeration_bound())
+    shown = catalog.maximal if args.maximal else catalog.all
     payload = {
         "command": "ancillaries",
         "model": model_to_dict(model),
-        "all": [partition_to_labels(a, labels) for a in ancillaries],
-        "maximal": [partition_to_labels(a, labels) for a in maximal],
-        "laminal": partition_to_labels(laminal, labels)
-        if laminal is not None
-        else None,
-        "laminal_antichain": [
-            partition_to_labels(a, labels) for a in laminal_error.antichain
-        ]
-        if laminal_error is not None
-        else None,
+        "all": [partition_to_labels(a, labels) for a in catalog.all],
+        "maximal": [partition_to_labels(a, labels) for a in catalog.maximal],
+        "laminal": partition_to_labels(catalog.laminal, labels),
+        # the laminal ancillary always exists; the key keeps the schema
+        "laminal_antichain": None,
     }
-    lines = []
     if args.laminal:
-        if laminal is None:
-            lines.append("laminal: not unique")
-        else:
-            lines.append("laminal: " + _partition_text(laminal, labels))
+        lines = ["laminal: " + _partition_text(catalog.laminal, labels)]
     else:
         header = "maximal ancillaries" if args.maximal else "ancillaries"
-        lines.append(f"{header} ({len(shown)}):")
+        lines = [f"{header} ({len(shown)}):"]
         lines.extend("  " + _partition_text(a, labels) for a in shown)
     printer.emit(payload, lines)
     return EXIT_OK
@@ -441,6 +410,14 @@ def cmd_rb(args, printer) -> int:
 
 
 def cmd_check(args, printer) -> int:
+    # options first, so a bad command line is reported before any file
+    if args.what == "model" and args.prior is not None:
+        raise LpLabError("check model does not take --prior")
+    if args.what == "prior":
+        if args.ancillary is not None:
+            raise LpLabError("check prior does not take --ancillary")
+        if not args.prior:
+            raise LpLabError("check prior requires --prior")
     pair = load_pair(args.file)
     if args.what == "model":
         if args.ancillary:
@@ -451,8 +428,6 @@ def cmd_check(args, printer) -> int:
             p_value = check_model_mss(pair)
             method = "mss-conditional"
     else:
-        if not args.prior:
-            raise LpLabError("check prior requires --prior")
         prior = load_prior(args.prior)
         p_value = check_prior_conflict(pair, prior)
         method = "prior-predictive-of-mss"

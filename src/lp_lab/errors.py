@@ -53,14 +53,6 @@ class NotLRelated(LpLabError):
     pass
 
 
-class NotUnique(LpLabError):
-    """No single finest candidate exists; carries the antichain of candidates."""
-
-    def __init__(self, message, antichain=()):
-        super().__init__(message)
-        self.antichain = tuple(antichain)
-
-
 class DegenerateHypothesis(LpLabError):
     pass
 

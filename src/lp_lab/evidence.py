@@ -18,7 +18,12 @@ from .errors import (
     ParameterSpaceMismatch,
     UnknownTheta,
 )
-from .model import FiniteModel, ModelDataPair, parse_rational
+from .model import (
+    FiniteModel,
+    ModelDataPair,
+    check_same_theta,
+    parse_rational,
+)
 from .partition import Partition
 from .sufficiency import reduce_to_mss
 
@@ -65,13 +70,6 @@ class Direction(enum.Enum):
     NEUTRAL = "neutral"
 
 
-def _check_match(model: FiniteModel, prior: Prior) -> None:
-    if model.theta_labels != prior.theta_labels:
-        raise ParameterSpaceMismatch(
-            f"{model.theta_labels} vs {prior.theta_labels}"
-        )
-
-
 def _joint(model: FiniteModel, prior: Prior, x: int) -> list[Fraction]:
     """pi(theta) f_theta(x) for each theta; the entries sum to m(x)."""
     return [w * row[x] for w, row in zip(prior.weights, model.probs)]
@@ -81,7 +79,7 @@ def _bayes(
     pair: ModelDataPair, prior: Prior
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """m(x_obs) and the posterior, from the column of the observed point."""
-    _check_match(pair.model, prior)
+    check_same_theta(pair.model.theta_labels, prior.theta_labels)
     joint = _joint(pair.model, prior, pair.observed)
     m = sum(joint)
     return m, tuple(j / m for j in joint)
@@ -134,7 +132,7 @@ def prior_predictive(
     model: FiniteModel, prior: Prior
 ) -> tuple[Fraction, ...]:
     """m(x) = sum_theta pi(theta) f_theta(x); entries sum to 1."""
-    _check_match(model, prior)
+    check_same_theta(model.theta_labels, prior.theta_labels)
     return tuple(
         sum(_joint(model, prior, x)) for x in range(model.n_points)
     )

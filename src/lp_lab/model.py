@@ -17,6 +17,7 @@ from .errors import (
     MalformedRational,
     NegativeEntry,
     NonStochasticRow,
+    ParameterSpaceMismatch,
     UnreachablePoint,
 )
 
@@ -144,6 +145,12 @@ class ModelDataPair:
 def pair_at(model: FiniteModel, label: str) -> ModelDataPair:
     """Convenience constructor addressing the observed point by label."""
     return ModelDataPair(model, model.sample_labels.index(label))
+
+
+def check_same_theta(a: Sequence[str], b: Sequence[str]) -> None:
+    """Raise ParameterSpaceMismatch unless two parameter spaces agree."""
+    if a != b:
+        raise ParameterSpaceMismatch(f"{a} vs {b}")
 
 
 def likelihood_vector(pair: ModelDataPair) -> tuple[Fraction, ...]:

@@ -23,6 +23,7 @@ from .model import (
     FiniteModel,
     ModelDataPair,
     canonical_form,
+    check_same_theta,
     likelihood_vector,
     normalized_direction,
     proportional,
@@ -46,10 +47,7 @@ def l_related(
     p1: ModelDataPair, p2: ModelDataPair
 ) -> Optional[Fraction]:
     """Positive c with likelihood(p1) = c * likelihood(p2), if any."""
-    if p1.model.theta_labels != p2.model.theta_labels:
-        raise ParameterSpaceMismatch(
-            f"{p1.model.theta_labels} vs {p2.model.theta_labels}"
-        )
+    check_same_theta(p1.model.theta_labels, p2.model.theta_labels)
     return proportional(likelihood_vector(p1), likelihood_vector(p2))
 
 
@@ -135,10 +133,7 @@ def _mixture_model(
     w2: Fraction,
 ) -> FiniteModel:
     m1, m2 = p1.model, p2.model
-    if m1.theta_labels != m2.theta_labels:
-        raise ParameterSpaceMismatch(
-            f"{m1.theta_labels} vs {m2.theta_labels}"
-        )
+    check_same_theta(m1.theta_labels, m2.theta_labels)
     labels = tuple(f"1:{s}" for s in m1.sample_labels) + tuple(
         f"2:{s}" for s in m2.sample_labels
     )

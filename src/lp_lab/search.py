@@ -3,6 +3,7 @@ on rational grids, and counterexample searches for the relation algebra."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +60,7 @@ def enumerate_models(
                 for comp in _compositions(den, size)
             ]
             seen: set[FiniteModel] = set()
-            for combo in _row_products(rows, theta_size):
+            for combo in itertools.product(rows, repeat=theta_size):
                 lcd = math.lcm(
                     *(v.denominator for row in combo for v in row)
                 )
@@ -73,15 +74,6 @@ def enumerate_models(
                 if canon not in seen:
                     seen.add(canon)
                     yield canon
-
-
-def _row_products(rows, count) -> Iterator[tuple]:
-    if count == 0:
-        yield ()
-        return
-    for head in rows:
-        for tail in _row_products(rows, count - 1):
-            yield (head,) + tail
 
 
 def enumerate_pairs(

@@ -8,11 +8,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import LpLabError, ParameterSpaceMismatch, UnreachablePoint
+from .errors import LpLabError, UnreachablePoint
 from .model import (
     FiniteModel,
     ModelDataPair,
     canonical_form,
+    check_same_theta,
     normalized_direction,
     pairs_isomorphic,
 )
@@ -117,10 +118,7 @@ def reduce_to_mss(pair: ModelDataPair) -> ReductionResult:
 
 def s_related(p1: ModelDataPair, p2: ModelDataPair) -> Optional[SWitness]:
     """Present iff the canonical MSS reductions are isomorphic pairs."""
-    if p1.model.theta_labels != p2.model.theta_labels:
-        raise ParameterSpaceMismatch(
-            f"{p1.model.theta_labels} vs {p2.model.theta_labels}"
-        )
+    check_same_theta(p1.model.theta_labels, p2.model.theta_labels)
     r1 = reduce_to_mss(p1)
     r2 = reduce_to_mss(p2)
     phi = pairs_isomorphic(r1.reduced, r2.reduced)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from lp_lab.cli import build_parser, run
-from lp_lab.model import pair_at
+from lp_lab.model import pair_at, validate_model
 from lp_lab.relations import birnbaumize
 from lp_lab.serialization import save_pair, save_prior, save_model
 
@@ -158,6 +158,54 @@ def test_check_model_and_prior(files, capsys):
     assert "1/3" in capsys.readouterr().out
     assert run(["check", "prior", files["pairB1"], "--prior", files["prior"]]) == 0
     assert "3/8" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "prior", "missing.pair"], "check prior requires --prior"),
+        (
+            ["check", "model", "missing.pair", "--prior", "missing.prior"],
+            "check model does not take --prior",
+        ),
+        (
+            ["check", "prior", "missing.pair", "--prior", "missing.prior"]
+            + ["--ancillary", "x1|x2"],
+            "check prior does not take --ancillary",
+        ),
+    ],
+)
+def test_check_options_before_reading_files(argv, message, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_rejects_ignored_option(files, capsys):
+    # the files exist, so only the stray option can fail the command
+    model = ["check", "model", files["pairA1"], "--prior", files["prior"]]
+    prior = ["check", "prior", files["pairB1"], "--prior", files["prior"]]
+    for argv in (model, prior + ["--ancillary", "y1|y2"]):
+        assert run(argv) == 2
+        _one_line_error(capsys)
+
+
+def test_ancillaries_laminal_joins_maximal(tmp_path, capsys):
+    # two maximal ancillaries, {x1,x3 | x2,x4 | x5} and {x1,x4 | x2,x3 | x5};
+    # the laminal ancillary is their join
+    model = validate_model(
+        ["t1", "t2"],
+        ["x1", "x2", "x3", "x4", "x5"],
+        [["0", "0", "1/3", "1/3", "1/3"], ["1/3", "1/3", "0", "0", "1/3"]],
+    )
+    path = str(tmp_path / "join.model")
+    save_model(model, path)
+    assert run(["--machine", "ancillaries", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["maximal"]) == 2
+    assert payload["laminal"] == [["x1", "x2", "x3", "x4"], ["x5"]]
+    assert payload["laminal_antichain"] is None
+    assert run(["ancillaries", path, "--laminal"]) == 0
+    assert capsys.readouterr().out == "laminal: x1,x2,x3,x4 | x5\n"
 
 
 def test_machine_output_is_deterministic_json(files, capsys):
