@@ -195,7 +195,6 @@ def cmd_ancillaries(args, printer) -> int:
     model = load_model(args.file)
     labels = model.sample_labels
     catalog = ancillary_catalog(model, _enumeration_bound())
-    shown = catalog.maximal if args.maximal else catalog.all
     payload = {
         "command": "ancillaries",
         "model": model_to_dict(model),
@@ -208,6 +207,7 @@ def cmd_ancillaries(args, printer) -> int:
     if args.laminal:
         lines = ["laminal: " + _partition_text(catalog.laminal, labels)]
     else:
+        shown = catalog.maximal if args.maximal else catalog.all
         header = "maximal ancillaries" if args.maximal else "ancillaries"
         lines = [f"{header} ({len(shown)}):"]
         lines.extend("  " + _partition_text(a, labels) for a in shown)
@@ -420,7 +420,7 @@ def cmd_check(args, printer) -> int:
             raise LpLabError("check prior requires --prior")
     pair = load_pair(args.file)
     if args.what == "model":
-        if args.ancillary:
+        if args.ancillary is not None:
             partition = _parse_partition(args.ancillary, pair.model)
             p_value = check_model_ancillary(pair, partition)
             method = "ancillary"

@@ -187,6 +187,9 @@ def test_check_rejects_ignored_option(files, capsys):
     for argv in (model, prior + ["--ancillary", "y1|y2"]):
         assert run(argv) == 2
         _one_line_error(capsys)
+    # an empty --ancillary names no partition; it does not mean "none"
+    assert run(["check", "model", files["pairA1"], "--ancillary", ""]) == 2
+    assert capsys.readouterr().err == "error: unknown sample label ''\n"
 
 
 def test_ancillaries_laminal_joins_maximal(tmp_path, capsys):
