@@ -16,7 +16,6 @@ from .model import (
     ModelDataPair,
     check_same_theta,
     column_embedding,
-    proportional,
 )
 from .partition import Partition, all_partitions, is_function_of
 from .sufficiency import likelihood_partition
@@ -79,11 +78,7 @@ def balanced_blocks(model: FiniteModel, point: int) -> list[frozenset[int]]:
     2^(|X|-1) candidates are visited, not Bell(|X|) partitions.
     """
     n = model.n_points
-    scale = math.lcm(*(v.denominator for row in model.probs for v in row))
-    first, *others = [
-        [v.numerator * (scale // v.denominator) for v in row]
-        for row in model.probs
-    ]
+    first, *others = model.scaled[1]
     diffs = [tuple(row[x] - first[x] for row in others) for x in range(n)]
     # Bit b of a mask stands for point n-1-b. Counting the masks up lists
     # the label strings of {A, X \ A}, with 0 in A and the set bits in
@@ -188,15 +183,19 @@ def _conditioning_witness(
     first match decides, also whether B is a union of likelihood classes.
     """
     source, target = parent.model, child.model
-    m = proportional(
-        source.column(parent.observed), target.column(child.observed)
-    )
-    if m is None:
+    into, columns = source.scaled_columns, target.scaled_columns
+    # In integers over each model's D the columns must match as
+    # into[phi(y)] == (p/q) * columns[y]. If the observed columns are
+    # proportional, p/q is the ratio of their gcds; if they are not, the
+    # observed columns fail to match in column_embedding.
+    ga = math.gcd(*into[parent.observed]) or 1
+    gb = math.gcd(*columns[child.observed]) or 1
+    g = math.gcd(ga, gb)
+    p, q = ga // g, gb // g
+    if any(v % q for column in columns for v in column):
         return None
-    scaled = [tuple(m * v for v in column) for column in target.columns()]
-    phi = column_embedding(
-        scaled, child.observed, source.columns(), parent.observed
-    )
+    scaled = [tuple(p * (v // q) for v in column) for column in columns]
+    phi = column_embedding(scaled, child.observed, into, parent.observed)
     if phi is None:
         return None
     image = {x: y for y, x in enumerate(phi)}

@@ -1,12 +1,19 @@
 """Finite discrete models with exact rational probabilities.
 
-All probabilities are ``fractions.Fraction`` values; no floating point is
-used anywhere. Models and model-data pairs are immutable and hashable, so
-they can be cached, deduplicated and shared between threads freely.
+Probabilities are exact rationals; no floating point is used anywhere.
+``fractions.Fraction`` is their public type: ``probs`` holds them so, and
+every probability lp-lab returns is one. Each model also holds them once
+as integers over the common denominator D, the least common denominator of
+its entries. Parsing, equality, hashing, proportionality keys, canonical
+forms and isomorphism tests work on those integers. Models and model-data
+pairs are immutable and hashable, so they can be cached, deduplicated and
+shared between threads freely.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -46,18 +53,53 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteModel:
     """A parameter-indexed family of distributions on a finite sample space.
 
     ``probs[i][j]`` is the probability of sample point ``j`` under parameter
-    ``theta_labels[i]``. Construct through :func:`validate_model` unless the
-    entries are already known to be valid.
+    ``theta_labels[i]``, a ``Fraction``. ``scaled`` holds the same family
+    once in integers: ``(D, rows)`` with D the least common denominator of
+    the entries and ``rows[i][j] == D * probs[i][j]``. Equality and the hash
+    (computed once) use the labels and ``scaled``. Construct through
+    :func:`validate_model` unless the entries are already known to be valid.
     """
 
     theta_labels: tuple[str, ...]
     sample_labels: tuple[str, ...]
     probs: tuple[tuple[Fraction, ...], ...]
+
+    @functools.cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        den = math.lcm(*(v.denominator for row in self.probs for v in row))
+        rows = tuple(
+            tuple(v.numerator * (den // v.denominator) for v in row)
+            for row in self.probs
+        )
+        return den, rows
+
+    @functools.cached_property
+    def scaled_columns(self) -> tuple[tuple[int, ...], ...]:
+        """D * f(x) across the parameter space, for each sample point x."""
+        return tuple(zip(*self.scaled[1]))
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.theta_labels, self.sample_labels, self.scaled))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, FiniteModel):
+            return NotImplemented
+        return (
+            self.theta_labels == other.theta_labels
+            and self.sample_labels == other.sample_labels
+            and self.scaled == other.scaled
+        )
 
     @property
     def n_theta(self) -> int:
@@ -75,6 +117,41 @@ class FiniteModel:
         return [self.column(x) for x in range(self.n_points)]
 
 
+def scaled_model(
+    theta_labels: tuple[str, ...],
+    sample_labels: tuple[str, ...],
+    probs: tuple[tuple[Fraction, ...], ...],
+    den: int,
+    rows: tuple[tuple[int, ...], ...],
+) -> FiniteModel:
+    """A model whose integer view ``(den, rows)`` is already known."""
+    model = FiniteModel(theta_labels, sample_labels, probs)
+    model.__dict__["scaled"] = (den, rows)
+    return model
+
+
+def _parse_entry(value: str | int | Fraction) -> tuple[int, int]:
+    """Numerator and denominator of an entry, in lowest terms.
+
+    "p/q" and "n" made of digits only are split and read with int; any
+    other value, and any digit string int rejects, goes through
+    parse_rational, which accepts or rejects it.
+    """
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        if num.isdigit() and (not slash or den.isdigit()):
+            try:
+                p, q = int(num), int(den) if slash else 1
+            except ValueError:  # such as "²", or beyond int's digit limit
+                pass
+            else:
+                if q:
+                    g = math.gcd(p, q)
+                    return p // g, q // g
+    value = parse_rational(value)
+    return value.numerator, value.denominator
+
+
 def validate_model(
     theta_labels: Sequence[str],
     sample_labels: Sequence[str],
@@ -83,7 +160,8 @@ def validate_model(
     """Check a candidate model and return it in validated form.
 
     Raises NonStochasticRow, NegativeEntry, DuplicateLabel or
-    UnreachablePoint; row sums are compared exactly.
+    UnreachablePoint. Signs, row sums and reachability are checked exactly,
+    in integers: every row must sum to its common denominator.
     """
     thetas = tuple(str(t) for t in theta_labels)
     points = tuple(str(s) for s in sample_labels)
@@ -97,30 +175,36 @@ def validate_model(
         raise NonStochasticRow(
             f"expected {len(thetas)} rows, got {len(probs)}"
         )
-    rows = []
+    parsed = []
+    den = 1
     for label, raw_row in zip(thetas, probs):
         if len(raw_row) != len(points):
             raise NonStochasticRow(
                 f"row for {label} has {len(raw_row)} entries, expected {len(points)}"
             )
-        row = tuple(parse_rational(v) for v in raw_row)
-        for point, value in zip(points, row):
-            if value < 0:
+        row = [_parse_entry(v) for v in raw_row]
+        for point, (p, q) in zip(points, row):
+            if p < 0:
                 raise NegativeEntry(
-                    f"f[{label}]({point}) = {format_rational(value)} < 0"
+                    f"f[{label}]({point}) = {format_rational(Fraction(p, q))} < 0"
                 )
-        total = sum(row, ZERO)
-        if total != ONE:
+        row_den = math.lcm(*(q for _, q in row))
+        total = sum(p * (row_den // q) for p, q in row)
+        if total != row_den:
             raise NonStochasticRow(
-                f"row for {label} sums to {format_rational(total)}, not 1"
+                f"row for {label} sums to "
+                f"{format_rational(Fraction(total, row_den))}, not 1"
             )
-        rows.append(row)
-    for x, point in enumerate(points):
-        if all(row[x] == 0 for row in rows):
+        den = math.lcm(den, row_den)
+        parsed.append(row)
+    rows = tuple(tuple(p * (den // q) for p, q in row) for row in parsed)
+    for point, column in zip(points, zip(*rows)):
+        if not any(column):
             raise UnreachablePoint(
                 f"sample point {point} has probability 0 for every parameter"
             )
-    return FiniteModel(thetas, points, tuple(rows))
+    probs = tuple(tuple(Fraction(p, q) for p, q in row) for row in parsed)
+    return scaled_model(thetas, points, probs, den, rows)
 
 
 @dataclass(frozen=True)
@@ -183,15 +267,14 @@ def proportional(
     return c
 
 
-def normalized_direction(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale v so its first nonzero entry is 1; proportionality key.
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """v divided by the gcd of its entries; proportionality key.
 
-    proportional(v, w) is present iff the keys of v and w are equal.
+    Two nonnegative integer vectors are positive multiples of each other
+    iff their keys are equal, zero patterns included.
     """
-    for a in v:
-        if a != 0:
-            return tuple(b / a for b in v)
-    return tuple(v)
+    g = math.gcd(*v)
+    return tuple(a // g for a in v) if g > 1 else tuple(v)
 
 
 def pairs_isomorphic(
@@ -202,25 +285,33 @@ def pairs_isomorphic(
     Requires identical parameter label lists. Returns phi as a tuple
     (phi[x] is the image index) with f1[theta][x] = f2[theta][phi[x]] for
     all theta, x and phi(observed1) = observed2; None if no such map exists.
+    Isomorphic models have the same entries, so models with different
+    common denominators are rejected at once.
     """
     m1, m2 = p1.model, p2.model
-    if m1.theta_labels != m2.theta_labels or m1.n_points != m2.n_points:
+    if (
+        m1.theta_labels != m2.theta_labels
+        or m1.n_points != m2.n_points
+        or m1.scaled[0] != m2.scaled[0]
+    ):
         return None
-    phi = column_embedding(m1.columns(), p1.observed, m2.columns(), p2.observed)
+    phi = column_embedding(
+        m1.scaled_columns, p1.observed, m2.scaled_columns, p2.observed
+    )
     return None if phi is None else tuple(phi)
 
 
 def column_embedding(
-    columns: Sequence[tuple[Fraction, ...]],
+    columns: Sequence[tuple[int, ...]],
     observed: int,
-    into: Sequence[tuple[Fraction, ...]],
+    into: Sequence[tuple[int, ...]],
     into_observed: int,
 ) -> Optional[list[int]]:
     """Injective phi with columns[x] == into[phi[x]] and phi[observed] ==
     into_observed, or None; equal columns of ``into`` go in index order."""
     if columns[observed] != into[into_observed]:
         return None
-    free: dict[tuple[Fraction, ...], list[int]] = {}
+    free: dict[tuple[int, ...], list[int]] = {}
     for x, column in enumerate(into):
         if x != into_observed:
             free.setdefault(column, []).append(x)
@@ -234,21 +325,29 @@ def column_embedding(
     return phi
 
 
-def _canonical_order(columns: list[tuple[Fraction, ...]]) -> list[int]:
-    return sorted(range(len(columns)), key=lambda x: columns[x])
+def _permuted(model: FiniteModel, order: list[int]) -> FiniteModel:
+    """The model with sample point order[i] moved to index i, relabeled
+    generically x1, x2, ..."""
+    den, rows = model.scaled
+    return scaled_model(
+        model.theta_labels,
+        tuple(f"x{i + 1}" for i in range(model.n_points)),
+        tuple(tuple(row[x] for x in order) for row in model.probs),
+        den,
+        tuple(tuple(row[x] for x in order) for row in rows),
+    )
 
 
 def canonical_model(model: FiniteModel) -> FiniteModel:
     """Isomorphism-invariant representative of a model (data ignored).
 
     Columns are sorted lexicographically by their exact probability vectors
-    and sample points are relabeled generically, so relabeled or permuted
-    copies collapse to an identical value.
+    (the integer columns, over the model's one common denominator, sort the
+    same way) and sample points are relabeled generically, so relabeled or
+    permuted copies collapse to an identical value.
     """
-    order = _canonical_order(model.columns())
-    rows = tuple(tuple(row[x] for x in order) for row in model.probs)
-    labels = tuple(f"x{i + 1}" for i in range(model.n_points))
-    return FiniteModel(model.theta_labels, labels, rows)
+    columns = model.scaled_columns
+    return _permuted(model, sorted(range(len(columns)), key=columns.__getitem__))
 
 
 def canonical_form(pair: ModelDataPair) -> ModelDataPair:
@@ -258,12 +357,8 @@ def canonical_form(pair: ModelDataPair) -> ModelDataPair:
     is present. Among equal columns the observed index is normalized to
     the first position of its run, since such points are interchangeable.
     """
-    columns = pair.model.columns()
-    order = _canonical_order(columns)
+    columns = pair.model.scaled_columns
+    order = sorted(range(len(columns)), key=columns.__getitem__)
     obs_col = columns[pair.observed]
     new_obs = min(i for i, x in enumerate(order) if columns[x] == obs_col)
-    rows = tuple(tuple(row[x] for x in order) for row in pair.model.probs)
-    labels = tuple(f"x{i + 1}" for i in range(pair.model.n_points))
-    return ModelDataPair(
-        FiniteModel(pair.model.theta_labels, labels, rows), new_obs
-    )
+    return ModelDataPair(_permuted(pair.model, order), new_obs)

@@ -25,7 +25,7 @@ from .model import (
     canonical_form,
     check_same_theta,
     likelihood_vector,
-    normalized_direction,
+    primitive,
     proportional,
 )
 from .partition import Partition, is_function_of
@@ -51,10 +51,11 @@ def l_related(
     return proportional(likelihood_vector(p1), likelihood_vector(p2))
 
 
-def l_class_key(pair: ModelDataPair) -> tuple[Fraction, ...]:
+def l_class_key(pair: ModelDataPair) -> tuple[int, ...]:
     """Invariant of L: on one parameter space, two pairs have equal keys
-    iff l_related holds between them."""
-    return normalized_direction(likelihood_vector(pair))
+    iff l_related holds between them. It is the primitive integer vector
+    of the likelihood column."""
+    return primitive(pair.model.scaled_columns[pair.observed])
 
 
 def l_class_peers(pairs: Sequence[ModelDataPair]) -> list[list[int]]:
@@ -63,7 +64,7 @@ def l_class_peers(pairs: Sequence[ModelDataPair]) -> list[list[int]]:
     Every relation kind implies L, so only peers can be related in one step.
     """
     keys = [l_class_key(p) for p in pairs]
-    buckets: dict[tuple[Fraction, ...], list[int]] = {}
+    buckets: dict[tuple[int, ...], list[int]] = {}
     for i, key in enumerate(keys):
         buckets.setdefault(key, []).append(i)
     return [buckets[key] for key in keys]

@@ -3,20 +3,23 @@ on rational grids, and counterexample searches for the relation algebra."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .ancillarity import CWitness, c_related
-from .errors import ModelValidationError
+from .errors import LpLabError
 from .model import (
     FiniteModel,
     ModelDataPair,
     canonical_form,
     canonical_model,
-    validate_model,
+    scaled_model,
 )
 from .relations import conditional_pairs, l_related
 from .sufficiency import s_related
@@ -27,6 +30,14 @@ class SearchBounds:
     theta_size: int = 2
     max_space: int = 6
     max_denominator: int = 6
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if value < 1:
+                raise LpLabError(
+                    f"search bound {field.name} must be at least 1, got {value}"
+                )
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -40,6 +51,22 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+class _GridRow(NamedTuple):
+    ints: tuple[int, ...]  # numerators over the grid denominator
+    fractions: tuple[Fraction, ...]
+    gcd: int  # of the denominator and the numerators
+    support: int  # bit x set iff entry x is nonzero
+
+
+def _grid_row(comp: tuple[int, ...], den: int) -> _GridRow:
+    return _GridRow(
+        comp,
+        tuple(Fraction(k, den) for k in comp),
+        math.gcd(den, *comp),
+        sum(1 << x for x, k in enumerate(comp) if k),
+    )
+
+
 def enumerate_models(
     theta_size: int = 2,
     max_space: int = 6,
@@ -50,26 +77,33 @@ def enumerate_models(
     Order is deterministic: by sample-space size, then by the least common
     denominator of the entries, then lexicographically by row matrix. Each
     model appears exactly once, at the minimal denominator expressing it.
+    Rows are integer compositions of the denominator, so they are
+    nonnegative and stochastic by construction; a combination is kept iff
+    the gcd of the denominator and its entries is 1 and every point is
+    reachable.
     """
-    thetas = [f"t{i + 1}" for i in range(theta_size)]
+    thetas = tuple(f"t{i + 1}" for i in range(theta_size))
     for size in range(1, max_space + 1):
-        points = [f"x{i + 1}" for i in range(size)]
+        points = tuple(f"x{i + 1}" for i in range(size))
+        full = (1 << size) - 1
         for den in range(1, max_denominator + 1):
-            rows = [
-                tuple(Fraction(k, den) for k in comp)
-                for comp in _compositions(den, size)
-            ]
+            rows = [_grid_row(comp, den) for comp in _compositions(den, size)]
             seen: set[FiniteModel] = set()
             for combo in itertools.product(rows, repeat=theta_size):
-                lcd = math.lcm(
-                    *(v.denominator for row in combo for v in row)
+                if math.gcd(*(row.gcd for row in combo)) != 1:
+                    continue
+                support = functools.reduce(
+                    operator.or_, (row.support for row in combo), 0
                 )
-                if lcd != den:
+                if support != full:
                     continue
-                try:
-                    model = validate_model(thetas, points, combo)
-                except ModelValidationError:
-                    continue
+                model = scaled_model(
+                    thetas,
+                    points,
+                    tuple(row.fractions for row in combo),
+                    den,
+                    tuple(row.ints for row in combo),
+                )
                 canon = canonical_model(model)
                 if canon not in seen:
                     seen.add(canon)

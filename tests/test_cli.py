@@ -119,6 +119,24 @@ def test_search_exhausted(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("what", ["c-transitivity", "l-minus-sc"])
+@pytest.mark.parametrize(
+    "option, field, value",
+    [
+        ("--theta-size", "theta_size", "-1"),
+        ("--theta-size", "theta_size", "0"),
+        ("--max-space", "max_space", "0"),
+        ("--max-denominator", "max_denominator", "0"),
+    ],
+)
+def test_search_rejects_empty_bounds(what, option, field, value, capsys):
+    # an empty grid is malformed input, not an exhausted search
+    assert run(["search", what, option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: search bound {field} must be at least 1, got {value}\n"
+
+
 def test_rb_analyze_and_strength(files, capsys):
     assert (
         run(

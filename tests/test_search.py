@@ -1,7 +1,10 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from lp_lab.ancillarity import c_related
+from lp_lab.errors import LpLabError
 from lp_lab.model import (
     ModelDataPair,
     canonical_form,
@@ -114,3 +117,10 @@ def test_search_l_minus_sc_returns_verified_witness():
     assert l_related(witness.p1, witness.p2) == witness.likelihood_ratio
     assert s_related(witness.p1, witness.p2) is None
     assert c_related(witness.p1, witness.p2) is None
+
+
+@pytest.mark.parametrize("field", ["theta_size", "max_space", "max_denominator"])
+def test_search_bounds_reject_empty_grid(field):
+    assert SearchBounds(**{field: 1}) is not None
+    with pytest.raises(LpLabError, match=f"search bound {field} must be"):
+        SearchBounds(**{field: 0})

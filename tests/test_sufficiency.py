@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from lp_lab.generate import random_pair
 from lp_lab.model import ModelDataPair, pairs_isomorphic, validate_model
 from lp_lab.partition import Partition, all_partitions
 from lp_lab.sufficiency import (
+    MSS_CACHE_SIZE,
     is_sufficient,
     likelihood_partition,
     reduce_to_mss,
@@ -106,3 +108,27 @@ def test_s_implies_l_random():
         for p2 in pairs:
             if s_related(p1, p2) is not None:
                 assert l_related(p1, p2) is not None
+
+
+def test_reduce_to_mss_cache_evicts():
+    # one-parameter two-point models k/n, (n-k)/n are pairwise distinct
+    pairs = [
+        ModelDataPair(
+            validate_model(["t1"], ["a", "b"], [[f"{k}/{n}", f"{n - k}/{n}"]]),
+            0,
+        )
+        for n in range(2, 60)
+        for k in range(1, n)
+        if math.gcd(k, n) == 1
+    ]
+    assert len(pairs) > MSS_CACHE_SIZE
+    reduce_to_mss.cache_clear()
+    for pair in pairs:
+        reduce_to_mss(pair)
+    info = reduce_to_mss.cache_info()
+    assert info.maxsize == info.currsize == MSS_CACHE_SIZE
+    assert info.misses == len(pairs)
+    reduce_to_mss(pairs[0])  # evicted, so computed again
+    assert reduce_to_mss.cache_info().misses == len(pairs) + 1
+    reduce_to_mss(pairs[-1])  # still held
+    assert reduce_to_mss.cache_info().hits == info.hits + 1
