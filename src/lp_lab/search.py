@@ -4,13 +4,11 @@ on rational grids, and counterexample searches for the relation algebra."""
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .ancillarity import CWitness, c_related
 from .errors import LpLabError
@@ -51,22 +49,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-class _GridRow(NamedTuple):
-    ints: tuple[int, ...]  # numerators over the grid denominator
-    fractions: tuple[Fraction, ...]
-    gcd: int  # of the denominator and the numerators
-    support: int  # bit x set iff entry x is nonzero
-
-
-def _grid_row(comp: tuple[int, ...], den: int) -> _GridRow:
-    return _GridRow(
-        comp,
-        tuple(Fraction(k, den) for k in comp),
-        math.gcd(den, *comp),
-        sum(1 << x for x, k in enumerate(comp) if k),
-    )
-
-
 def enumerate_models(
     theta_size: int = 2,
     max_space: int = 6,
@@ -85,24 +67,20 @@ def enumerate_models(
     thetas = tuple(f"t{i + 1}" for i in range(theta_size))
     for size in range(1, max_space + 1):
         points = tuple(f"x{i + 1}" for i in range(size))
-        full = (1 << size) - 1
         for den in range(1, max_denominator + 1):
-            rows = [_grid_row(comp, den) for comp in _compositions(den, size)]
+            rows = [
+                (comp, tuple(Fraction(k, den) for k in comp))
+                for comp in _compositions(den, size)
+            ]
             seen: set[FiniteModel] = set()
             for combo in itertools.product(rows, repeat=theta_size):
-                if math.gcd(*(row.gcd for row in combo)) != 1:
+                ints = tuple(comp for comp, _ in combo)
+                if math.gcd(den, *itertools.chain(*ints)) != 1:
                     continue
-                support = functools.reduce(
-                    operator.or_, (row.support for row in combo), 0
-                )
-                if support != full:
+                if not all(map(any, zip(*ints))):
                     continue
                 model = scaled_model(
-                    thetas,
-                    points,
-                    tuple(row.fractions for row in combo),
-                    den,
-                    tuple(row.ints for row in combo),
+                    thetas, points, tuple(f for _, f in combo), den, ints
                 )
                 canon = canonical_model(model)
                 if canon not in seen:
