@@ -62,8 +62,9 @@ def enumerate_models(
     Rows are integer compositions of the denominator, so they are
     nonnegative and stochastic by construction; a combination is kept iff
     the gcd of the denominator and its entries is 1 and every point is
-    reachable.
+    reachable. Bounds below 1 raise LpLabError, as in SearchBounds.
     """
+    SearchBounds(theta_size, max_space, max_denominator)
     thetas = tuple(f"t{i + 1}" for i in range(theta_size))
     for size in range(1, max_space + 1):
         points = tuple(f"x{i + 1}" for i in range(size))

@@ -124,3 +124,6 @@ def test_search_bounds_reject_empty_grid(field):
     assert SearchBounds(**{field: 1}) is not None
     with pytest.raises(LpLabError, match=f"search bound {field} must be"):
         SearchBounds(**{field: 0})
+    # the grid itself checks no signs or labels, so it refuses such bounds
+    with pytest.raises(LpLabError, match=f"search bound {field} must be"):
+        next(enumerate_models(**{field: 0}))
