@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NotAncillary, SpaceTooLarge
+from .errors import GroundSetMismatch, NotAncillary, SpaceTooLarge
 from .model import (
     FiniteModel,
     ModelDataPair,
@@ -53,7 +53,15 @@ class CWitness:
 def block_masses(model: FiniteModel, partition: Partition) -> Optional[
     tuple[Fraction, ...]
 ]:
-    """Per-block masses if they are parameter-free, else None."""
+    """Per-block masses if they are parameter-free, else None.
+
+    Raises GroundSetMismatch unless the partition is of the model's sample
+    space.
+    """
+    if partition.size != model.n_points:
+        raise GroundSetMismatch(
+            f"partition of {partition.size} points, model has {model.n_points}"
+        )
     masses = []
     for block in partition.blocks:
         sums = {sum(row[x] for x in block) for row in model.probs}
@@ -78,7 +86,7 @@ def balanced_blocks(model: FiniteModel, point: int) -> list[frozenset[int]]:
     2^(|X|-1) candidates are visited, not Bell(|X|) partitions.
     """
     n = model.n_points
-    first, *others = model.scaled[1]
+    first, *others = model.rows
     diffs = [tuple(row[x] - first[x] for row in others) for x in range(n)]
     # Bit b of a mask stands for point n-1-b. Counting the masks up lists
     # the label strings of {A, X \ A}, with 0 in A and the set bits in
@@ -152,18 +160,16 @@ def condition_on_block(
     pair: ModelDataPair, ancillary: Partition
 ) -> ModelDataPair:
     """Conditional pair given the ancillary block of the observed point."""
-    masses = block_masses(pair.model, ancillary)
-    if masses is None:
+    model = pair.model
+    if not is_ancillary(model, ancillary):
         raise NotAncillary("partition has parameter-dependent block masses")
-    b = ancillary.block_index_of(pair.observed)
-    block = sorted(ancillary.blocks[b])
-    mass = masses[b]
-    labels = tuple(pair.model.sample_labels[x] for x in block)
-    rows = tuple(
-        tuple(row[x] / mass for x in block) for row in pair.model.probs
-    )
+    block = sorted(ancillary.blocks[ancillary.block_index_of(pair.observed)])
+    labels = tuple(model.sample_labels[x] for x in block)
+    # f(x) / mass(B) is den * f(x) over den * mass(B), the block's row sum,
+    # which is the same for every parameter since the partition is ancillary
+    rows = tuple(tuple(row[x] for x in block) for row in model.rows)
     return ModelDataPair(
-        FiniteModel(pair.model.theta_labels, labels, rows),
+        FiniteModel(model.theta_labels, labels, sum(rows[0]), rows),
         block.index(pair.observed),
     )
 
@@ -237,6 +243,8 @@ def verify_c_witness(
 ) -> bool:
     """Independent re-check of a conditioning certificate."""
     parent, child = (p1, p2) if witness.parent == "first" else (p2, p1)
+    if witness.ancillary.size != parent.model.n_points:
+        return False
     if not is_ancillary(parent.model, witness.ancillary):
         return False
     conditional = condition_on_block(parent, witness.ancillary)

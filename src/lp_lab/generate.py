@@ -138,11 +138,9 @@ def _permuted_copy(rng, p1):
     n = p1.model.n_points
     order = list(range(n))
     rng.shuffle(order)
-    rows = tuple(
-        tuple(row[x] for x in order) for row in p1.model.probs
-    )
+    rows = tuple(tuple(row[x] for x in order) for row in p1.model.rows)
     model = FiniteModel(
-        p1.model.theta_labels, p1.model.sample_labels, rows
+        p1.model.theta_labels, p1.model.sample_labels, p1.model.den, rows
     )
     return ModelDataPair(model, order.index(p1.observed))
 

@@ -1,18 +1,22 @@
 """Finite discrete models with exact rational probabilities.
 
-Probabilities are exact rationals; no floating point is used anywhere.
-``fractions.Fraction`` is their public type: ``probs`` holds them so, and
-every probability lp-lab returns is one. Each model also holds them once
-as integers over the common denominator D, the least common denominator of
-its entries. Parsing, equality, hashing, proportionality keys, canonical
-forms and isomorphism tests work on those integers. Models and model-data
-pairs are immutable and hashable, so they can be cached, deduplicated and
-shared between threads freely.
+Probabilities are exact rationals; no floating point is used anywhere. A
+model is ``(theta_labels, sample_labels, den, rows)``: its probabilities
+held once, as integer rows over their least common denominator ``den``.
+Parsing, equality, hashing, proportionality keys, canonical forms and
+isomorphism tests work on those integers, and every derived model is built
+from its parent's. ``fractions.Fraction`` stays their public type:
+``probs`` derives the entries as ``Fraction``s, and every probability
+lp-lab returns is one. Input models are checked and built by
+:func:`validate_model`. Models and model-data pairs are immutable and
+hashable, so they can be cached, deduplicated and shared between threads
+freely.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,53 +57,41 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiniteModel:
     """A parameter-indexed family of distributions on a finite sample space.
 
-    ``probs[i][j]`` is the probability of sample point ``j`` under parameter
-    ``theta_labels[i]``, a ``Fraction``. ``scaled`` holds the same family
-    once in integers: ``(D, rows)`` with D the least common denominator of
-    the entries and ``rows[i][j] == D * probs[i][j]``. Equality and the hash
-    (computed once) use the labels and ``scaled``. Construct through
-    :func:`validate_model` unless the entries are already known to be valid.
+    A model is ``(theta_labels, sample_labels, den, rows)``: integer rows
+    over one common denominator, ``rows[i][j] == den * f_theta_i(x_j)``.
+    Any factor common to ``den`` and every entry is divided out on
+    construction, so each model has one such form and equality and hashing
+    are those of the fields. ``probs`` derives the entries as
+    ``Fraction``s. Construct through :func:`validate_model` unless the
+    rows are already known to be valid.
     """
 
     theta_labels: tuple[str, ...]
     sample_labels: tuple[str, ...]
-    probs: tuple[tuple[Fraction, ...], ...]
+    den: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        g = math.gcd(self.den, *itertools.chain.from_iterable(self.rows))
+        if g > 1:
+            object.__setattr__(self, "den", self.den // g)
+            rows = tuple(tuple(v // g for v in row) for row in self.rows)
+            object.__setattr__(self, "rows", rows)
 
     @functools.cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        den = math.lcm(*(v.denominator for row in self.probs for v in row))
-        rows = tuple(
-            tuple(v.numerator * (den // v.denominator) for v in row)
-            for row in self.probs
-        )
-        return den, rows
+    def probs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """``probs[i][j]`` is f_theta_i(x_j), a ``Fraction``."""
+        den = self.den
+        return tuple(tuple(Fraction(v, den) for v in row) for row in self.rows)
 
     @functools.cached_property
     def scaled_columns(self) -> tuple[tuple[int, ...], ...]:
-        """D * f(x) across the parameter space, for each sample point x."""
-        return tuple(zip(*self.scaled[1]))
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.theta_labels, self.sample_labels, self.scaled))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, FiniteModel):
-            return NotImplemented
-        return (
-            self.theta_labels == other.theta_labels
-            and self.sample_labels == other.sample_labels
-            and self.scaled == other.scaled
-        )
+        """den * f(x) across the parameter space, for each sample point x."""
+        return tuple(zip(*self.rows))
 
     @property
     def n_theta(self) -> int:
@@ -115,19 +107,6 @@ class FiniteModel:
 
     def columns(self) -> list[tuple[Fraction, ...]]:
         return [self.column(x) for x in range(self.n_points)]
-
-
-def scaled_model(
-    theta_labels: tuple[str, ...],
-    sample_labels: tuple[str, ...],
-    probs: tuple[tuple[Fraction, ...], ...],
-    den: int,
-    rows: tuple[tuple[int, ...], ...],
-) -> FiniteModel:
-    """A model whose integer view ``(den, rows)`` is already known."""
-    model = FiniteModel(theta_labels, sample_labels, probs)
-    model.__dict__["scaled"] = (den, rows)
-    return model
 
 
 def _parse_entry(value: str | int | Fraction) -> tuple[int, int]:
@@ -203,8 +182,7 @@ def validate_model(
             raise UnreachablePoint(
                 f"sample point {point} has probability 0 for every parameter"
             )
-    probs = tuple(tuple(Fraction(p, q) for p, q in row) for row in parsed)
-    return scaled_model(thetas, points, probs, den, rows)
+    return FiniteModel(thetas, points, den, rows)
 
 
 @dataclass(frozen=True)
@@ -292,7 +270,7 @@ def pairs_isomorphic(
     if (
         m1.theta_labels != m2.theta_labels
         or m1.n_points != m2.n_points
-        or m1.scaled[0] != m2.scaled[0]
+        or m1.den != m2.den
     ):
         return None
     phi = column_embedding(
@@ -328,13 +306,11 @@ def column_embedding(
 def _permuted(model: FiniteModel, order: list[int]) -> FiniteModel:
     """The model with sample point order[i] moved to index i, relabeled
     generically x1, x2, ..."""
-    den, rows = model.scaled
-    return scaled_model(
+    return FiniteModel(
         model.theta_labels,
         tuple(f"x{i + 1}" for i in range(model.n_points)),
-        tuple(tuple(row[x] for x in order) for row in model.probs),
-        den,
-        tuple(tuple(row[x] for x in order) for row in rows),
+        model.den,
+        tuple(tuple(row[x] for x in order) for row in model.rows),
     )
 
 

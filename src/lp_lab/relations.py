@@ -5,6 +5,7 @@ the Birnbaum / EFM mixture constructions."""
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,11 +139,15 @@ def _mixture_model(
     labels = tuple(f"1:{s}" for s in m1.sample_labels) + tuple(
         f"2:{s}" for s in m2.sample_labels
     )
+    # w * v / den over the common denominator lcm(w.den * den)
+    d1, d2 = w1.denominator * m1.den, w2.denominator * m2.den
+    den = math.lcm(d1, d2)
+    k1, k2 = w1.numerator * (den // d1), w2.numerator * (den // d2)
     rows = tuple(
-        tuple(w1 * v for v in r1) + tuple(w2 * v for v in r2)
-        for r1, r2 in zip(m1.probs, m2.probs)
+        tuple(k1 * v for v in r1) + tuple(k2 * v for v in r2)
+        for r1, r2 in zip(m1.rows, m2.rows)
     )
-    return FiniteModel(m1.theta_labels, labels, rows)
+    return FiniteModel(m1.theta_labels, labels, den, rows)
 
 
 def component_indicator(p1: ModelDataPair, p2: ModelDataPair) -> Partition:
@@ -256,8 +261,8 @@ def efm_parent(p1: ModelDataPair, p2: ModelDataPair) -> EfmResult:
     n1 = p1.model.n_points
     i_obs1 = p1.observed
     i_obs2 = n1 + p2.observed
-    for row in mixture.probs:
-        assert row[i_obs1] == row[i_obs2]
+    columns = mixture.scaled_columns
+    assert columns[i_obs1] == columns[i_obs2]
     parent = ModelDataPair(mixture, i_obs1)
     indicator = component_indicator(p1, p2)
     swap = {i_obs1: i_obs2, i_obs2: i_obs1}

@@ -17,7 +17,6 @@ from .model import (
     ModelDataPair,
     canonical_form,
     canonical_model,
-    scaled_model,
 )
 from .relations import conditional_pairs, l_related
 from .sufficiency import s_related
@@ -69,20 +68,14 @@ def enumerate_models(
     for size in range(1, max_space + 1):
         points = tuple(f"x{i + 1}" for i in range(size))
         for den in range(1, max_denominator + 1):
-            rows = [
-                (comp, tuple(Fraction(k, den) for k in comp))
-                for comp in _compositions(den, size)
-            ]
+            rows = list(_compositions(den, size))
             seen: set[FiniteModel] = set()
             for combo in itertools.product(rows, repeat=theta_size):
-                ints = tuple(comp for comp, _ in combo)
-                if math.gcd(den, *itertools.chain(*ints)) != 1:
+                if math.gcd(den, *itertools.chain(*combo)) != 1:
                     continue
-                if not all(map(any, zip(*ints))):
+                if not all(map(any, zip(*combo))):
                     continue
-                model = scaled_model(
-                    thetas, points, tuple(f for _, f in combo), den, ints
-                )
+                model = FiniteModel(thetas, points, den, combo)
                 canon = canonical_model(model)
                 if canon not in seen:
                     seen.add(canon)

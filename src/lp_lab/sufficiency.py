@@ -12,7 +12,6 @@ from .errors import LpLabError, UnreachablePoint
 from .model import (
     FiniteModel,
     ModelDataPair,
-    canonical_form,
     check_same_theta,
     pairs_isomorphic,
     primitive,
@@ -71,12 +70,12 @@ def statistic_induced_model(
         )
     rows = tuple(
         tuple(sum(row[x] for x in block) for block in partition.blocks)
-        for row in model.probs
+        for row in model.rows
     )
     for i, block in enumerate(partition.blocks):
         if all(row[i] == 0 for row in rows):
             raise UnreachablePoint(f"block {sorted(block)} has zero mass")
-    return FiniteModel(model.theta_labels, labels, rows)
+    return FiniteModel(model.theta_labels, labels, model.den, rows)
 
 
 # Entries kept by the reduce_to_mss cache. One closure, chain or evidence
@@ -129,8 +128,3 @@ def s_related(p1: ModelDataPair, p2: ModelDataPair) -> Optional[SWitness]:
     if phi is None:
         return None
     return SWitness(r1, r2, phi)
-
-
-def s_class_key(pair: ModelDataPair) -> ModelDataPair:
-    """Canonical invariant deciding S: equal keys iff s_related."""
-    return canonical_form(reduce_to_mss(pair).reduced)

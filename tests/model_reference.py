@@ -1,9 +1,12 @@
 """Fraction-arithmetic reference for the model core, for tests only.
 
-These are the parser, keys, canonical forms, isomorphism test and grid
-enumeration as they were written on ``fractions.Fraction`` values, before
-the library moved them onto integers over a common denominator. The
-differential tests in ``test_model_differential.py`` compare the two.
+These are the parser, keys, canonical forms, isomorphism test, grid
+enumeration and the derived-model constructors (conditionals, mixtures and
+statistic-induced models) as they were written on ``fractions.Fraction``
+values, before the library moved them onto integers over a common
+denominator. ``fraction_model`` builds a library model from ``Fraction``
+rows by the lcm of their denominators. The differential tests in
+``test_model_differential.py`` compare the two.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 from lp_lab.errors import (
     DuplicateLabel,
+    NotAncillary,
     ModelValidationError,
     NegativeEntry,
     NonStochasticRow,
@@ -30,6 +34,21 @@ from lp_lab.partition import Partition
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+
+def fraction_model(
+    thetas: Sequence[str],
+    points: Sequence[str],
+    rows: Sequence[Sequence[Fraction]],
+) -> FiniteModel:
+    """The model with these Fraction entries, over their least common
+    denominator."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    ints = tuple(
+        tuple(v.numerator * (den // v.denominator) for v in row) for row in rows
+    )
+    return FiniteModel(tuple(thetas), tuple(points), den, ints)
 
 
 def validate_model(
@@ -72,7 +91,7 @@ def validate_model(
             raise UnreachablePoint(
                 f"sample point {point} has probability 0 for every parameter"
             )
-    return FiniteModel(thetas, points, tuple(rows))
+    return fraction_model(thetas, points, rows)
 
 
 def normalized_direction(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -127,7 +146,7 @@ def canonical_model(model: FiniteModel) -> FiniteModel:
     order = _canonical_order(model.columns())
     rows = tuple(tuple(row[x] for x in order) for row in model.probs)
     labels = tuple(f"x{i + 1}" for i in range(model.n_points))
-    return FiniteModel(model.theta_labels, labels, rows)
+    return fraction_model(model.theta_labels, labels, rows)
 
 
 def canonical_form(pair: ModelDataPair) -> ModelDataPair:
@@ -138,7 +157,7 @@ def canonical_form(pair: ModelDataPair) -> ModelDataPair:
     rows = tuple(tuple(row[x] for x in order) for row in pair.model.probs)
     labels = tuple(f"x{i + 1}" for i in range(pair.model.n_points))
     return ModelDataPair(
-        FiniteModel(pair.model.theta_labels, labels, rows), new_obs
+        fraction_model(pair.model.theta_labels, labels, rows), new_obs
     )
 
 
@@ -179,3 +198,65 @@ def enumerate_models(
                 if canon not in seen:
                     seen.add(canon)
                     yield canon
+
+
+def block_masses(
+    model: FiniteModel, partition: Partition
+) -> Optional[tuple[Fraction, ...]]:
+    masses = []
+    for block in partition.blocks:
+        sums = {sum(row[x] for x in block) for row in model.probs}
+        if len(sums) > 1:
+            return None
+        masses.append(sums.pop())
+    return tuple(masses)
+
+
+def condition_on_block(
+    pair: ModelDataPair, ancillary: Partition
+) -> ModelDataPair:
+    masses = block_masses(pair.model, ancillary)
+    if masses is None:
+        raise NotAncillary("partition has parameter-dependent block masses")
+    b = ancillary.block_index_of(pair.observed)
+    block = sorted(ancillary.blocks[b])
+    mass = masses[b]
+    labels = tuple(pair.model.sample_labels[x] for x in block)
+    rows = tuple(
+        tuple(row[x] / mass for x in block) for row in pair.model.probs
+    )
+    return ModelDataPair(
+        fraction_model(pair.model.theta_labels, labels, rows),
+        block.index(pair.observed),
+    )
+
+
+def mixture_model(
+    p1: ModelDataPair, p2: ModelDataPair, w1: Fraction, w2: Fraction
+) -> FiniteModel:
+    m1, m2 = p1.model, p2.model
+    labels = tuple(f"1:{s}" for s in m1.sample_labels) + tuple(
+        f"2:{s}" for s in m2.sample_labels
+    )
+    rows = tuple(
+        tuple(w1 * v for v in r1) + tuple(w2 * v for v in r2)
+        for r1, r2 in zip(m1.probs, m2.probs)
+    )
+    return fraction_model(m1.theta_labels, labels, rows)
+
+
+def statistic_induced_model(
+    model: FiniteModel, partition: Partition
+) -> FiniteModel:
+    labels = tuple(
+        "{" + ",".join(model.sample_labels[x] for x in sorted(block)) + "}"
+        for block in partition.blocks
+    )
+    rows = tuple(
+        tuple(sum(row[x] for x in block) for block in partition.blocks)
+        for row in model.probs
+    )
+    for i, block in enumerate(partition.blocks):
+        if all(row[i] == 0 for row in rows):
+            raise UnreachablePoint(f"block {sorted(block)} has zero mass")
+    return fraction_model(model.theta_labels, labels, rows)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from lp_lab.ancillarity import (
     maximal_ancillaries,
     verify_c_witness,
 )
-from lp_lab.errors import NotAncillary, SpaceTooLarge
+from lp_lab.errors import GroundSetMismatch, NotAncillary, SpaceTooLarge
 from lp_lab.generate import random_pair
 from lp_lab.model import ModelDataPair, validate_model
 from lp_lab.partition import Partition
@@ -126,6 +127,25 @@ def test_condition_on_trivial_is_identity(fb):
 def test_condition_requires_ancillary(fd):
     with pytest.raises(NotAncillary):
         condition_on_block(ModelDataPair(fd, 0), Partition.of(4, [[0, 2], [1, 3]]))
+
+
+@pytest.mark.parametrize("size", [2, 5])
+def test_partition_of_another_ground_set_is_refused(fd, size):
+    other = Partition.trivial(size)
+    with pytest.raises(GroundSetMismatch):
+        is_ancillary(fd, other)
+    with pytest.raises(GroundSetMismatch):
+        condition_on_block(ModelDataPair(fd, 0), other)
+
+
+@pytest.mark.parametrize("size", [2, 5])
+def test_verify_c_witness_rejects_another_ground_set(fb, size):
+    pair = ModelDataPair(fb, 0)
+    _, embedded, _ = birnbaumize(pair, pair)
+    witness = c_related(pair, embedded)
+    assert verify_c_witness(pair, embedded, witness)
+    forged = dataclasses.replace(witness, ancillary=Partition.trivial(size))
+    assert not verify_c_witness(pair, embedded, forged)
 
 
 def test_c_related_by_construction(fd):

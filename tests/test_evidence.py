@@ -5,6 +5,7 @@ import pytest
 
 from lp_lab.errors import (
     DegenerateHypothesis,
+    GroundSetMismatch,
     LpLabError,
     NotAncillary,
     UnknownTheta,
@@ -129,6 +130,12 @@ def test_check_model_ancillary(fd):
     assert check_model_ancillary(ModelDataPair(fd, 0), Partition.trivial(4)) == 1
     with pytest.raises(NotAncillary):
         check_model_ancillary(ModelDataPair(fd, 0), Partition.of(4, [[0, 2], [1, 3]]))
+
+
+@pytest.mark.parametrize("size", [2, 5])
+def test_check_model_ancillary_refuses_another_ground_set(fd, size):
+    with pytest.raises(GroundSetMismatch):
+        check_model_ancillary(ModelDataPair(fd, 0), Partition.trivial(size))
 
 
 def test_check_model_ancillary_tail():

@@ -1,11 +1,13 @@
 """The integer model core against the Fraction reference.
 
 The library parses entries into integers over a common denominator, keys
-proportionality, canonical forms and isomorphisms by integer columns, and
-enumerates the grid as integer compositions. ``model_reference`` keeps the
-same functions written on ``Fraction`` values. Inputs: hypothesis-drawn
-model entries in many spellings, an enumerated universe with Birnbaum and
-EFM mixtures and their conditionals, and four grid bounds.
+proportionality, canonical forms and isomorphisms by integer columns,
+enumerates the grid as integer compositions, and builds conditionals,
+mixtures and reductions from their parent's integers. ``model_reference``
+keeps the same functions written on ``Fraction`` values. Inputs:
+hypothesis-drawn model entries in many spellings, an enumerated universe
+with Birnbaum and EFM mixtures and their conditionals, and four grid
+bounds.
 """
 
 import random
@@ -22,6 +24,7 @@ from lp_lab.model import (
     canonical_form,
     canonical_model,
     pairs_isomorphic,
+    proportional,
     validate_model,
 )
 from lp_lab.relations import (
@@ -31,7 +34,7 @@ from lp_lab.relations import (
     l_class_key,
 )
 from lp_lab.search import enumerate_models, enumerate_pairs
-from lp_lab.sufficiency import likelihood_partition
+from lp_lab.sufficiency import likelihood_partition, reduce_to_mss
 
 MIXED_L_PAIRS = 12
 
@@ -112,9 +115,11 @@ def _same_model(model: FiniteModel, expected: FiniteModel) -> None:
     assert model.sample_labels == expected.sample_labels
     assert model.probs == expected.probs
     assert all(type(v) is Fraction for row in model.probs for v in row)
-    # the integer view a constructor set equals the one derived from probs
-    derived = FiniteModel(model.theta_labels, model.sample_labels, model.probs)
-    assert model.scaled == derived.scaled
+    # the stored integers are those the lcm of the entries' denominators gives
+    derived = ref.fraction_model(
+        model.theta_labels, model.sample_labels, model.probs
+    )
+    assert (model.den, model.rows) == (derived.den, derived.rows)
     assert hash(model) == hash(derived)
 
 
@@ -153,18 +158,28 @@ def test_validate_model_spellings_of_one_model():
 
 
 @pytest.fixture(scope="module")
-def pairs():
-    """The (2, 3, 3) universe, Birnbaum and EFM mixtures of sampled L-related
-    pairs from it, their conditionals, and relabeled copies."""
-    universe = list(enumerate_pairs(2, 3, 3))
+def universe():
+    return list(enumerate_pairs(2, 3, 3))
+
+
+@pytest.fixture(scope="module")
+def mixed_l_pairs(universe):
+    """L-related pairs of the universe sampled for mixing."""
     l_pairs = [
         (a, b)
         for i, a in enumerate(universe)
         for b in universe[i + 1 :]
         if ref.l_class_key(a) == ref.l_class_key(b)
     ]
+    return random.Random(1949).sample(l_pairs, MIXED_L_PAIRS)
+
+
+@pytest.fixture(scope="module")
+def pairs(universe, mixed_l_pairs):
+    """The (2, 3, 3) universe, Birnbaum and EFM mixtures of sampled L-related
+    pairs from it, their conditionals, and relabeled copies."""
     out = list(universe)
-    for a, b in random.Random(1949).sample(l_pairs, MIXED_L_PAIRS):
+    for a, b in mixed_l_pairs:
         _, e1, e2 = birnbaumize(a, b)
         for mixed in (e1, e2, efm_parent(a, b).parent):
             out.append(mixed)
@@ -176,7 +191,8 @@ def pairs():
         model = FiniteModel(
             pair.model.theta_labels,
             tuple(f"s{x}" for x in order),
-            tuple(tuple(row[x] for x in order) for row in pair.model.probs),
+            pair.model.den,
+            tuple(tuple(row[x] for x in order) for row in pair.model.rows),
         )
         out.append(ModelDataPair(model, order.index(pair.observed)))
     return out
@@ -184,11 +200,11 @@ def pairs():
 
 def test_model_equality_matches_fraction_equality(pairs):
     models = [p.model for p in pairs]
-    models.append(FiniteModel(("t1",), ("a",), ((1,),)))
-    models.append(FiniteModel(("t1",), ("a",), ((Fraction(1),),)))
+    models.append(FiniteModel(("t1",), ("a",), 1, ((1,),)))
+    models.append(FiniteModel(("t1",), ("a",), 3, ((3,),)))
     # not stochastic, so equal integer rows over different denominators
-    models.append(FiniteModel(("t1",), ("a",), ((Fraction(1, 2),),)))
-    models.append(FiniteModel(("t1",), ("a",), ((Fraction(1, 3),),)))
+    models.append(FiniteModel(("t1",), ("a",), 2, ((1,),)))
+    models.append(FiniteModel(("t1",), ("a",), 3, ((1,),)))
     for a in models:
         for b in models:
             plain = (a.theta_labels, a.sample_labels, a.probs) == (
@@ -197,6 +213,46 @@ def test_model_equality_matches_fraction_equality(pairs):
             assert (a == b) == plain
             if plain:
                 assert hash(a) == hash(b)
+
+
+def test_common_factor_is_divided_out():
+    model = FiniteModel(("t1", "t2"), ("a", "b"), 4, ((2, 2), (0, 4)))
+    lowest = FiniteModel(("t1", "t2"), ("a", "b"), 2, ((1, 1), (0, 2)))
+    assert (model.den, model.rows) == (2, ((1, 1), (0, 2)))
+    assert model == lowest
+    assert hash(model) == hash(lowest)
+
+
+def _same_pair(got: ModelDataPair, want: ModelDataPair) -> None:
+    assert got.observed == want.observed
+    _same_model(got.model, want.model)
+
+
+def test_conditionals_match_reference(pairs):
+    count = 0
+    for pair in pairs:
+        for ancillary, conditional in conditional_pairs(pair):
+            _same_pair(conditional, ref.condition_on_block(pair, ancillary))
+            count += 1
+    assert count > len(pairs)
+
+
+def test_mixtures_match_reference(mixed_l_pairs):
+    half = Fraction(1, 2)
+    for a, b in mixed_l_pairs:
+        mixture, _, _ = birnbaumize(a, b)
+        _same_model(mixture, ref.mixture_model(a, b, half, half))
+        c = proportional(a.model.column(a.observed), b.model.column(b.observed))
+        want = ref.mixture_model(a, b, 1 / (1 + c), c / (1 + c))
+        _same_model(efm_parent(a, b).parent.model, want)
+
+
+def test_mss_reductions_match_reference(pairs):
+    for pair in pairs:
+        got = reduce_to_mss(pair).reduced
+        partition = ref.likelihood_partition(pair.model)
+        want = ref.statistic_induced_model(pair.model, partition)
+        _same_pair(got, ModelDataPair(want, partition.block_index_of(pair.observed)))
 
 
 def test_likelihood_partition_matches_reference(pairs):
