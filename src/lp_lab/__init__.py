@@ -7,7 +7,6 @@ from .model import (
     likelihood_vector,
     pair_at,
     pairs_isomorphic,
-    proportional,
     validate_model,
 )
 from .partition import Partition, all_partitions, is_function_of
@@ -25,7 +24,6 @@ from .ancillarity import (
     ancillary_catalog,
     c_related,
     condition_on_block,
-    durbin_c_related,
     enumerate_ancillaries,
     is_ancillary,
     laminal_ancillary,

@@ -156,13 +156,10 @@ def ancillary_catalog(
     )
 
 
-def condition_on_block(
-    pair: ModelDataPair, ancillary: Partition
-) -> ModelDataPair:
-    """Conditional pair given the ancillary block of the observed point."""
+def _conditional(pair: ModelDataPair, ancillary: Partition) -> ModelDataPair:
+    """The pair given the ancillary block of its observed point, for a
+    partition its caller has already proved ancillary."""
     model = pair.model
-    if not is_ancillary(model, ancillary):
-        raise NotAncillary("partition has parameter-dependent block masses")
     block = sorted(ancillary.blocks[ancillary.block_index_of(pair.observed)])
     labels = tuple(model.sample_labels[x] for x in block)
     # f(x) / mass(B) is den * f(x) over den * mass(B), the block's row sum,
@@ -172,6 +169,43 @@ def condition_on_block(
         FiniteModel(model.theta_labels, labels, sum(rows[0]), rows),
         block.index(pair.observed),
     )
+
+
+def condition_on_block(
+    pair: ModelDataPair, ancillary: Partition
+) -> ModelDataPair:
+    """Conditional pair given the ancillary block of the observed point.
+
+    Raises GroundSetMismatch unless the partition is of the pair's sample
+    space, and NotAncillary unless its block masses are parameter-free.
+    """
+    if not is_ancillary(pair.model, ancillary):
+        raise NotAncillary("partition has parameter-dependent block masses")
+    return _conditional(pair, ancillary)
+
+
+def conditional_pairs(pair: ModelDataPair) -> list[tuple[Partition, ModelDataPair]]:
+    """All one-step conditionals of a pair, one per balanced block B that
+    holds the observed point, each with its ancillary {B, X \\ B}.
+
+    The list is in restricted-growth order of the ancillaries. Among all
+    ancillaries having B as the observed point's block, {B, X \\ B} comes
+    first in that order, so the distinct conditionals appear in the same
+    order as when conditioning on every ancillary partition in turn.
+    2^(|X|-1) blocks are tested, so |X| above DEFAULT_MAX_SPACE raises
+    SpaceTooLarge.
+    """
+    n = pair.model.n_points
+    if n > DEFAULT_MAX_SPACE:
+        raise SpaceTooLarge(
+            f"|X| = {n} exceeds enumeration bound {DEFAULT_MAX_SPACE}"
+        )
+    out = []
+    for block in balanced_blocks(pair.model, pair.observed):
+        rest = set(range(n)) - block
+        ancillary = Partition.of(n, [block, rest] if rest else [block])
+        out.append((ancillary, _conditional(pair, ancillary)))
+    return out
 
 
 def _conditioning_witness(
@@ -209,7 +243,7 @@ def _conditioning_witness(
     ancillary = Partition.of(source.n_points, [image, rest] if rest else [image])
     if durbin and not is_function_of(ancillary, likelihood_partition(source)):
         return None
-    conditional = condition_on_block(parent, ancillary)
+    conditional = _conditional(parent, ancillary)
     bijection = tuple(image[x] for x in sorted(image))
     return CWitness(which, ancillary, conditional, bijection)
 
@@ -233,21 +267,27 @@ def c_related(
     return _conditioning_witness(p2, p1, "second", durbin)
 
 
-def durbin_c_related(p1: ModelDataPair, p2: ModelDataPair) -> Optional[CWitness]:
-    """C restricted to ancillaries that are functions of the parent's MSS."""
-    return c_related(p1, p2, durbin=True)
-
-
 def verify_c_witness(
-    p1: ModelDataPair, p2: ModelDataPair, witness: CWitness
+    p1: ModelDataPair, p2: ModelDataPair, witness: CWitness, durbin: bool = False
 ) -> bool:
-    """Independent re-check of a conditioning certificate."""
+    """Independent re-check of a conditioning certificate.
+
+    The ancillary must be a partition of the parent's sample space whose
+    block masses, summed in ``Fraction``s, are parameter-free, and with
+    ``durbin=True`` a function of the parent's minimal sufficient
+    partition. Conditioning the parent on it must give the recorded
+    conditional, and ``bijection`` must carry that conditional onto the
+    child, observed point included.
+    """
     parent, child = (p1, p2) if witness.parent == "first" else (p2, p1)
-    if witness.ancillary.size != parent.model.n_points:
+    ancillary = witness.ancillary
+    if ancillary.size != parent.model.n_points:
         return False
-    if not is_ancillary(parent.model, witness.ancillary):
+    if not is_ancillary(parent.model, ancillary):
         return False
-    conditional = condition_on_block(parent, witness.ancillary)
+    if durbin and not is_function_of(ancillary, likelihood_partition(parent.model)):
+        return False
+    conditional = _conditional(parent, ancillary)
     if conditional != witness.conditional:
         return False
     phi = witness.bijection

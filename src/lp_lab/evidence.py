@@ -72,7 +72,8 @@ class Direction(enum.Enum):
 
 def _joint(model: FiniteModel, prior: Prior, x: int) -> list[Fraction]:
     """pi(theta) f_theta(x) for each theta; the entries sum to m(x)."""
-    return [w * row[x] for w, row in zip(prior.weights, model.probs)]
+    den = model.den
+    return [w * Fraction(row[x], den) for w, row in zip(prior.weights, model.rows)]
 
 
 def _bayes(

@@ -16,9 +16,9 @@ from .model import (
     FiniteModel,
     ModelDataPair,
     likelihood_vector,
-    proportional,
     validate_model,
 )
+from .relations import l_class_key
 
 
 def _random_composition(
@@ -104,7 +104,7 @@ def random_l_related_pair(
             p2 = _split_observed(rng, p1)
         if p2 is None:
             continue
-        assert proportional(likelihood_vector(p1), likelihood_vector(p2))
+        assert l_class_key(p1) == l_class_key(p2)
         return p1, p2
 
 

@@ -32,10 +32,6 @@ from .errors import (
     UnreachablePoint,
 )
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
-
-
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse "p/q" or an integer string into an exact fraction."""
     if isinstance(text, Fraction):
@@ -218,31 +214,6 @@ def check_same_theta(a: Sequence[str], b: Sequence[str]) -> None:
 def likelihood_vector(pair: ModelDataPair) -> tuple[Fraction, ...]:
     """The likelihood function theta -> f_theta(x_obs), in theta order."""
     return pair.model.column(pair.observed)
-
-
-def proportional(
-    v1: Sequence[Fraction], v2: Sequence[Fraction]
-) -> Optional[Fraction]:
-    """Positive constant c with v1 = c * v2, or None.
-
-    Zero patterns must match exactly; the check is by cross-multiplication,
-    so no division is involved until the witness constant is formed.
-    """
-    if len(v1) != len(v2):
-        raise LengthMismatch(f"lengths {len(v1)} and {len(v2)} differ")
-    c: Optional[Fraction] = None
-    for a, b in zip(v1, v2):
-        if (a == 0) != (b == 0):
-            return None
-        if a != 0 and c is None:
-            c = Fraction(a, 1) / b
-    if c is None:
-        # both vectors identically zero; any positive c works
-        return ONE
-    for a, b in zip(v1, v2):
-        if a * 1 != c * b:
-            return None
-    return c
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:

@@ -53,10 +53,6 @@ class Partition:
             groups.setdefault(key, []).append(i)
         return Partition.of(len(assignment), groups.values())
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
     def block_index_of(self, x: int) -> int:
         for i, block in enumerate(self.blocks):
             if x in block:

@@ -11,23 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .ancillarity import (
-    DEFAULT_MAX_SPACE,
-    CWitness,
-    balanced_blocks,
-    c_related,
-    condition_on_block,
-    verify_c_witness,
-)
-from .errors import NotLRelated, ParameterSpaceMismatch, SpaceTooLarge
+from .ancillarity import CWitness, c_related, verify_c_witness
+from .errors import NotLRelated, ParameterSpaceMismatch
 from .model import (
     FiniteModel,
     ModelDataPair,
     canonical_form,
     check_same_theta,
-    likelihood_vector,
     primitive,
-    proportional,
 )
 from .partition import Partition, is_function_of
 from .sufficiency import SWitness, likelihood_partition, s_related
@@ -47,9 +38,20 @@ StepWitness = Union[SWitness, CWitness, Fraction]
 def l_related(
     p1: ModelDataPair, p2: ModelDataPair
 ) -> Optional[Fraction]:
-    """Positive c with likelihood(p1) = c * likelihood(p2), if any."""
+    """Positive c with likelihood(p1) = c * likelihood(p2), if any.
+
+    Decided by equality of l_class_key. With D the common denominator and g
+    the gcd of the observed integer column, a likelihood is g * key / D, so
+    c = (g1 * D2) / (g2 * D1); all-zero likelihoods are related by c = 1.
+    """
     check_same_theta(p1.model.theta_labels, p2.model.theta_labels)
-    return proportional(likelihood_vector(p1), likelihood_vector(p2))
+    if l_class_key(p1) != l_class_key(p2):
+        return None
+    g1 = math.gcd(*p1.model.scaled_columns[p1.observed])
+    g2 = math.gcd(*p2.model.scaled_columns[p2.observed])
+    if not g1:
+        return Fraction(1)
+    return Fraction(g1 * p2.model.den, g2 * p1.model.den)
 
 
 def l_class_key(pair: ModelDataPair) -> tuple[int, ...]:
@@ -111,16 +113,25 @@ class WitnessChain:
 
 
 def verify_chain(chain: WitnessChain) -> bool:
-    """Re-run the independent oracle on every consecutive node pair."""
+    """Check every step between consecutive nodes.
+
+    A C or Durbin-C step is checked by its certificate alone, with
+    :func:`verify_c_witness`; any other step re-runs its oracle on the two
+    nodes.
+    """
     if len(chain.nodes) != len(chain.steps) + 1:
         return False
     for a, b, step in zip(chain.nodes, chain.nodes[1:], chain.steps):
-        if related(a, b, step.kind) is None:
-            return False
-        if isinstance(step.witness, CWitness):
+        durbin = step.kind is RelationKind.DURBIN_C
+        if durbin or step.kind is RelationKind.C:
             first, second = (a, b) if step.forward else (b, a)
-            if not verify_c_witness(first, second, step.witness):
+            if not (
+                isinstance(step.witness, CWitness)
+                and verify_c_witness(first, second, step.witness, durbin)
+            ):
                 return False
+        elif related(a, b, step.kind) is None:
+            return False
     return True
 
 
@@ -330,12 +341,6 @@ class ClosureResult:
     classes: tuple[tuple[int, ...], ...]
     edges: tuple[ClosureEdge, ...]
 
-    def class_of(self, index: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if index in cls:
-                return cls
-        raise IndexError(index)
-
     def chain(self, i: int, j: int) -> Optional[WitnessChain]:
         """Shortest witness chain between two members, if same class."""
         if i == j:
@@ -482,27 +487,3 @@ def relation_properties_report(
         LawReport(not sym, tuple(sym[:max_counterexamples])),
         LawReport(not trans, tuple(trans)),
     )
-
-
-def conditional_pairs(pair: ModelDataPair) -> list[tuple[Partition, ModelDataPair]]:
-    """All one-step conditionals of a pair, one per balanced block B that
-    holds the observed point, each with its ancillary {B, X \\ B}.
-
-    The list is in restricted-growth order of the ancillaries. Among all
-    ancillaries having B as the observed point's block, {B, X \\ B} comes
-    first in that order, so the distinct conditionals appear in the same
-    order as when conditioning on every ancillary partition in turn.
-    2^(|X|-1) blocks are tested, so |X| above DEFAULT_MAX_SPACE raises
-    SpaceTooLarge.
-    """
-    n = pair.model.n_points
-    if n > DEFAULT_MAX_SPACE:
-        raise SpaceTooLarge(
-            f"|X| = {n} exceeds enumeration bound {DEFAULT_MAX_SPACE}"
-        )
-    out = []
-    for block in balanced_blocks(pair.model, pair.observed):
-        rest = set(range(n)) - block
-        ancillary = Partition.of(n, [block, rest] if rest else [block])
-        out.append((ancillary, condition_on_block(pair, ancillary)))
-    return out

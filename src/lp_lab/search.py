@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .ancillarity import CWitness, c_related
+from .ancillarity import CWitness, c_related, conditional_pairs
 from .errors import LpLabError
 from .model import (
     FiniteModel,
@@ -18,7 +18,7 @@ from .model import (
     canonical_form,
     canonical_model,
 )
-from .relations import conditional_pairs, l_related
+from .relations import l_related
 from .sufficiency import s_related
 
 

@@ -87,34 +87,37 @@ MSS_CACHE_SIZE = 1024
 def reduce_to_mss(pair: ModelDataPair) -> ReductionResult:
     """Quotient the pair by its minimal sufficient partition.
 
-    The theta-free factor h(x) = f_theta(x) / g_theta(block(x)) is computed
-    with one parameter value and asserted identical across all of them.
+    The theta-free factor h(x) = f_theta(x) / g_theta(block(x)) is taken
+    from the parent's integer columns, where it is the ratio of x's entry
+    to its block's sum for one parameter value, and asserted identical
+    across all of them by cross-multiplication.
     """
-    partition = likelihood_partition(pair.model)
-    reduced_model = statistic_induced_model(pair.model, partition)
-    block_map = tuple(
-        partition.block_index_of(x) for x in range(pair.model.n_points)
-    )
+    model = pair.model
+    partition = likelihood_partition(model)
+    reduced_model = statistic_induced_model(model, partition)
+    block_map = tuple(partition.block_index_of(x) for x in range(model.n_points))
+    masses = [
+        [sum(row[x] for x in block) for row in model.rows]
+        for block in partition.blocks
+    ]
     factors = []
-    for x in range(pair.model.n_points):
-        b = block_map[x]
-        h: Optional[Fraction] = None
-        for row, g_row in zip(pair.model.probs, reduced_model.probs):
-            if g_row[b] == 0:
-                if row[x] != 0:
+    for x, column in enumerate(model.scaled_columns):
+        h: Optional[tuple[int, int]] = None
+        for point_mass, block_mass in zip(column, masses[block_map[x]]):
+            if block_mass == 0:
+                if point_mass != 0:
                     raise LpLabError("zero block mass with positive point mass")
                 continue
-            value = row[x] / g_row[b]
             if h is None:
-                h = value
-            elif h != value:
+                h = (point_mass, block_mass)
+            elif point_mass * h[1] != h[0] * block_mass:
                 raise LpLabError(
                     "conditional factor depends on the parameter; "
                     "likelihood partition is inconsistent"
                 )
         if h is None:
             raise UnreachablePoint("sample point unreachable after reduction")
-        factors.append(h)
+        factors.append(Fraction(*h))
     reduced_pair = ModelDataPair(reduced_model, block_map[pair.observed])
     return ReductionResult(reduced_pair, block_map, tuple(factors))
 

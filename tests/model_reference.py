@@ -1,7 +1,8 @@
 """Fraction-arithmetic reference for the model core, for tests only.
 
-These are the parser, keys, canonical forms, isomorphism test, grid
-enumeration and the derived-model constructors (conditionals, mixtures and
+These are the parser, the proportionality test and keys, canonical
+forms, isomorphism test, grid enumeration and the derived-model
+constructors (conditionals, mixtures and
 statistic-induced models) as they were written on ``fractions.Fraction``
 values, before the library moved them onto integers over a common
 denominator. ``fraction_model`` builds a library model from ``Fraction``
@@ -18,6 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 from lp_lab.errors import (
     DuplicateLabel,
+    LengthMismatch,
     NotAncillary,
     ModelValidationError,
     NegativeEntry,
@@ -92,6 +94,31 @@ def validate_model(
                 f"sample point {point} has probability 0 for every parameter"
             )
     return fraction_model(thetas, points, rows)
+
+
+def proportional(
+    v1: Sequence[Fraction], v2: Sequence[Fraction]
+) -> Optional[Fraction]:
+    """Positive constant c with v1 = c * v2, or None.
+
+    Zero patterns must match exactly; the check is by cross-multiplication,
+    so no division is involved until the witness constant is formed.
+    """
+    if len(v1) != len(v2):
+        raise LengthMismatch(f"lengths {len(v1)} and {len(v2)} differ")
+    c: Optional[Fraction] = None
+    for a, b in zip(v1, v2):
+        if (a == 0) != (b == 0):
+            return None
+        if a != 0 and c is None:
+            c = Fraction(a, 1) / b
+    if c is None:
+        # both vectors identically zero; any positive c works
+        return ONE
+    for a, b in zip(v1, v2):
+        if a * 1 != c * b:
+            return None
+    return c
 
 
 def normalized_direction(v: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -6,11 +6,12 @@ import pytest
 
 from lp_lab.ancillarity import (
     DEFAULT_MAX_SPACE,
+    CWitness,
     ancillary_catalog,
     balanced_blocks,
     c_related,
     condition_on_block,
-    durbin_c_related,
+    conditional_pairs,
     enumerate_ancillaries,
     is_ancillary,
     laminal_ancillary,
@@ -19,9 +20,9 @@ from lp_lab.ancillarity import (
 )
 from lp_lab.errors import GroundSetMismatch, NotAncillary, SpaceTooLarge
 from lp_lab.generate import random_pair
-from lp_lab.model import ModelDataPair, validate_model
+from lp_lab.model import FiniteModel, ModelDataPair, validate_model
 from lp_lab.partition import Partition
-from lp_lab.relations import birnbaumize, conditional_pairs, l_related
+from lp_lab.relations import birnbaumize, l_related
 from lp_lab.sufficiency import likelihood_partition
 
 F = Fraction
@@ -148,6 +149,27 @@ def test_verify_c_witness_rejects_another_ground_set(fb, size):
     assert not verify_c_witness(pair, embedded, forged)
 
 
+def test_verify_c_witness_rejects_forged_certificates(fd):
+    # a partition with parameter-dependent block masses, recorded with the
+    # rows its block would give; the child copies them
+    parent = ModelDataPair(fd, 0)
+    rows = ((1, 1), (2, 2))
+    child = ModelDataPair(FiniteModel(fd.theta_labels, ("1", "3"), 2, rows), 0)
+    not_ancillary = Partition.of(4, [[0, 2], [1, 3]])
+    assert not is_ancillary(fd, not_ancillary)
+    forged = CWitness("first", not_ancillary, child, (0, 1))
+    assert not verify_c_witness(parent, child, forged)
+    # a bijection that matches every column but moves the observed point
+    twins = validate_model(
+        ["t1", "t2"], ["a", "b", "c"], [["1/4", "1/4", "1/2"], ["1/8", "1/8", "3/4"]]
+    )
+    pair = ModelDataPair(twins, 0)
+    witness = c_related(pair, pair)
+    assert witness.bijection == (0, 1, 2) and verify_c_witness(pair, pair, witness)
+    moved = dataclasses.replace(witness, bijection=(1, 0, 2))
+    assert not verify_c_witness(pair, pair, moved)
+
+
 def test_c_related_by_construction(fd):
     pair = ModelDataPair(fd, 0)
     ancillary = Partition.of(4, [[0, 1], [2, 3]])
@@ -181,7 +203,7 @@ def test_c_related_above_enumeration_bound(seven_point_l_pairs):
         assert verify_c_witness(pair, embedded, witness)
         # the MSS of the mixture merges the two observations across the
         # component indicator, so the Durbin restriction rejects the step
-        assert durbin_c_related(pair, embedded) is None
+        assert c_related(pair, embedded, durbin=True) is None
     assert c_related(p1, e2) is None
 
 
@@ -204,7 +226,7 @@ def test_c_symmetric_random():
 
 def test_durbin_reflexive(fb):
     pair = ModelDataPair(fb, 0)
-    assert durbin_c_related(pair, pair) is not None
+    assert c_related(pair, pair, durbin=True) is not None
 
 
 def test_durbin_rejects_non_mss_ancillary(fd):
@@ -215,7 +237,7 @@ def test_durbin_rejects_non_mss_ancillary(fd):
     assert not ancillary.refines(mss) and not mss.refines(ancillary)
     cond = condition_on_block(pair, ancillary)
     assert c_related(pair, cond) is not None
-    assert durbin_c_related(pair, cond) is None
+    assert c_related(pair, cond, durbin=True) is None
 
 
 def test_durbin_subset_of_c():
@@ -223,5 +245,5 @@ def test_durbin_subset_of_c():
     pairs = [random_pair(rng, 2, rng.randint(2, 3), 6) for _ in range(12)]
     for p1 in pairs:
         for p2 in pairs:
-            if durbin_c_related(p1, p2) is not None:
+            if c_related(p1, p2, durbin=True) is not None:
                 assert c_related(p1, p2) is not None

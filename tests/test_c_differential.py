@@ -2,7 +2,9 @@
 
 Inputs: every ordered pair of a small enumerated universe, and Birnbaum and
 EFM mixtures of L-related pairs from it against their own conditionals.
-Every positive answer is re-checked with verify_c_witness.
+Every positive answer is re-checked with verify_c_witness, under the
+Durbin restriction for Durbin-C; a C certificate between pairs that are
+not Durbin-C related must fail that re-check.
 """
 
 import random
@@ -10,9 +12,9 @@ import random
 import pytest
 
 from c_reference import exhaustive_c_related
-from lp_lab.ancillarity import c_related, verify_c_witness
+from lp_lab.ancillarity import c_related, conditional_pairs, verify_c_witness
 from lp_lab.model import canonical_form
-from lp_lab.relations import birnbaumize, conditional_pairs, efm_parent, l_related
+from lp_lab.relations import birnbaumize, efm_parent, l_related
 from lp_lab.search import enumerate_pairs
 
 MIXED_L_PAIRS = 24
@@ -28,7 +30,12 @@ def _agree(p1, p2, durbin):
     reference = exhaustive_c_related(p1, p2, durbin=durbin)
     assert (witness is None) == (reference is None), (p1, p2, durbin)
     if witness is not None:
-        assert verify_c_witness(p1, p2, witness), (p1, p2, durbin)
+        assert verify_c_witness(p1, p2, witness, durbin=durbin), (p1, p2, durbin)
+    elif durbin:
+        # a C certificate between pairs that are not Durbin-C related
+        plain = c_related(p1, p2)
+        if plain is not None:
+            assert not verify_c_witness(p1, p2, plain, durbin=True), (p1, p2)
     return witness is not None
 
 

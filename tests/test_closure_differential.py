@@ -15,15 +15,15 @@ from closure_reference import (
     all_pairs_properties_report,
     enumerated_conditional_pairs,
 )
+from model_reference import proportional
 from lp_lab import relations
-from lp_lab.ancillarity import balanced_blocks
+from lp_lab.ancillarity import balanced_blocks, conditional_pairs
 from lp_lab.model import ModelDataPair, canonical_form
 from lp_lab.relations import (
     RelationKind,
     Universe,
     birnbaumize,
     closure,
-    conditional_pairs,
     efm_parent,
     l_class_key,
     l_related,
@@ -65,7 +65,10 @@ def test_l_class_key_decides_l(grid):
     for a in members:
         for b in members:
             same = l_class_key(a) == l_class_key(b)
-            assert same == (l_related(a, b) is not None), (a, b)
+            reference = proportional(
+                a.model.column(a.observed), b.model.column(b.observed)
+            )
+            assert same == (reference is not None), (a, b)
 
 
 @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)

@@ -21,9 +21,9 @@ from lp_lab.model import (
     pairs_isomorphic,
     parse_rational,
     format_rational,
-    proportional,
     validate_model,
 )
+from model_reference import proportional
 
 F = Fraction
 

@@ -24,14 +24,14 @@ from lp_lab.model import (
     canonical_form,
     canonical_model,
     pairs_isomorphic,
-    proportional,
     validate_model,
 )
+from lp_lab.ancillarity import conditional_pairs
 from lp_lab.relations import (
     birnbaumize,
-    conditional_pairs,
     efm_parent,
     l_class_key,
+    l_related,
 )
 from lp_lab.search import enumerate_models, enumerate_pairs
 from lp_lab.sufficiency import likelihood_partition, reduce_to_mss
@@ -242,7 +242,7 @@ def test_mixtures_match_reference(mixed_l_pairs):
     for a, b in mixed_l_pairs:
         mixture, _, _ = birnbaumize(a, b)
         _same_model(mixture, ref.mixture_model(a, b, half, half))
-        c = proportional(a.model.column(a.observed), b.model.column(b.observed))
+        c = ref.proportional(a.model.column(a.observed), b.model.column(b.observed))
         want = ref.mixture_model(a, b, 1 / (1 + c), c / (1 + c))
         _same_model(efm_parent(a, b).parent.model, want)
 
@@ -268,6 +268,30 @@ def test_l_class_key_equality_matches_reference(pairs):
     for i in range(len(pairs)):
         for j in range(len(pairs)):
             assert (keys[i] == keys[j]) == (ref_keys[i] == ref_keys[j])
+
+
+def test_l_related_matches_reference(pairs):
+    # points no parameter reaches, which validate_model would refuse, in
+    # models over two denominators: all-zero likelihoods are related, c = 1
+    thetas = ("t1", "t2")
+    zero = [
+        ModelDataPair(FiniteModel(thetas, ("a", "b"), 1, ((1, 0), (1, 0))), 1),
+        ModelDataPair(
+            FiniteModel(thetas, ("a", "b", "c"), 2, ((1, 1, 0), (2, 0, 0))), 2
+        ),
+    ]
+    assert l_related(*zero) == 1
+    everything = pairs + zero
+    positive = 0
+    for a in everything:
+        for b in everything:
+            c = l_related(a, b)
+            assert c == ref.proportional(
+                a.model.column(a.observed), b.model.column(b.observed)
+            )
+            assert type(c) is Fraction or c is None
+            positive += c is not None
+    assert len(everything) < positive < len(everything) ** 2
 
 
 def test_canonical_forms_match_reference(pairs):

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from lp_lab.ancillarity import condition_on_block, is_ancillary
+from lp_lab.ancillarity import c_related, condition_on_block, is_ancillary
 from lp_lab.errors import NotLRelated, ParameterSpaceMismatch
 from lp_lab.generate import random_pair
 from lp_lab.model import (
@@ -13,8 +14,10 @@ from lp_lab.model import (
 )
 from lp_lab.partition import Partition
 from lp_lab.relations import (
+    ChainStep,
     RelationKind,
     Universe,
+    WitnessChain,
     birnbaum_chain,
     birnbaum_chain_durbin,
     birnbaumize,
@@ -25,6 +28,7 @@ from lp_lab.relations import (
     relation_properties_report,
     verify_chain,
 )
+from lp_lab.sufficiency import s_related
 
 F = Fraction
 
@@ -79,6 +83,59 @@ def test_birnbaum_chain_fixture(fb, fc, at):
 def test_birnbaum_chain_degenerate(fb, at):
     chain = birnbaum_chain(at(fb, "y1"), at(fb, "y1"))
     assert verify_chain(chain)
+
+
+def _with_step(chain, index, **changes):
+    steps = list(chain.steps)
+    steps[index] = dataclasses.replace(steps[index], **changes)
+    return WitnessChain(chain.nodes, tuple(steps))
+
+
+def _with_c_witness(chain, **changes):
+    witness = dataclasses.replace(chain.steps[0].witness, **changes)
+    return _with_step(chain, 0, witness=witness)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        # the recorded conditional is a relabeled copy of the true one
+        lambda chain: _with_c_witness(chain, conditional=chain.nodes[0]),
+        lambda chain: _with_c_witness(
+            chain, bijection=chain.steps[0].witness.bijection[::-1]
+        ),
+        lambda chain: _with_step(chain, 0, forward=False),
+        lambda chain: _with_step(chain, 0, witness=chain.steps[1].witness),
+        lambda chain: WitnessChain(chain.nodes[:-1], chain.steps),
+        lambda chain: WitnessChain(chain.nodes, chain.steps[:-1]),
+    ],
+    ids=[
+        "conditional", "bijection", "forward", "witness-type",
+        "short-nodes", "short-steps",
+    ],
+)
+def test_verify_chain_rejects_tampered_chain(fb, fc, at, tamper):
+    chain = birnbaum_chain(at(fb, "y2"), at(fc, "z1"))
+    assert verify_chain(chain)
+    assert not verify_chain(tamper(chain))
+
+
+def test_verify_chain_rejects_durbin_step_between_non_durbin_pairs(fb, fc, at):
+    chain = birnbaum_chain(at(fb, "y2"), at(fc, "z1"))
+    p1, e1 = chain.nodes[:2]
+    assert c_related(p1, e1, durbin=True) is None
+    assert not verify_chain(_with_step(chain, 0, kind=RelationKind.DURBIN_C))
+    p = at(fb, "y2")
+    step = ChainStep(RelationKind.DURBIN_C, c_related(p, p, durbin=True))
+    assert verify_chain(WitnessChain((p, p), (step,)))
+
+
+def test_verify_chain_rejects_s_step_between_non_s_pairs(fb, fc, at):
+    chain = birnbaum_chain(at(fb, "y2"), at(fc, "z1"))
+    p1, _, e2, _ = chain.nodes
+    assert s_related(p1, e2) is None
+    forged = WitnessChain((p1, e2), (chain.steps[1],))
+    assert not verify_chain(forged)
 
 
 def test_birnbaum_chain_requires_l(fb, fc, at):
