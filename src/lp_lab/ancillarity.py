@@ -272,14 +272,19 @@ def verify_c_witness(
 ) -> bool:
     """Independent re-check of a conditioning certificate.
 
-    The ancillary must be a partition of the parent's sample space whose
-    block masses, summed in ``Fraction``s, are parameter-free, and with
-    ``durbin=True`` a function of the parent's minimal sufficient
-    partition. Conditioning the parent on it must give the recorded
-    conditional, and ``bijection`` must carry that conditional onto the
-    child, observed point included.
+    ``parent`` must be "first" or "second". The ancillary must be a
+    partition of the parent's sample space whose block masses, summed in
+    ``Fraction``s, are parameter-free, and with ``durbin=True`` a function
+    of the parent's minimal sufficient partition. Conditioning the parent
+    on it must give the recorded conditional, and ``bijection`` must carry
+    that conditional onto the child, observed point included.
     """
-    parent, child = (p1, p2) if witness.parent == "first" else (p2, p1)
+    if witness.parent == "first":
+        parent, child = p1, p2
+    elif witness.parent == "second":
+        parent, child = p2, p1
+    else:
+        return False
     ancillary = witness.ancillary
     if ancillary.size != parent.model.n_points:
         return False

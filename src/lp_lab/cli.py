@@ -33,12 +33,9 @@ from .serialization import (
     load_pair,
     load_prior,
     model_from_dict,
-    model_to_dict,
     pair_from_dict,
-    pair_to_dict,
     partition_to_labels,
     render_machine,
-    to_jsonable,
 )
 
 EXIT_OK = 0
@@ -120,8 +117,8 @@ def cmd_validate(args, printer) -> int:
         pair = pair_from_dict(data)
         payload = {
             "command": "validate",
-            "input": pair_to_dict(pair),
-            "canonical": pair_to_dict(canonical_form(pair)),
+            "input": pair,
+            "canonical": canonical_form(pair),
             "valid": True,
         }
         lines = [
@@ -132,7 +129,7 @@ def cmd_validate(args, printer) -> int:
         model = model_from_dict(data)
         payload = {
             "command": "validate",
-            "input": model_to_dict(model),
+            "input": model,
             "valid": True,
         }
         lines = [
@@ -149,10 +146,10 @@ def cmd_reduce(args, printer) -> int:
     reduction = reduce_to_mss(pair)
     payload = {
         "command": "reduce",
-        "input": pair_to_dict(pair),
-        "reduced": pair_to_dict(reduction.reduced),
-        "block_map": list(reduction.block_map),
-        "theta_free_factor": list(reduction.theta_free_factor),
+        "input": pair,
+        "reduced": reduction.reduced,
+        "block_map": reduction.block_map,
+        "theta_free_factor": reduction.theta_free_factor,
     }
     lines = ["minimal sufficient reduction:"]
     for label, h in zip(
@@ -175,10 +172,10 @@ def cmd_relate(args, printer) -> int:
     payload = {
         "command": "relate",
         "kind": args.kind,
-        "first": pair_to_dict(canonical_form(p1)),
-        "second": pair_to_dict(canonical_form(p2)),
+        "first": canonical_form(p1),
+        "second": canonical_form(p2),
         "related": witness is not None,
-        "witness": to_jsonable(witness) if witness is not None else None,
+        "witness": witness,
     }
     if witness is None:
         printer.emit(payload, [f"{args.kind}: not related"])
@@ -197,7 +194,7 @@ def cmd_ancillaries(args, printer) -> int:
     catalog = ancillary_catalog(model, _enumeration_bound())
     payload = {
         "command": "ancillaries",
-        "model": model_to_dict(model),
+        "model": model,
         "all": [partition_to_labels(a, labels) for a in catalog.all],
         "maximal": [partition_to_labels(a, labels) for a in catalog.maximal],
         "laminal": partition_to_labels(catalog.laminal, labels),
@@ -221,9 +218,9 @@ def cmd_birnbaumize(args, printer) -> int:
     mixture, e1, e2 = relations.birnbaumize(p1, p2)
     payload = {
         "command": "birnbaumize",
-        "mixture": model_to_dict(mixture),
-        "embedded_first": pair_to_dict(e1),
-        "embedded_second": pair_to_dict(e2),
+        "mixture": mixture,
+        "embedded_first": e1,
+        "embedded_second": e2,
     }
     lines = [
         f"mixture on {mixture.n_points} points; "
@@ -240,12 +237,12 @@ def cmd_efm(args, printer) -> int:
     labels = result.parent.model.sample_labels
     payload = {
         "command": "efm",
-        "parent": pair_to_dict(result.parent),
+        "parent": result.parent,
         "indicator": partition_to_labels(result.indicator, labels),
         "swapped_indicator": partition_to_labels(
             result.swapped_indicator, labels
         ),
-        "chain": to_jsonable(result.chain),
+        "chain": result.chain,
     }
     lines = [
         "EFM parent built; two-step C chain verified",
@@ -267,7 +264,7 @@ def cmd_chain(args, printer) -> int:
     payload = {
         "command": "chain",
         "kind": args.kind,
-        "chain": to_jsonable(chain),
+        "chain": chain,
         "verified": verified,
     }
     steps = " - ".join(step.kind.value for step in chain.steps)
@@ -301,12 +298,9 @@ def cmd_closure(args, printer) -> int:
     payload = {
         "command": "closure",
         "kind": args.kind,
-        "members": [pair_to_dict(p) for p in universe.members],
-        "classes": [list(cls) for cls in result.classes],
-        "edges": [
-            {"i": e.i, "j": e.j, "kind": e.kind.value}
-            for e in result.edges
-        ],
+        "members": universe.members,
+        "classes": result.classes,
+        "edges": [{"i": e.i, "j": e.j, "kind": e.kind} for e in result.edges],
     }
     lines = [
         f"universe of {len(universe.members)} canonical pairs, "
@@ -322,37 +316,28 @@ def cmd_search(args, printer) -> int:
     bounds = search.SearchBounds(
         args.theta_size, args.max_space, args.max_denominator
     )
-    if args.what == "c-transitivity":
+    transitivity = args.what == "c-transitivity"
+    if transitivity:
         found = search.search_c_transitivity_counterexample(bounds)
-        payload = {
-            "command": "search",
-            "what": args.what,
-            "found": to_jsonable(found) if found else None,
-        }
-        if found is None:
-            printer.emit(payload, ["no counterexample within bounds"])
-            return EXIT_NEGATIVE
+    else:
+        found = search.search_l_minus_sc(bounds)
+    payload = {"command": "search", "what": args.what, "found": found}
+    if found is None:
+        missing = "counterexample" if transitivity else "witness"
+        printer.emit(payload, [f"no {missing} within bounds"])
+        return EXIT_NEGATIVE
+    if transitivity:
         lines = [
             "C is not transitive; verified triple found",
             "p1: " + render_machine(found.p1),
             "p2: " + render_machine(found.p2),
             "p3: " + render_machine(found.p3),
         ]
-        printer.emit(payload, lines)
-        return EXIT_OK
-    found = search.search_l_minus_sc(bounds)
-    payload = {
-        "command": "search",
-        "what": args.what,
-        "found": to_jsonable(found) if found else None,
-    }
-    if found is None:
-        printer.emit(payload, ["no witness within bounds"])
-        return EXIT_NEGATIVE
-    lines = [
-        "pair in L but in neither S nor C; "
-        f"c = {printer.rational(found.likelihood_ratio)}"
-    ]
+    else:
+        lines = [
+            "pair in L but in neither S nor C; "
+            f"c = {printer.rational(found.likelihood_ratio)}"
+        ]
     printer.emit(payload, lines)
     return EXIT_OK
 
@@ -368,9 +353,9 @@ def cmd_rb(args, printer) -> int:
     report = evidence_report(pair, prior, hypotheses)
     payload = {
         "command": f"rb {args.what}",
-        "pair": pair_to_dict(pair),
-        "prior": to_jsonable(prior),
-        "report": to_jsonable(report),
+        "pair": pair,
+        "prior": prior,
+        "report": report,
     }
     lines = []
     if args.what == "estimate":
@@ -379,7 +364,7 @@ def cmd_rb(args, printer) -> int:
         )
     elif args.what == "strength":
         value = report.strength(prior.index_of(args.theta))
-        payload["strength"] = to_jsonable(value)
+        payload["strength"] = value
         lines.append(
             f"strength({args.theta}) = {printer.rational(value)}"
         )
@@ -434,7 +419,7 @@ def cmd_check(args, printer) -> int:
     payload = {
         "command": f"check {args.what}",
         "method": method,
-        "p_value": to_jsonable(p_value),
+        "p_value": p_value,
     }
     printer.emit(payload, [f"p-value ({method}): {printer.rational(p_value)}"])
     return EXIT_OK
@@ -554,10 +539,7 @@ def run(argv: list[str]) -> int:
     printer = Printer(args.machine, args.decimal)
     try:
         return args.handler(args, printer)
-    except LpLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, KeyError) as exc:
+    except (LpLabError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -114,13 +114,12 @@ def _direction(p_a: Fraction, q_a: Fraction) -> Direction:
     return Direction.NEUTRAL
 
 
-def _strength(
-    post: Sequence[Fraction], rb: Sequence[Fraction], index: int
+def _tail(
+    probs: Sequence[Fraction], scores: Sequence[Fraction], cutoff: Fraction
 ) -> Fraction:
-    cutoff = rb[index]
+    """Total probability of the outcomes scoring no more than ``cutoff``."""
     return sum(
-        (p for p, value in zip(post, rb) if value <= cutoff),
-        Fraction(0),
+        (p for p, score in zip(probs, scores) if score <= cutoff), Fraction(0)
     )
 
 
@@ -196,7 +195,8 @@ def rb_strength(
     """
     index = prior.index_of(theta0)
     post = posterior(pair, prior)
-    return _strength(post, _ratios(post, prior), index)
+    rb = _ratios(post, prior)
+    return _tail(post, rb, rb[index])
 
 
 def check_model_mss(pair: ModelDataPair) -> Fraction:
@@ -208,15 +208,10 @@ def check_model_mss(pair: ModelDataPair) -> Fraction:
     observed one.
     """
     reduction = reduce_to_mss(pair)
-    b = reduction.block_map[pair.observed]
-    block = [
-        x for x in range(pair.model.n_points) if reduction.block_map[x] == b
-    ]
-    q = {x: reduction.theta_free_factor[x] for x in block}
-    observed_q = q[pair.observed]
-    return sum(
-        (value for value in q.values() if value <= observed_q), Fraction(0)
-    )
+    factors, block_map = reduction.theta_free_factor, reduction.block_map
+    b = block_map[pair.observed]
+    q = [h for h, block in zip(factors, block_map) if block == b]
+    return _tail(q, q, factors[pair.observed])
 
 
 def check_model_ancillary(
@@ -226,10 +221,7 @@ def check_model_ancillary(
     masses = block_masses(pair.model, ancillary)
     if masses is None:
         raise NotAncillary("partition has parameter-dependent block masses")
-    observed_mass = masses[ancillary.block_index_of(pair.observed)]
-    return sum(
-        (w for w in masses if w <= observed_mass), Fraction(0)
-    )
+    return _tail(masses, masses, masses[ancillary.block_index_of(pair.observed)])
 
 
 def check_prior_conflict(pair: ModelDataPair, prior: Prior) -> Fraction:
@@ -238,8 +230,7 @@ def check_prior_conflict(pair: ModelDataPair, prior: Prior) -> Fraction:
     reduction = reduce_to_mss(pair)
     reduced = reduction.reduced
     m = prior_predictive(reduced.model, prior)
-    observed_m = m[reduced.observed]
-    return sum((v for v in m if v <= observed_m), Fraction(0))
+    return _tail(m, m, m[reduced.observed])
 
 
 @dataclass(frozen=True)
@@ -262,7 +253,7 @@ class EvidenceReport:
 
     def strength(self, index: int) -> Fraction:
         """rb_strength of the parameter value at ``index``."""
-        return _strength(self.posterior, self.rb, index)
+        return _tail(self.posterior, self.rb, self.rb[index])
 
 
 def evidence_report(
@@ -290,7 +281,7 @@ def evidence_report(
                 q_a,
                 _odds_ratio(p_a, q_a) if proper else None,
                 _direction(p_a, q_a),
-                _strength(post, rb, indices[0]) if len(indices) == 1 else None,
+                _tail(post, rb, rb[indices[0]]) if len(indices) == 1 else None,
             )
         )
     return EvidenceReport(

@@ -304,8 +304,6 @@ def canonical_form(pair: ModelDataPair) -> ModelDataPair:
     is present. Among equal columns the observed index is normalized to
     the first position of its run, since such points are interchangeable.
     """
-    columns = pair.model.scaled_columns
-    order = sorted(range(len(columns)), key=columns.__getitem__)
-    obs_col = columns[pair.observed]
-    new_obs = min(i for i, x in enumerate(order) if columns[x] == obs_col)
-    return ModelDataPair(_permuted(pair.model, order), new_obs)
+    model = canonical_model(pair.model)
+    observed = pair.model.scaled_columns[pair.observed]
+    return ModelDataPair(model, model.scaled_columns.index(observed))

@@ -1,8 +1,10 @@
 """Bit-exact file and report serialization.
 
 Model, pair and prior files are JSON with every probability written as a
-canonical rational string, so parse(serialize(v)) == v exactly. Reports
-are plain JSON-able dictionaries built from the same rational rendering.
+canonical rational string, so parse(serialize(v)) == v exactly. A command's
+report is a dictionary of library values (models, pairs, priors, witnesses,
+chains, Fractions, ...); :func:`render_machine` is the one place that turns
+it into JSON, through :func:`to_jsonable` and the same rational rendering.
 """
 
 from __future__ import annotations

@@ -88,17 +88,18 @@ def reduce_to_mss(pair: ModelDataPair) -> ReductionResult:
     """Quotient the pair by its minimal sufficient partition.
 
     The theta-free factor h(x) = f_theta(x) / g_theta(block(x)) is taken
-    from the parent's integer columns, where it is the ratio of x's entry
-    to its block's sum for one parameter value, and asserted identical
-    across all of them by cross-multiplication.
+    from the integers, where it is the ratio of x's entry to its block's
+    mass (the reduced model's entry, over the parent's denominator) for one
+    parameter value, and asserted identical across all of them by
+    cross-multiplication.
     """
     model = pair.model
     partition = likelihood_partition(model)
     reduced_model = statistic_induced_model(model, partition)
     block_map = tuple(partition.block_index_of(x) for x in range(model.n_points))
+    scale = model.den // reduced_model.den
     masses = [
-        [sum(row[x] for x in block) for row in model.rows]
-        for block in partition.blocks
+        [v * scale for v in column] for column in reduced_model.scaled_columns
     ]
     factors = []
     for x, column in enumerate(model.scaled_columns):

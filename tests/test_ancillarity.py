@@ -149,7 +149,15 @@ def test_verify_c_witness_rejects_another_ground_set(fb, size):
     assert not verify_c_witness(pair, embedded, forged)
 
 
-def test_verify_c_witness_rejects_forged_certificates(fd):
+def test_verify_c_witness_rejects_forged_certificates(fb, fc, fd, at):
+    # a parent field that names neither argument
+    pair = at(fb, "y2")
+    _, embedded, _ = birnbaumize(pair, at(fc, "z1"))
+    witness = c_related(pair, embedded)
+    assert verify_c_witness(pair, embedded, witness)
+    for bogus in ("bogus", "First", ""):
+        forged = dataclasses.replace(witness, parent=bogus)
+        assert not verify_c_witness(pair, embedded, forged)
     # a partition with parameter-dependent block masses, recorded with the
     # rows its block would give; the child copies them
     parent = ModelDataPair(fd, 0)
