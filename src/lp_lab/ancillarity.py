@@ -223,18 +223,18 @@ def _conditioning_witness(
     first match decides, also whether B is a union of likelihood classes.
     """
     source, target = parent.model, child.model
-    into, columns = source.scaled_columns, target.scaled_columns
-    # In integers over each model's D the columns must match as
-    # into[phi(y)] == (p/q) * columns[y]. If the observed columns are
-    # proportional, p/q is the ratio of their gcds; if they are not, the
-    # observed columns fail to match in column_embedding.
-    ga = math.gcd(*into[parent.observed]) or 1
-    gb = math.gcd(*columns[child.observed]) or 1
+    into, columns = source.likelihoods, target.likelihoods
+    # Over each model's D a column is g * k, so into[phi(y)] == (p/q) *
+    # columns[y] reads (g_x, k_x) == (p * g_y / q, k_y). If the observed
+    # columns are proportional, p/q is the ratio of their g; if they are
+    # not, their k differ and column_embedding fails on them.
+    ga = into[parent.observed][0] or 1
+    gb = columns[child.observed][0] or 1
     g = math.gcd(ga, gb)
     p, q = ga // g, gb // g
-    if any(v % q for column in columns for v in column):
+    if any(gy % q for gy, _ in columns):
         return None
-    scaled = [tuple(p * (v // q) for v in column) for column in columns]
+    scaled = [(p * gy // q, k) for gy, k in columns]
     phi = column_embedding(scaled, child.observed, into, parent.observed)
     if phi is None:
         return None

@@ -381,11 +381,12 @@ def cmd_rb(args, printer) -> int:
         )
         lines.append("estimate:  " + ", ".join(report.estimate))
         for record in report.hypotheses:
-            bf = (
-                "inf"
-                if record.bayes_factor is None
-                else printer.rational(record.bayes_factor)
-            )
+            if record.bayes_factor is not None:
+                bf = printer.rational(record.bayes_factor)
+            elif len(record.hypothesis) == len(prior.theta_labels):
+                bf = "undefined"
+            else:
+                bf = "inf"
             lines.append(
                 f"A = {{{', '.join(record.hypothesis)}}}: "
                 f"BF = {bf}, evidence {record.direction.value}"

@@ -70,20 +70,17 @@ class Direction(enum.Enum):
     NEUTRAL = "neutral"
 
 
-def _joint(model: FiniteModel, prior: Prior, x: int) -> list[Fraction]:
-    """pi(theta) f_theta(x) for each theta; the entries sum to m(x)."""
-    den = model.den
-    return [w * Fraction(row[x], den) for w, row in zip(prior.weights, model.rows)]
-
-
 def _bayes(
     pair: ModelDataPair, prior: Prior
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """m(x_obs) and the posterior, from the column of the observed point."""
+    """m(x_obs) and the posterior, from the likelihood ``(g, k)`` of the
+    observed point: the posterior is proportional to pi * k, and
+    m(x_obs) = g * sum(pi * k) / D."""
     check_same_theta(pair.model.theta_labels, prior.theta_labels)
-    joint = _joint(pair.model, prior, pair.observed)
-    m = sum(joint)
-    return m, tuple(j / m for j in joint)
+    g, k = pair.model.likelihoods[pair.observed]
+    joint = [w * v for w, v in zip(prior.weights, k)]
+    total = sum(joint)
+    return g * total / pair.model.den, tuple(j / total for j in joint)
 
 
 def _ratios(post: Sequence[Fraction], prior: Prior) -> tuple[Fraction, ...]:
@@ -134,7 +131,8 @@ def prior_predictive(
     """m(x) = sum_theta pi(theta) f_theta(x); entries sum to 1."""
     check_same_theta(model.theta_labels, prior.theta_labels)
     return tuple(
-        sum(_joint(model, prior, x)) for x in range(model.n_points)
+        g * sum(w * v for w, v in zip(prior.weights, k)) / model.den
+        for g, k in model.likelihoods
     )
 
 

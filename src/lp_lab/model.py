@@ -3,9 +3,12 @@
 Probabilities are exact rationals; no floating point is used anywhere. A
 model is ``(theta_labels, sample_labels, den, rows)``: its probabilities
 held once, as integer rows over their least common denominator ``den``.
-Parsing, equality, hashing, proportionality keys, canonical forms and
-isomorphism tests work on those integers, and every derived model is built
-from its parent's. ``fractions.Fraction`` stays their public type:
+Parsing, equality, hashing, canonical forms and isomorphism tests work on
+those integers, and every derived model is built from its parent's.
+``FiniteModel.likelihoods`` splits each column into ``(g, k)``, its gcd and
+primitive vector: the one likelihood decomposition that L, the minimal
+sufficient partition and factorization, the C column match and the
+posterior read. ``fractions.Fraction`` stays their public type:
 ``probs`` derives the entries as ``Fraction``s, and every probability
 lp-lab returns is one. Input models are checked and built by
 :func:`validate_model`. Models and model-data pairs are immutable and
@@ -88,6 +91,21 @@ class FiniteModel:
     def scaled_columns(self) -> tuple[tuple[int, ...], ...]:
         """den * f(x) across the parameter space, for each sample point x."""
         return tuple(zip(*self.rows))
+
+    @functools.cached_property
+    def likelihoods(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``(g, k)`` for each sample point x, with scaled_columns[x] == g * k.
+
+        g is the gcd of the column and k its primitive integer vector, so
+        two columns are positive multiples of each other iff their k are
+        equal, zero patterns included. A point no parameter reaches has
+        g = 0 and k the zero column.
+        """
+        out = []
+        for column in self.scaled_columns:
+            g = math.gcd(*column)
+            out.append((g, tuple(v // g for v in column) if g > 1 else column))
+        return tuple(out)
 
     @property
     def n_theta(self) -> int:
@@ -216,16 +234,6 @@ def likelihood_vector(pair: ModelDataPair) -> tuple[Fraction, ...]:
     return pair.model.column(pair.observed)
 
 
-def primitive(v: Sequence[int]) -> tuple[int, ...]:
-    """v divided by the gcd of its entries; proportionality key.
-
-    Two nonnegative integer vectors are positive multiples of each other
-    iff their keys are equal, zero patterns included.
-    """
-    g = math.gcd(*v)
-    return tuple(a // g for a in v) if g > 1 else tuple(v)
-
-
 def pairs_isomorphic(
     p1: ModelDataPair, p2: ModelDataPair
 ) -> Optional[tuple[int, ...]]:
@@ -251,16 +259,16 @@ def pairs_isomorphic(
 
 
 def column_embedding(
-    columns: Sequence[tuple[int, ...]],
+    columns: Sequence[tuple],
     observed: int,
-    into: Sequence[tuple[int, ...]],
+    into: Sequence[tuple],
     into_observed: int,
 ) -> Optional[list[int]]:
     """Injective phi with columns[x] == into[phi[x]] and phi[observed] ==
     into_observed, or None; equal columns of ``into`` go in index order."""
     if columns[observed] != into[into_observed]:
         return None
-    free: dict[tuple[int, ...], list[int]] = {}
+    free: dict[tuple, list[int]] = {}
     for x, column in enumerate(into):
         if x != into_observed:
             free.setdefault(column, []).append(x)

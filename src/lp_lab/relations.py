@@ -18,7 +18,6 @@ from .model import (
     ModelDataPair,
     canonical_form,
     check_same_theta,
-    primitive,
 )
 from .partition import Partition, is_function_of
 from .sufficiency import SWitness, likelihood_partition, s_related
@@ -40,15 +39,16 @@ def l_related(
 ) -> Optional[Fraction]:
     """Positive c with likelihood(p1) = c * likelihood(p2), if any.
 
-    Decided by equality of l_class_key. With D the common denominator and g
-    the gcd of the observed integer column, a likelihood is g * key / D, so
+    Reads the ``(g, k)`` of each observed point from
+    ``FiniteModel.likelihoods``: L holds iff the two k are equal. With D a
+    model's common denominator a likelihood is g * k / D, so
     c = (g1 * D2) / (g2 * D1); all-zero likelihoods are related by c = 1.
     """
     check_same_theta(p1.model.theta_labels, p2.model.theta_labels)
-    if l_class_key(p1) != l_class_key(p2):
+    g1, k1 = p1.model.likelihoods[p1.observed]
+    g2, k2 = p2.model.likelihoods[p2.observed]
+    if k1 != k2:
         return None
-    g1 = math.gcd(*p1.model.scaled_columns[p1.observed])
-    g2 = math.gcd(*p2.model.scaled_columns[p2.observed])
     if not g1:
         return Fraction(1)
     return Fraction(g1 * p2.model.den, g2 * p1.model.den)
@@ -57,8 +57,8 @@ def l_related(
 def l_class_key(pair: ModelDataPair) -> tuple[int, ...]:
     """Invariant of L: on one parameter space, two pairs have equal keys
     iff l_related holds between them. It is the primitive integer vector
-    of the likelihood column."""
-    return primitive(pair.model.scaled_columns[pair.observed])
+    k of the observed point's likelihood."""
+    return pair.model.likelihoods[pair.observed][1]
 
 
 def l_class_peers(pairs: Sequence[ModelDataPair]) -> list[list[int]]:

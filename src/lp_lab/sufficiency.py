@@ -8,14 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import LpLabError, UnreachablePoint
-from .model import (
-    FiniteModel,
-    ModelDataPair,
-    check_same_theta,
-    pairs_isomorphic,
-    primitive,
-)
+from .errors import GroundSetMismatch, UnreachablePoint
+from .model import FiniteModel, ModelDataPair, check_same_theta, pairs_isomorphic
 from .partition import Partition
 
 
@@ -45,24 +39,39 @@ def likelihood_partition(model: FiniteModel) -> Partition:
 
     This is the minimal sufficient partition of a finite discrete model:
     two points land in one block iff their columns agree up to a positive
-    scalar (zero patterns included).
+    scalar (zero patterns included), that is iff their primitive vectors
+    k in ``model.likelihoods`` are equal.
     """
-    return Partition.from_labels(list(map(primitive, model.scaled_columns)))
+    return Partition.from_labels([k for _, k in model.likelihoods])
+
+
+def _check_ground_set(model: FiniteModel, partition: Partition) -> None:
+    if partition.size != model.n_points:
+        raise GroundSetMismatch(
+            f"partition of {partition.size} points, model has {model.n_points}"
+        )
 
 
 def is_sufficient(model: FiniteModel, partition: Partition) -> bool:
-    """True iff within every block all likelihood vectors are proportional."""
-    for block in partition.blocks:
-        keys = {primitive(model.scaled_columns[x]) for x in block}
-        if len(keys) > 1:
-            return False
-    return True
+    """True iff within every block all likelihood vectors are proportional.
+
+    Raises GroundSetMismatch unless the partition is of the model's sample
+    space.
+    """
+    _check_ground_set(model, partition)
+    keys = [k for _, k in model.likelihoods]
+    return all(len({keys[x] for x in block}) == 1 for block in partition.blocks)
 
 
 def statistic_induced_model(
     model: FiniteModel, partition: Partition, labels: tuple[str, ...] | None = None
 ) -> FiniteModel:
-    """Marginal model of a statistic: block probabilities by exact sums."""
+    """Marginal model of a statistic: block probabilities by exact sums.
+
+    Raises GroundSetMismatch unless the partition is of the model's sample
+    space, and UnreachablePoint for a block no parameter reaches.
+    """
+    _check_ground_set(model, partition)
     if labels is None:
         labels = tuple(
             "{" + ",".join(model.sample_labels[x] for x in sorted(block)) + "}"
@@ -87,40 +96,22 @@ MSS_CACHE_SIZE = 1024
 def reduce_to_mss(pair: ModelDataPair) -> ReductionResult:
     """Quotient the pair by its minimal sufficient partition.
 
-    The theta-free factor h(x) = f_theta(x) / g_theta(block(x)) is taken
-    from the integers, where it is the ratio of x's entry to its block's
-    mass (the reduced model's entry, over the parent's denominator) for one
-    parameter value, and asserted identical across all of them by
-    cross-multiplication.
+    Every column of a block B is g(x) * k for the one primitive vector k of
+    B, with ``(g(x), k)`` read from ``model.likelihoods``. B's mass is
+    then (sum of g over B) * k, so the theta-free factor is
+    h(x) = f_theta(x) / g_theta(B) = g(x) / (sum of g over B) for every
+    parameter value at once. A block no parameter reaches raises
+    UnreachablePoint when the reduced model is built.
     """
     model = pair.model
     partition = likelihood_partition(model)
     reduced_model = statistic_induced_model(model, partition)
     block_map = tuple(partition.block_index_of(x) for x in range(model.n_points))
-    scale = model.den // reduced_model.den
-    masses = [
-        [v * scale for v in column] for column in reduced_model.scaled_columns
-    ]
-    factors = []
-    for x, column in enumerate(model.scaled_columns):
-        h: Optional[tuple[int, int]] = None
-        for point_mass, block_mass in zip(column, masses[block_map[x]]):
-            if block_mass == 0:
-                if point_mass != 0:
-                    raise LpLabError("zero block mass with positive point mass")
-                continue
-            if h is None:
-                h = (point_mass, block_mass)
-            elif point_mass * h[1] != h[0] * block_mass:
-                raise LpLabError(
-                    "conditional factor depends on the parameter; "
-                    "likelihood partition is inconsistent"
-                )
-        if h is None:
-            raise UnreachablePoint("sample point unreachable after reduction")
-        factors.append(Fraction(*h))
+    gcds = [g for g, _ in model.likelihoods]
+    totals = [sum(gcds[x] for x in block) for block in partition.blocks]
+    factors = tuple(Fraction(g, totals[b]) for g, b in zip(gcds, block_map))
     reduced_pair = ModelDataPair(reduced_model, block_map[pair.observed])
-    return ReductionResult(reduced_pair, block_map, tuple(factors))
+    return ReductionResult(reduced_pair, block_map, factors)
 
 
 def s_related(p1: ModelDataPair, p2: ModelDataPair) -> Optional[SWitness]:

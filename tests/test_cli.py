@@ -171,6 +171,29 @@ def test_rb_analyze_and_strength(files, capsys):
     assert "1/3" in capsys.readouterr().out
 
 
+def test_rb_analyze_whole_space_bayes_factor_is_undefined(files, capsys):
+    argv = ["rb", "analyze", files["pairB1"], "--prior", files["prior"]]
+    argv += ["--hypothesis", "t1,t2"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert "A = {t1, t2}: BF = undefined, evidence neutral\n" in out
+    assert run(["--machine"] + argv) == 0
+    record = json.loads(capsys.readouterr().out)["report"]["hypotheses"][0]
+    assert record["bayes_factor"] is None
+
+
+def test_rb_analyze_infinite_odds_bayes_factor_is_inf(files, tmp_path, capsys):
+    model = validate_model(["t1", "t2"], ["a", "b"], [["1/2", "1/2"], ["1", "0"]])
+    save_pair(pair_at(model, "b"), tmp_path / "zero.pair")
+    argv = ["rb", "analyze", str(tmp_path / "zero.pair"), "--prior", files["prior"]]
+    argv += ["--hypothesis", "t1"]
+    assert run(argv) == 0
+    assert "A = {t1}: BF = inf, evidence for\n" in capsys.readouterr().out
+    assert run(["--machine"] + argv) == 0
+    record = json.loads(capsys.readouterr().out)["report"]["hypotheses"][0]
+    assert record["bayes_factor"] is None
+
+
 def test_check_model_and_prior(files, capsys):
     assert run(["check", "model", files["pairA1"]]) == 0
     assert "1/3" in capsys.readouterr().out

@@ -1,15 +1,17 @@
 """The integer model core against the Fraction reference.
 
 The library parses entries into integers over a common denominator, keys
-proportionality, canonical forms and isomorphisms by integer columns,
-enumerates the grid as integer compositions, and builds conditionals,
-mixtures and reductions from their parent's integers. ``model_reference``
-keeps the same functions written on ``Fraction`` values. Inputs:
-hypothesis-drawn model entries in many spellings, an enumerated universe
-with Birnbaum and EFM mixtures and their conditionals, and four grid
-bounds.
+proportionality by the ``(g, k)`` split of ``FiniteModel.likelihoods``,
+keys canonical forms and isomorphisms by integer columns, enumerates the
+grid as integer compositions, and builds conditionals, mixtures and
+reductions from their parent's integers; the exact factorization of each
+reduction is checked here. ``model_reference`` keeps the same functions
+written on ``Fraction`` values. Inputs: hypothesis-drawn model entries in
+many spellings, an enumerated universe with Birnbaum and EFM mixtures and
+their conditionals, and four grid bounds.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -253,6 +255,34 @@ def test_mss_reductions_match_reference(pairs):
         partition = ref.likelihood_partition(pair.model)
         want = ref.statistic_induced_model(pair.model, partition)
         _same_pair(got, ModelDataPair(want, partition.block_index_of(pair.observed)))
+
+
+def test_mss_factorization_is_exact(pairs):
+    for pair in pairs:
+        reduction = reduce_to_mss(pair)
+        g, h = reduction.reduced.model.probs, reduction.theta_free_factor
+        block_map = reduction.block_map
+        for i, row in enumerate(pair.model.probs):
+            for x, value in enumerate(row):
+                assert value == g[i][block_map[x]] * h[x]
+        for b in range(reduction.reduced.model.n_points):
+            assert sum(v for v, c in zip(h, block_map) if c == b) == 1
+
+
+def test_likelihoods_decompose_columns(pairs):
+    shared = 0
+    for model in {p.model for p in pairs}:
+        likelihoods = model.likelihoods
+        for column, (g, k) in zip(model.scaled_columns, likelihoods):
+            assert tuple(g * v for v in k) == column
+            assert g > 0 and math.gcd(*k) == 1
+        columns = model.columns()
+        for x, (_, kx) in enumerate(likelihoods):
+            for y, (_, ky) in enumerate(likelihoods):
+                proportional = ref.proportional(columns[x], columns[y])
+                assert (kx == ky) == (proportional is not None)
+                shared += x != y and kx == ky
+    assert shared > 0
 
 
 def test_likelihood_partition_matches_reference(pairs):

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from lp_lab.errors import ParameterSpaceMismatch
+from lp_lab.errors import GroundSetMismatch, ParameterSpaceMismatch, UnreachablePoint
 from lp_lab.generate import random_pair
-from lp_lab.model import ModelDataPair, pairs_isomorphic, validate_model
+from lp_lab.model import FiniteModel, ModelDataPair, pairs_isomorphic, validate_model
 from lp_lab.partition import Partition, all_partitions
 from lp_lab.sufficiency import (
     MSS_CACHE_SIZE,
@@ -75,6 +75,31 @@ def test_statistic_induced_model(fd):
     assert trivial.probs == ((F(1),), (F(1),))
     identity = statistic_induced_model(fd, Partition.discrete(4))
     assert identity.probs == fd.probs
+
+
+@pytest.mark.parametrize(
+    "model, partition",
+    [
+        ("fa", Partition.of(2, [[0], [1]])),
+        ("fa", Partition.of(2, [[0, 1]])),
+        ("fb", Partition.of(3, [[0, 1], [2]])),
+        ("fb", Partition.discrete(3)),
+    ],
+    ids=["fa-discrete-2", "fa-trivial-2", "fb-3-points", "fb-discrete-3"],
+)
+def test_partition_of_another_ground_set_is_refused(model, partition, request):
+    model = request.getfixturevalue(model)
+    with pytest.raises(GroundSetMismatch):
+        statistic_induced_model(model, partition)
+    with pytest.raises(GroundSetMismatch):
+        is_sufficient(model, partition)
+
+
+def test_reduce_unreachable_point_is_refused():
+    # built directly: validate_model would refuse the all-zero column
+    model = FiniteModel(("t1", "t2"), ("a", "b", "c"), 2, ((1, 1, 0), (2, 0, 0)))
+    with pytest.raises(UnreachablePoint, match=r"block \[2\] has zero mass"):
+        reduce_to_mss(ModelDataPair(model, 0))
 
 
 def test_factorization_identity_random():
