@@ -1,6 +1,7 @@
 """Ancillary statistics on finite models: testing, exhaustive enumeration,
 maximal and laminal ancillaries, conditioning, and the relations C and
-Durbin-restricted C."""
+Durbin-restricted C. The check of their certificates, ``verify_c_witness``,
+is :mod:`lp_lab.certify`'s and is bound here too."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GroundSetMismatch, NotAncillary, SpaceTooLarge
+from .certify import verify_c_witness  # the C certificate check, bound here too
+from .errors import NotAncillary, SpaceTooLarge
 from .model import (
     FiniteModel,
     ModelDataPair,
@@ -18,7 +20,7 @@ from .model import (
     column_embedding,
 )
 from .partition import Partition, all_partitions, is_function_of
-from .sufficiency import likelihood_partition
+from .sufficiency import check_ground_set, likelihood_partition
 
 # Bound on |X| for exhaustive ancillary enumeration, which filters all
 # Bell(|X|) set partitions: Bell(12) is ~4.2M and takes minutes per call.
@@ -58,10 +60,7 @@ def block_masses(model: FiniteModel, partition: Partition) -> Optional[
     Raises GroundSetMismatch unless the partition is of the model's sample
     space.
     """
-    if partition.size != model.n_points:
-        raise GroundSetMismatch(
-            f"partition of {partition.size} points, model has {model.n_points}"
-        )
+    check_ground_set(model, partition)
     masses = []
     for block in partition.blocks:
         sums = {sum(row[x] for x in block) for row in model.probs}
@@ -265,44 +264,3 @@ def c_related(
     if witness is not None:
         return witness
     return _conditioning_witness(p2, p1, "second", durbin)
-
-
-def verify_c_witness(
-    p1: ModelDataPair, p2: ModelDataPair, witness: CWitness, durbin: bool = False
-) -> bool:
-    """Independent re-check of a conditioning certificate.
-
-    ``parent`` must be "first" or "second". The ancillary must be a
-    partition of the parent's sample space whose block masses, summed in
-    ``Fraction``s, are parameter-free, and with ``durbin=True`` a function
-    of the parent's minimal sufficient partition. Conditioning the parent
-    on it must give the recorded conditional, and ``bijection`` must carry
-    that conditional onto the child, observed point included.
-    """
-    if witness.parent == "first":
-        parent, child = p1, p2
-    elif witness.parent == "second":
-        parent, child = p2, p1
-    else:
-        return False
-    ancillary = witness.ancillary
-    if ancillary.size != parent.model.n_points:
-        return False
-    if not is_ancillary(parent.model, ancillary):
-        return False
-    if durbin and not is_function_of(ancillary, likelihood_partition(parent.model)):
-        return False
-    conditional = _conditional(parent, ancillary)
-    if conditional != witness.conditional:
-        return False
-    phi = witness.bijection
-    m1, m2 = conditional.model, child.model
-    if m1.theta_labels != m2.theta_labels or len(phi) != m1.n_points:
-        return False
-    if sorted(phi) != list(range(m2.n_points)):
-        return False
-    if phi[conditional.observed] != child.observed:
-        return False
-    return all(
-        m1.column(x) == m2.column(phi[x]) for x in range(m1.n_points)
-    )

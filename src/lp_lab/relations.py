@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .ancillarity import CWitness, c_related, verify_c_witness
+from .ancillarity import CWitness, c_related
+from .certify import verify_c_witness, verify_l_witness, verify_s_witness
 from .errors import NotLRelated, ParameterSpaceMismatch
 from .model import (
     FiniteModel,
@@ -112,27 +113,42 @@ class WitnessChain:
     steps: tuple[ChainStep, ...]
 
 
-def verify_chain(chain: WitnessChain) -> bool:
-    """Check every step between consecutive nodes.
+# the step kinds a C or an S certificate can witness
+_C_KINDS = (RelationKind.C, RelationKind.DURBIN_C, RelationKind.S_OR_C)
+_S_KINDS = (RelationKind.S, RelationKind.S_OR_C)
 
-    A C or Durbin-C step is checked by its certificate alone, with
-    :func:`verify_c_witness`; any other step re-runs its oracle on the two
-    nodes.
+
+def verify_chain(chain: WitnessChain) -> bool:
+    """Check every step between consecutive nodes by its certificate alone.
+
+    Each step goes to :mod:`lp_lab.certify`, which re-checks it in integers
+    and calls no oracle. A witness must fit its step's kind: a CWitness for
+    C and Durbin-C, an SWitness for S, either for S-or-C, and a Fraction
+    for L.
     """
     if len(chain.nodes) != len(chain.steps) + 1:
         return False
     for a, b, step in zip(chain.nodes, chain.nodes[1:], chain.steps):
-        durbin = step.kind is RelationKind.DURBIN_C
-        if durbin or step.kind is RelationKind.C:
-            first, second = (a, b) if step.forward else (b, a)
-            if not (
-                isinstance(step.witness, CWitness)
-                and verify_c_witness(first, second, step.witness, durbin)
-            ):
-                return False
-        elif related(a, b, step.kind) is None:
+        first, second = (a, b) if step.forward else (b, a)
+        if not _step_holds(first, second, step.kind, step.witness):
             return False
     return True
+
+
+def _step_holds(
+    first: ModelDataPair,
+    second: ModelDataPair,
+    kind: RelationKind,
+    witness: StepWitness,
+) -> bool:
+    if isinstance(witness, CWitness) and kind in _C_KINDS:
+        durbin = kind is RelationKind.DURBIN_C
+        return verify_c_witness(first, second, witness, durbin)
+    if isinstance(witness, SWitness) and kind in _S_KINDS:
+        return verify_s_witness(first, second, witness)
+    if isinstance(witness, Fraction) and kind is RelationKind.L:
+        return verify_l_witness(first, second, witness)
+    return False
 
 
 # ---------------------------------------------------------------------------

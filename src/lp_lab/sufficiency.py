@@ -45,7 +45,9 @@ def likelihood_partition(model: FiniteModel) -> Partition:
     return Partition.from_labels([k for _, k in model.likelihoods])
 
 
-def _check_ground_set(model: FiniteModel, partition: Partition) -> None:
+def check_ground_set(model: FiniteModel, partition: Partition) -> None:
+    """Raise GroundSetMismatch unless the partition is of the model's
+    sample space."""
     if partition.size != model.n_points:
         raise GroundSetMismatch(
             f"partition of {partition.size} points, model has {model.n_points}"
@@ -58,25 +60,23 @@ def is_sufficient(model: FiniteModel, partition: Partition) -> bool:
     Raises GroundSetMismatch unless the partition is of the model's sample
     space.
     """
-    _check_ground_set(model, partition)
+    check_ground_set(model, partition)
     keys = [k for _, k in model.likelihoods]
     return all(len({keys[x] for x in block}) == 1 for block in partition.blocks)
 
 
-def statistic_induced_model(
-    model: FiniteModel, partition: Partition, labels: tuple[str, ...] | None = None
-) -> FiniteModel:
+def statistic_induced_model(model: FiniteModel, partition: Partition) -> FiniteModel:
     """Marginal model of a statistic: block probabilities by exact sums.
 
-    Raises GroundSetMismatch unless the partition is of the model's sample
-    space, and UnreachablePoint for a block no parameter reaches.
+    Each block is labeled by its points' labels, as "{a,b}". Raises
+    GroundSetMismatch unless the partition is of the model's sample space,
+    and UnreachablePoint for a block no parameter reaches.
     """
-    _check_ground_set(model, partition)
-    if labels is None:
-        labels = tuple(
-            "{" + ",".join(model.sample_labels[x] for x in sorted(block)) + "}"
-            for block in partition.blocks
-        )
+    check_ground_set(model, partition)
+    labels = tuple(
+        "{" + ",".join(model.sample_labels[x] for x in sorted(block)) + "}"
+        for block in partition.blocks
+    )
     rows = tuple(
         tuple(sum(row[x] for x in block) for block in partition.blocks)
         for row in model.rows

@@ -138,6 +138,33 @@ def test_verify_chain_rejects_s_step_between_non_s_pairs(fb, fc, at):
     assert not verify_chain(forged)
 
 
+def test_verify_chain_matches_witness_type_to_step_kind(fb, fc, at):
+    # every step holds a true certificate of its nodes, under each kind
+    p1, p2 = at(fb, "y2"), at(fc, "z1")
+    chain = birnbaum_chain(p1, p2)
+    l_chain = WitnessChain((p1, p2), (ChainStep(RelationKind.L, l_related(p1, p2)),))
+    c_kinds = (RelationKind.C, RelationKind.S_OR_C)  # not Durbin-C here
+    s_kinds = (RelationKind.S, RelationKind.S_OR_C)
+    for kind in RelationKind:
+        assert verify_chain(_with_step(chain, 0, kind=kind)) is (kind in c_kinds)
+        assert verify_chain(_with_step(chain, 1, kind=kind)) is (kind in s_kinds)
+        assert verify_chain(_with_step(l_chain, 0, kind=kind)) is (kind is RelationKind.L)
+
+
+def test_verify_chain_checks_l_steps_by_their_constant(fb, fc, at):
+    p1, p2 = at(fb, "y2"), at(fc, "z1")
+    chain = WitnessChain((p1, p2), (ChainStep(RelationKind.L, l_related(p1, p2)),))
+    assert verify_chain(chain)
+    assert not verify_chain(_with_step(chain, 0, forward=False))
+    assert not verify_chain(_with_step(chain, 0, witness=F(2, 3)))
+    assert not verify_chain(_with_step(chain, 0, witness=s_related(p1, p1)))
+    universe = Universe.of([p1, p2, at(fb, "y1")])
+    result = closure(universe, RelationKind.L)
+    ((i, j),) = [c for c in result.classes if len(c) == 2]
+    # the edge's constant is for (i, j), so the chain from j reads it backwards
+    assert verify_chain(result.chain(j, i))
+
+
 def test_birnbaum_chain_requires_l(fb, fc, at):
     with pytest.raises(NotLRelated):
         birnbaum_chain(at(fb, "y1"), at(fc, "z1"))
