@@ -1,8 +1,8 @@
 """The integer certificate checker: forged certificates, its independence
 from the oracles, and agreement with every oracle witness on a universe.
 
-Each forgery test changes one part of a true certificate, so that only one
-of the checker's checks can reject it.
+Most forgery tests change one part of a true certificate so that only one
+of the checker's checks can reject it; removing that check fails the test.
 """
 
 import ast
