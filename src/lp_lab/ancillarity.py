@@ -75,14 +75,13 @@ def is_ancillary(model: FiniteModel, partition: Partition) -> bool:
     return block_masses(model, partition) is not None
 
 
-def balanced_blocks(model: FiniteModel, point: int) -> list[frozenset[int]]:
-    """Every block B holding ``point`` whose mass is free of the parameter.
+def _balanced_splits(model: FiniteModel) -> list[Partition]:
+    """Every ancillary with at most two blocks, in restricted-growth order.
 
-    B is balanced iff {B, X \\ B} is ancillary. Each B comes once, in the
-    restricted-growth order of {B, X \\ B}, so B = X comes first. The test
-    is in integers: with D the common denominator, B is balanced iff the
-    sum over B of D*f_theta(x) - D*f_theta1(x) is 0 for every theta. Only
-    2^(|X|-1) candidates are visited, not Bell(|X|) partitions.
+    The trivial partition comes first. The test is in integers: with D the
+    common denominator, a block B is balanced iff the sum over B of
+    D*f_theta(x) - D*f_theta1(x) is 0 for every theta. Only 2^(|X|-1)
+    candidates are visited, not Bell(|X|) partitions.
     """
     n = model.n_points
     first, *others = model.rows
@@ -93,17 +92,26 @@ def balanced_blocks(model: FiniteModel, point: int) -> list[frozenset[int]]:
     # iff the set bits are: totals[mask] sums their differences.
     zero = tuple(0 for _ in others)
     totals = [zero]
-    everything = frozenset(range(n))
-    blocks = [everything]
+    splits = [Partition((0,) * n)]
     for mask in range(1, 1 << (n - 1)):
         low = mask & -mask
         diff = diffs[n - low.bit_length()]
         total = tuple(a + b for a, b in zip(totals[mask ^ low], diff))
         totals.append(total)
         if total == zero:
-            rest = frozenset(x for x in range(1, n) if mask >> (n - 1 - x) & 1)
-            blocks.append(rest if point in rest else everything - rest)
-    return blocks
+            labels = tuple(mask >> (n - 1 - x) & 1 for x in range(n))
+            splits.append(Partition(labels))
+    return splits
+
+
+def balanced_blocks(model: FiniteModel, point: int) -> list[tuple[int, ...]]:
+    """Every block B holding ``point`` whose mass is free of the parameter,
+    as an ascending tuple.
+
+    B is balanced iff {B, X \\ B} is ancillary. Each B comes once, in the
+    restricted-growth order of {B, X \\ B}, so B = X comes first.
+    """
+    return [a.blocks[a.labels[point]] for a in _balanced_splits(model)]
 
 
 def enumerate_ancillaries(
@@ -159,7 +167,7 @@ def _conditional(pair: ModelDataPair, ancillary: Partition) -> ModelDataPair:
     """The pair given the ancillary block of its observed point, for a
     partition its caller has already proved ancillary."""
     model = pair.model
-    block = sorted(ancillary.blocks[ancillary.block_index_of(pair.observed)])
+    block = ancillary.blocks[ancillary.labels[pair.observed]]
     labels = tuple(model.sample_labels[x] for x in block)
     # f(x) / mass(B) is den * f(x) over den * mass(B), the block's row sum,
     # which is the same for every parameter since the partition is ancillary
@@ -199,12 +207,7 @@ def conditional_pairs(pair: ModelDataPair) -> list[tuple[Partition, ModelDataPai
         raise SpaceTooLarge(
             f"|X| = {n} exceeds enumeration bound {DEFAULT_MAX_SPACE}"
         )
-    out = []
-    for block in balanced_blocks(pair.model, pair.observed):
-        rest = set(range(n)) - block
-        ancillary = Partition.of(n, [block, rest] if rest else [block])
-        out.append((ancillary, _conditional(pair, ancillary)))
-    return out
+    return [(a, _conditional(pair, a)) for a in _balanced_splits(pair.model)]
 
 
 def _conditioning_witness(
@@ -238,12 +241,12 @@ def _conditioning_witness(
     if phi is None:
         return None
     image = {x: y for y, x in enumerate(phi)}
-    rest = [x for x in range(source.n_points) if x not in image]
-    ancillary = Partition.of(source.n_points, [image, rest] if rest else [image])
+    ancillary = Partition.from_labels([x in image for x in range(source.n_points)])
     if durbin and not is_function_of(ancillary, likelihood_partition(source)):
         return None
+    block = ancillary.blocks[ancillary.labels[parent.observed]]
     conditional = _conditional(parent, ancillary)
-    bijection = tuple(image[x] for x in sorted(image))
+    bijection = tuple(image[x] for x in block)
     return CWitness(which, ancillary, conditional, bijection)
 
 

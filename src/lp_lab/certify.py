@@ -90,18 +90,16 @@ def verify_c_witness(
     else:
         return False
     model, ancillary = parent.model, witness.ancillary
-    n = model.n_points
-    if ancillary.size != n:
+    # every Partition is a valid one, so the right length makes it one of
+    # the parent's sample space
+    if ancillary.size != model.n_points:
         return False
-    blocks = ancillary.blocks
-    if sorted(x for block in blocks for x in block) != list(range(n)):
-        return False
-    for block in blocks:
+    for block in ancillary.blocks:
         if len({sum(row[x] for x in block) for row in model.rows}) > 1:
             return False
     if durbin and _cuts_a_likelihood_class(model, ancillary):
         return False
-    block = sorted(next(b for b in blocks if parent.observed in b))
+    block = ancillary.blocks[ancillary.labels[parent.observed]]
     rows = tuple(tuple(row[x] for x in block) for row in model.rows)
     labels = tuple(model.sample_labels[x] for x in block)
     conditional = ModelDataPair(

@@ -94,8 +94,7 @@ def _parse_partition(spec: str, pair_or_model) -> Partition:
 
 def _partition_text(partition: Partition, labels) -> str:
     return " | ".join(
-        ",".join(labels[x] for x in sorted(block))
-        for block in partition.blocks
+        ",".join(block) for block in partition_to_labels(partition, labels)
     )
 
 

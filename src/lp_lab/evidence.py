@@ -219,7 +219,7 @@ def check_model_ancillary(
     masses = block_masses(pair.model, ancillary)
     if masses is None:
         raise NotAncillary("partition has parameter-dependent block masses")
-    return _tail(masses, masses, masses[ancillary.block_index_of(pair.observed)])
+    return _tail(masses, masses, masses[ancillary.labels[pair.observed]])
 
 
 def check_prior_conflict(pair: ModelDataPair, prior: Prior) -> Fraction:

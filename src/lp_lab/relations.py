@@ -5,6 +5,7 @@ the Birnbaum / EFM mixture constructions."""
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .model import (
     canonical_form,
     check_same_theta,
 )
-from .partition import Partition, is_function_of
+from .partition import Partition, components, is_function_of
 from .sufficiency import SWitness, likelihood_partition, s_related
 
 
@@ -62,16 +63,13 @@ def l_class_key(pair: ModelDataPair) -> tuple[int, ...]:
     return pair.model.likelihoods[pair.observed][1]
 
 
-def l_class_peers(pairs: Sequence[ModelDataPair]) -> list[list[int]]:
+def l_class_peers(pairs: Sequence[ModelDataPair]) -> list[tuple[int, ...]]:
     """For each pair, the ascending indices of the pairs with its l_class_key.
 
     Every relation kind implies L, so only peers can be related in one step.
     """
-    keys = [l_class_key(p) for p in pairs]
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(keys):
-        buckets.setdefault(key, []).append(i)
-    return [buckets[key] for key in keys]
+    classes = Partition.from_labels([l_class_key(p) for p in pairs])
+    return [classes.blocks[b] for b in classes.labels]
 
 
 def related(
@@ -180,7 +178,7 @@ def _mixture_model(
 def component_indicator(p1: ModelDataPair, p2: ModelDataPair) -> Partition:
     """The two-block partition of a mixture space by component of origin."""
     n1, n2 = p1.model.n_points, p2.model.n_points
-    return Partition.of(n1 + n2, [range(n1), range(n1, n1 + n2)])
+    return Partition((0,) * n1 + (1,) * n2)
 
 
 def birnbaumize(
@@ -293,12 +291,8 @@ def efm_parent(p1: ModelDataPair, p2: ModelDataPair) -> EfmResult:
     parent = ModelDataPair(mixture, i_obs1)
     indicator = component_indicator(p1, p2)
     swap = {i_obs1: i_obs2, i_obs2: i_obs1}
-    swapped = Partition.of(
-        mixture.n_points,
-        [
-            [swap.get(x, x) for x in block]
-            for block in indicator.blocks
-        ],
+    swapped = Partition.from_labels(
+        [indicator.labels[swap.get(x, x)] for x in range(mixture.n_points)]
     )
     step1 = c_related(p1, parent)
     step2 = c_related(parent, p2)
@@ -404,14 +398,6 @@ def closure(universe: Universe, kind: RelationKind) -> ClosureResult:
     members = universe.members
     n = len(members)
     peers = l_class_peers(members)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     edges = []
     for i in range(n):
         for j in peers[i]:
@@ -425,13 +411,7 @@ def closure(universe: Universe, kind: RelationKind) -> ClosureResult:
                 is_s = isinstance(witness, SWitness)
                 step_kind = RelationKind.S if is_s else RelationKind.C
             edges.append(ClosureEdge(i, j, step_kind, witness))
-            parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    classes = tuple(
-        tuple(sorted(g)) for g in sorted(groups.values(), key=min)
-    )
+    classes = components(n, [(e.i, e.j) for e in edges]).blocks
     return ClosureResult(universe, kind, classes, tuple(edges))
 
 
@@ -484,22 +464,18 @@ def relation_properties_report(
         for j in neighbors[i]
         if i not in neighbors[j]
     ]
-    trans = []
-    for i in range(n):
-        for j in neighbors[i]:
-            missing = neighbors[j] - neighbors[i]
-            for k in sorted(missing):
-                trans.append((i, j, k))
-                if len(trans) >= max_counterexamples:
-                    break
-            if len(trans) >= max_counterexamples:
-                break
-        if len(trans) >= max_counterexamples:
-            break
+    failures = (
+        (i, j, k)
+        for i in range(n)
+        for j in neighbors[i]
+        for k in sorted(neighbors[j] - neighbors[i])
+    )
+    # one failure beyond the cap decides the law even when none is listed
+    trans = list(itertools.islice(failures, max_counterexamples + 1))
     return RelationPropertiesReport(
         kind,
         n,
         LawReport(not refl, tuple(refl[:max_counterexamples])),
         LawReport(not sym, tuple(sym[:max_counterexamples])),
-        LawReport(not trans, tuple(trans)),
+        LawReport(not trans, tuple(trans[:max_counterexamples])),
     )

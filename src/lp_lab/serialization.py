@@ -166,10 +166,7 @@ def save_prior(prior: Prior, path: str | Path) -> None:
 def partition_to_labels(
     partition: Partition, sample_labels
 ) -> list[list[str]]:
-    return [
-        [sample_labels[x] for x in sorted(block)]
-        for block in partition.blocks
-    ]
+    return [[sample_labels[x] for x in block] for block in partition.blocks]
 
 
 # JSON leaves, matched by exact type: most of the values rendered are these
@@ -195,7 +192,7 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, Prior):
         return prior_to_dict(value)
     if isinstance(value, Partition):
-        return [sorted(block) for block in value.blocks]
+        return [list(block) for block in value.blocks]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             field.name: to_jsonable(getattr(value, field.name))

@@ -61,8 +61,7 @@ def is_sufficient(model: FiniteModel, partition: Partition) -> bool:
     space.
     """
     check_ground_set(model, partition)
-    keys = [k for _, k in model.likelihoods]
-    return all(len({keys[x] for x in block}) == 1 for block in partition.blocks)
+    return partition.refines(likelihood_partition(model))
 
 
 def statistic_induced_model(model: FiniteModel, partition: Partition) -> FiniteModel:
@@ -74,7 +73,7 @@ def statistic_induced_model(model: FiniteModel, partition: Partition) -> FiniteM
     """
     check_ground_set(model, partition)
     labels = tuple(
-        "{" + ",".join(model.sample_labels[x] for x in sorted(block)) + "}"
+        "{" + ",".join(model.sample_labels[x] for x in block) + "}"
         for block in partition.blocks
     )
     rows = tuple(
@@ -83,7 +82,7 @@ def statistic_induced_model(model: FiniteModel, partition: Partition) -> FiniteM
     )
     for i, block in enumerate(partition.blocks):
         if all(row[i] == 0 for row in rows):
-            raise UnreachablePoint(f"block {sorted(block)} has zero mass")
+            raise UnreachablePoint(f"block {list(block)} has zero mass")
     return FiniteModel(model.theta_labels, labels, model.den, rows)
 
 
@@ -106,7 +105,7 @@ def reduce_to_mss(pair: ModelDataPair) -> ReductionResult:
     model = pair.model
     partition = likelihood_partition(model)
     reduced_model = statistic_induced_model(model, partition)
-    block_map = tuple(partition.block_index_of(x) for x in range(model.n_points))
+    block_map = partition.labels
     gcds = [g for g, _ in model.likelihoods]
     totals = [sum(gcds[x] for x in block) for block in partition.blocks]
     factors = tuple(Fraction(g, totals[b]) for g, b in zip(gcds, block_map))

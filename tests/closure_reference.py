@@ -71,13 +71,12 @@ def all_pairs_properties_report(
         for j in neighbors[i]:
             for k in sorted(neighbors[j] - neighbors[i]):
                 trans.append((i, j, k))
-    trans = trans[:max_counterexamples]
     return RelationPropertiesReport(
         kind,
         n,
         LawReport(not refl, tuple(refl[:max_counterexamples])),
         LawReport(not sym, tuple(sym[:max_counterexamples])),
-        LawReport(not trans, tuple(trans)),
+        LawReport(not trans, tuple(trans[:max_counterexamples])),
     )
 
 

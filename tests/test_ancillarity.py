@@ -59,9 +59,9 @@ def test_space_too_large(fd):
 
 def test_balanced_blocks_fix_d(fd):
     # restricted-growth order of {B, X \ B}: 0000, 0011, 0110
-    assert balanced_blocks(fd, 0) == [{0, 1, 2, 3}, {0, 1}, {0, 3}]
-    assert balanced_blocks(fd, 2) == [{0, 1, 2, 3}, {2, 3}, {1, 2}]
-    assert balanced_blocks(validate_model(["t1"], ["o"], [["1"]]), 0) == [{0}]
+    assert balanced_blocks(fd, 0) == [(0, 1, 2, 3), (0, 1), (0, 3)]
+    assert balanced_blocks(fd, 2) == [(0, 1, 2, 3), (2, 3), (1, 2)]
+    assert balanced_blocks(validate_model(["t1"], ["o"], [["1"]]), 0) == [(0,)]
 
 
 def test_conditional_pairs_refuse_large_space(seven_point_l_pairs):
@@ -71,7 +71,7 @@ def test_conditional_pairs_refuse_large_space(seven_point_l_pairs):
     # balanced_blocks itself has no bound: X comes first, and the copy of
     # the first component is among the balanced blocks
     blocks = balanced_blocks(e1.model, e1.observed)
-    assert blocks[0] == set(range(14)) and set(range(7)) in blocks
+    assert blocks[0] == tuple(range(14)) and tuple(range(7)) in blocks
     with pytest.raises(SpaceTooLarge):
         conditional_pairs(e1)
     assert len(conditional_pairs(p1)) == len(balanced_blocks(p1.model, 0))

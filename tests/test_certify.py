@@ -16,6 +16,7 @@ import pytest
 import lp_lab
 from lp_lab.ancillarity import CWitness, c_related, conditional_pairs
 from lp_lab.certify import verify_c_witness, verify_l_witness, verify_s_witness
+from lp_lab.errors import LpLabError
 from lp_lab.model import FiniteModel, ModelDataPair, validate_model
 from lp_lab.partition import Partition
 from lp_lab.relations import (
@@ -233,18 +234,22 @@ def fd_step(fd):
 
 
 def test_c_rejects_ancillary_that_misses_points(fd_step):
-    # one balanced block, with the points 3 and 4 left out
+    # one balanced block, with the points 3 and 4 left out: a partition
+    # of two points, not of the parent's four
     parent, child, witness = fd_step
-    forged = dataclasses.replace(
-        witness, ancillary=Partition(4, (frozenset({0, 1}),))
-    )
+    forged = dataclasses.replace(witness, ancillary=Partition((0, 0)))
     assert not verify_c_witness(parent, child, forged)
 
 
 def test_c_rejects_overlapping_ancillary(fd_step):
+    # overlapping blocks are no Partition; counting the shared point twice
+    # gives a partition of five points, not of the parent's four
     parent, child, witness = fd_step
-    blocks = (frozenset({0, 1}), frozenset({1, 2, 3}))
-    forged = dataclasses.replace(witness, ancillary=Partition(4, blocks))
+    with pytest.raises(LpLabError, match="not disjoint"):
+        Partition.of(4, [[0, 1], [1, 2, 3]])
+    forged = dataclasses.replace(
+        witness, ancillary=Partition.of(5, [[0, 1], [2, 3, 4]])
+    )
     assert not verify_c_witness(parent, child, forged)
 
 

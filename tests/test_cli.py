@@ -233,6 +233,24 @@ def test_check_rejects_ignored_option(files, capsys):
     assert capsys.readouterr().err == "error: unknown sample label ''\n"
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("1,1,2|3,4", "a block repeats a point"),
+        ("1,2|2,3,4", "blocks are not disjoint"),
+    ],
+)
+def test_check_model_refuses_ancillary_naming_a_point_twice(
+    spec, message, tmp_path, fd, capsys
+):
+    path = str(tmp_path / "d.pair")
+    save_pair(pair_at(fd, "1"), path)
+    assert run(["check", "model", path, "--ancillary", "1,2|3,4"]) == 0
+    capsys.readouterr()
+    assert run(["check", "model", path, "--ancillary", spec]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_ancillaries_laminal_joins_maximal(tmp_path, capsys):
     # two maximal ancillaries, {x1,x3 | x2,x4 | x5} and {x1,x4 | x2,x3 | x5};
     # the laminal ancillary is their join

@@ -84,12 +84,28 @@ def test_closure_matches_all_pairs(kind, which, request):
     assert result.edges == edges
 
 
+# the default cap of 5 keeps the plain universe name as its id
+UNIVERSE_CAPS = [
+    pytest.param(which, cap, id=which if cap == 5 else f"{which}-cap{cap}")
+    for which in ("grid", "augmented")
+    for cap in (0, 1, 5)
+]
+
+
 @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
-@pytest.mark.parametrize("which", ["grid", "augmented"])
-def test_properties_report_matches_all_pairs(kind, which, request):
+@pytest.mark.parametrize("which, cap", UNIVERSE_CAPS)
+def test_properties_report_matches_all_pairs(kind, which, cap, request):
     universe = request.getfixturevalue(which)
-    report = relation_properties_report(universe, kind)
-    assert report == all_pairs_properties_report(universe, kind)
+    report = relation_properties_report(universe, kind, cap)
+    assert report == all_pairs_properties_report(universe, kind, cap)
+
+
+def test_c_is_not_transitive_at_any_cap(grid):
+    # the law's verdict does not depend on how many failures are listed
+    for cap, listed in [(0, ()), (1, ((7, 0, 14),))]:
+        report = relation_properties_report(grid, RelationKind.C, cap)
+        assert not report.transitive.holds
+        assert report.transitive.counterexamples == listed
 
 
 def test_closure_consults_oracle_within_l_classes_only(grid, monkeypatch):
@@ -111,7 +127,7 @@ def _first_blocks(listed, observed):
     """The entries whose observed block has not occurred earlier."""
     out, seen = [], set()
     for ancillary, conditional in listed:
-        block = ancillary.block_of(observed)
+        block = ancillary.blocks[ancillary.block_index_of(observed)]
         if block not in seen:
             seen.add(block)
             out.append((ancillary, conditional))
@@ -133,7 +149,9 @@ def _agree(pair):
     reference = enumerated_conditional_pairs(pair)
     assert listed == _first_blocks(reference, pair.observed), pair
     blocks = balanced_blocks(pair.model, pair.observed)
-    assert blocks == [a.block_of(pair.observed) for a, _ in listed]
+    assert blocks == [
+        a.blocks[a.block_index_of(pair.observed)] for a, _ in listed
+    ]
     assert _distinct_conditionals(listed) == _distinct_conditionals(reference)
 
 

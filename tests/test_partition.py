@@ -1,5 +1,6 @@
 import pytest
 
+import partition_reference as reference
 from lp_lab.errors import GroundSetMismatch, LpLabError
 from lp_lab.partition import Partition, all_partitions, is_function_of
 
@@ -49,3 +50,96 @@ def test_ground_set_mismatch():
 def test_from_labels_groups_equal_values():
     p = Partition.from_labels(["a", "b", "a", "c"])
     assert p == Partition.of(4, [[0, 2], [1], [3]])
+
+
+def test_of_refuses_repeated_point_in_a_block():
+    with pytest.raises(LpLabError, match="repeats a point"):
+        Partition.of(4, [[0, 0, 1], [2, 3]])
+    with pytest.raises(LpLabError, match="repeats a point"):
+        Partition.of(1, [[0, 0]])
+
+
+@pytest.mark.parametrize(
+    "labels", [(1,), (1, 0), (0, 2, 1), (0, 0, 2), (0, -1)], ids=str
+)
+def test_constructor_refuses_non_restricted_growth(labels):
+    with pytest.raises(LpLabError, match="restricted-growth"):
+        Partition(labels)
+
+
+def test_constructor_refuses_a_list():
+    with pytest.raises(LpLabError, match="restricted-growth"):
+        Partition([0, 1])
+
+
+def test_labels_are_the_restricted_growth_string():
+    p = Partition.of(5, [[3, 1], [4, 0], [2]])
+    assert p.labels == (0, 1, 2, 1, 0)
+    assert p.blocks == ((0, 4), (1, 3), (2,))
+    assert p.size == 5
+    assert p == Partition((0, 1, 2, 1, 0))
+    assert hash(p) == hash(Partition((0, 1, 2, 1, 0)))
+    assert Partition(()).blocks == ()
+
+
+@pytest.mark.parametrize("x", [-1, 3])
+def test_block_index_of_outside_ground_set(x):
+    with pytest.raises(GroundSetMismatch, match="not in ground set of size 3"):
+        Partition.trivial(3).block_index_of(x)
+
+
+# Differential tests against the frozenset Partition of partition_reference.
+
+
+def _ref_of(p):
+    return reference.Partition.of(p.size, p.blocks)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_single_partitions_match_reference(n):
+    ours = list(all_partitions(n))
+    refs = list(reference.all_partitions(n))
+    assert len(ours) == len(refs)
+    for p, r in zip(ours, refs):
+        assert tuple(frozenset(b) for b in p.blocks) == r.blocks
+        assert all(list(b) == sorted(b) for b in p.blocks)
+        assert p.size == r.size == n
+        for x in range(n):
+            assert p.block_index_of(x) == r.block_index_of(x)
+        assert Partition.of(n, r.blocks) == p
+        # the same blocks listed in reverse, each block reversed
+        assert Partition.of(n, [b[::-1] for b in p.blocks[::-1]]) == p
+        keys = [f"k{(7 * b) % 11}" for b in p.labels]
+        assert Partition.from_labels(keys) == p
+        assert _ref_of(p) == reference.Partition.from_labels(keys)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_partition_pairs_match_reference(n):
+    ours = list(all_partitions(n))
+    refs = [_ref_of(p) for p in ours]
+    for p, rp in zip(ours, refs):
+        for q, rq in zip(ours, refs):
+            assert p.refines(q) == rp.refines(rq)
+            assert is_function_of(p, q) == reference.is_function_of(rp, rq)
+            assert _ref_of(p.join(q)) == rp.join(rq)
+
+
+@pytest.mark.parametrize(
+    "size, blocks",
+    [
+        (3, [[0, 1]]),
+        (3, [[0, 1], [1, 2]]),
+        (2, [[0, 1], []]),
+        (3, [[0, 1], [2, 3]]),
+        (2, [[0, 5], [1]]),
+        (0, [[0]]),
+        (3, [[2], [0, 1], [1]]),
+    ],
+)
+def test_of_errors_match_reference(size, blocks):
+    with pytest.raises(LpLabError) as ours:
+        Partition.of(size, blocks)
+    with pytest.raises(LpLabError) as theirs:
+        reference.Partition.of(size, blocks)
+    assert str(ours.value) == str(theirs.value)
