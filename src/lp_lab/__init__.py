@@ -4,7 +4,6 @@ from .model import (
     FiniteModel,
     ModelDataPair,
     canonical_form,
-    likelihood_vector,
     pair_at,
     pairs_isomorphic,
     validate_model,

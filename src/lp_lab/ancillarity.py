@@ -104,16 +104,6 @@ def _balanced_splits(model: FiniteModel) -> list[Partition]:
     return splits
 
 
-def balanced_blocks(model: FiniteModel, point: int) -> list[tuple[int, ...]]:
-    """Every block B holding ``point`` whose mass is free of the parameter,
-    as an ascending tuple.
-
-    B is balanced iff {B, X \\ B} is ancillary. Each B comes once, in the
-    restricted-growth order of {B, X \\ B}, so B = X comes first.
-    """
-    return [a.blocks[a.labels[point]] for a in _balanced_splits(model)]
-
-
 def enumerate_ancillaries(
     model: FiniteModel, max_space: int = DEFAULT_MAX_SPACE
 ) -> list[Partition]:

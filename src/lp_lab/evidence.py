@@ -52,11 +52,6 @@ class Prior:
             tuple(parse_rational(w) for w in weights),
         )
 
-    @staticmethod
-    def uniform(theta_labels: Sequence[str]) -> "Prior":
-        n = len(theta_labels)
-        return Prior.of(theta_labels, [Fraction(1, n)] * n)
-
     def index_of(self, label: str) -> int:
         """Position of a parameter label; UnknownTheta if it is not one."""
         if label not in self.theta_labels:

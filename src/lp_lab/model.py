@@ -36,15 +36,24 @@ from .errors import (
 )
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse "p/q" or an integer string into an exact fraction."""
+    """Parse "p/q" or an integer string into an exact fraction.
+
+    Exponent notation such as "1e-1" is refused: Fraction would expand
+    "1e99999999" into 10**99999999 before any check could reject it.
+    """
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
         raise TypeError("floating point probabilities are not accepted")
+    spelled = str(text).strip()
+    if "e" in spelled or "E" in spelled:
+        raise MalformedRational(
+            f"{text!r} is not a rational number: exponents are not accepted"
+        )
     try:
-        return Fraction(str(text).strip())
+        return Fraction(spelled)
     except (ValueError, ZeroDivisionError):
         raise MalformedRational(f"{text!r} is not a rational number") from None
 
@@ -114,13 +123,6 @@ class FiniteModel:
     @property
     def n_points(self) -> int:
         return len(self.sample_labels)
-
-    def column(self, x: int) -> tuple[Fraction, ...]:
-        """Probabilities of sample point ``x`` across the parameter space."""
-        return tuple(row[x] for row in self.probs)
-
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(x) for x in range(self.n_points)]
 
 
 def _parse_entry(value: str | int | Fraction) -> tuple[int, int]:
@@ -227,11 +229,6 @@ def check_same_theta(a: Sequence[str], b: Sequence[str]) -> None:
     """Raise ParameterSpaceMismatch unless two parameter spaces agree."""
     if a != b:
         raise ParameterSpaceMismatch(f"{a} vs {b}")
-
-
-def likelihood_vector(pair: ModelDataPair) -> tuple[Fraction, ...]:
-    """The likelihood function theta -> f_theta(x_obs), in theta order."""
-    return pair.model.column(pair.observed)
 
 
 def pairs_isomorphic(

@@ -77,11 +77,6 @@ class Partition:
                 out[b].append(x)
         return tuple(map(tuple, out))
 
-    def block_index_of(self, x: int) -> int:
-        if 0 <= x < len(self.labels):
-            return self.labels[x]
-        raise GroundSetMismatch(f"{x} not in ground set of size {self.size}")
-
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self lies inside a block of other."""
         if len(self.labels) != len(other.labels):

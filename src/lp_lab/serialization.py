@@ -128,6 +128,8 @@ def load_json(path: str | Path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LpLabError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise LpLabError(f"{path} is not valid JSON: nested too deeply") from None
     if type(data) is not dict:
         raise LpLabError(f"{path} must hold a JSON object")
     return data

@@ -5,10 +5,15 @@ a function of every maximal ancillary, as the library did before it took
 the join of the maximal ancillaries. When no candidate is finest it reports
 the antichain of refinement-minimal candidates instead; the differential
 test checks that this never happens.
+
+``balanced_blocks`` lists the blocks with parameter-free mass that hold a
+point, by summing ``Fraction`` probabilities over every subset; the library
+finds them as the two-block ancillaries of ``conditional_pairs``.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from lp_lab.ancillarity import enumerate_ancillaries, maximal_ancillaries
@@ -34,3 +39,21 @@ def brute_force_laminal(
         if not any(b != a and b.refines(a) for b in candidates)
     ]
     return None, minimal
+
+
+def balanced_blocks(model: FiniteModel, point: int) -> list[tuple[int, ...]]:
+    """Every block B holding ``point`` whose mass is free of the parameter,
+    as an ascending tuple.
+
+    B is balanced iff {B, X \\ B} is ancillary. Each B comes once, in the
+    restricted-growth order of {B, X \\ B}, so B = X comes first. No bound
+    on |X| applies: all 2^(|X|-1) label strings are visited.
+    """
+    out = []
+    for rest in itertools.product((0, 1), repeat=model.n_points - 1):
+        labels = (0,) + rest
+        block = tuple(x for x, b in enumerate(labels) if b == labels[point])
+        masses = {sum(row[x] for x in block) for row in model.probs}
+        if len(masses) == 1:
+            out.append(block)
+    return out

@@ -33,7 +33,7 @@ def _exhaustive_witness(
         return None
     mss = likelihood_partition(parent.model) if durbin else None
     for a in enumerate_ancillaries(parent.model, max_space):
-        if len(a.blocks[a.block_index_of(parent.observed)]) != child.model.n_points:
+        if len(a.blocks[a.labels[parent.observed]]) != child.model.n_points:
             continue
         if mss is not None and not is_function_of(a, mss):
             continue

@@ -4,6 +4,7 @@ Each function recomputes the posterior from the prior predictive, and
 `reference_report` builds every field of an EvidenceReport by calling the
 standalone functions again for each hypothesis. The library derives the
 whole report from one posterior; differential tests compare the two.
+``uniform_prior`` is the flat prior the tests use.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from lp_lab.evidence import (
     Prior,
 )
 from lp_lab.model import FiniteModel, ModelDataPair
+
+
+def uniform_prior(theta_labels: Sequence[str]) -> Prior:
+    n = len(theta_labels)
+    return Prior.of(theta_labels, [Fraction(1, n)] * n)
 
 
 def _check_match(model: FiniteModel, prior: Prior) -> None:

@@ -6,8 +6,10 @@ constructors (conditionals, mixtures and
 statistic-induced models) as they were written on ``fractions.Fraction``
 values, before the library moved them onto integers over a common
 denominator. ``fraction_model`` builds a library model from ``Fraction``
-rows by the lcm of their denominators. The differential tests in
-``test_model_differential.py`` compare the two.
+rows by the lcm of their denominators, and ``column``, ``columns`` and
+``likelihood_vector`` read a library model's ``probs`` back as ``Fraction``
+columns. The differential tests in ``test_model_differential.py`` compare
+the two.
 """
 
 from __future__ import annotations
@@ -51,6 +53,20 @@ def fraction_model(
         tuple(v.numerator * (den // v.denominator) for v in row) for row in rows
     )
     return FiniteModel(tuple(thetas), tuple(points), den, ints)
+
+
+def column(model: FiniteModel, x: int) -> tuple[Fraction, ...]:
+    """Probabilities of sample point ``x`` across the parameter space."""
+    return tuple(row[x] for row in model.probs)
+
+
+def columns(model: FiniteModel) -> list[tuple[Fraction, ...]]:
+    return [column(model, x) for x in range(model.n_points)]
+
+
+def likelihood_vector(pair: ModelDataPair) -> tuple[Fraction, ...]:
+    """The likelihood function theta -> f_theta(x_obs), in theta order."""
+    return column(pair.model, pair.observed)
 
 
 def validate_model(
@@ -130,12 +146,12 @@ def normalized_direction(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def likelihood_partition(model: FiniteModel) -> Partition:
-    keys = [normalized_direction(model.column(x)) for x in range(model.n_points)]
+    keys = [normalized_direction(column(model, x)) for x in range(model.n_points)]
     return Partition.from_labels(keys)
 
 
 def l_class_key(pair: ModelDataPair) -> tuple[Fraction, ...]:
-    return normalized_direction(pair.model.column(pair.observed))
+    return normalized_direction(likelihood_vector(pair))
 
 
 def _column_embedding(columns, observed, into, into_observed):
@@ -161,7 +177,7 @@ def pairs_isomorphic(
     m1, m2 = p1.model, p2.model
     if m1.theta_labels != m2.theta_labels or m1.n_points != m2.n_points:
         return None
-    phi = _column_embedding(m1.columns(), p1.observed, m2.columns(), p2.observed)
+    phi = _column_embedding(columns(m1), p1.observed, columns(m2), p2.observed)
     return None if phi is None else tuple(phi)
 
 
@@ -170,17 +186,17 @@ def _canonical_order(columns: list[tuple[Fraction, ...]]) -> list[int]:
 
 
 def canonical_model(model: FiniteModel) -> FiniteModel:
-    order = _canonical_order(model.columns())
+    order = _canonical_order(columns(model))
     rows = tuple(tuple(row[x] for x in order) for row in model.probs)
     labels = tuple(f"x{i + 1}" for i in range(model.n_points))
     return fraction_model(model.theta_labels, labels, rows)
 
 
 def canonical_form(pair: ModelDataPair) -> ModelDataPair:
-    columns = pair.model.columns()
-    order = _canonical_order(columns)
-    obs_col = columns[pair.observed]
-    new_obs = min(i for i, x in enumerate(order) if columns[x] == obs_col)
+    cols = columns(pair.model)
+    order = _canonical_order(cols)
+    obs_col = cols[pair.observed]
+    new_obs = min(i for i, x in enumerate(order) if cols[x] == obs_col)
     rows = tuple(tuple(row[x] for x in order) for row in pair.model.probs)
     labels = tuple(f"x{i + 1}" for i in range(pair.model.n_points))
     return ModelDataPair(
@@ -245,7 +261,7 @@ def condition_on_block(
     masses = block_masses(pair.model, ancillary)
     if masses is None:
         raise NotAncillary("partition has parameter-dependent block masses")
-    b = ancillary.block_index_of(pair.observed)
+    b = ancillary.labels[pair.observed]
     block = sorted(ancillary.blocks[b])
     mass = masses[b]
     labels = tuple(pair.model.sample_labels[x] for x in block)

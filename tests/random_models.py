@@ -1,8 +1,8 @@
-"""Seeded generators of random models, priors and related pairs.
+"""Seeded generators of random models, priors and related pairs, for tests
+only.
 
-Used by the property and acceptance tests and by randomized searches; all
-randomness flows through an explicit ``random.Random`` instance, so runs
-are reproducible.
+Used by the property and acceptance tests; all randomness flows through an
+explicit ``random.Random`` instance, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -10,15 +10,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import ModelValidationError
-from .evidence import Prior
-from .model import (
-    FiniteModel,
-    ModelDataPair,
-    likelihood_vector,
-    validate_model,
-)
-from .relations import l_class_key
+from lp_lab.errors import ModelValidationError
+from lp_lab.evidence import Prior
+from lp_lab.model import FiniteModel, ModelDataPair, validate_model
+from lp_lab.relations import l_class_key
+from model_reference import likelihood_vector
 
 
 def _random_composition(

@@ -23,10 +23,8 @@ from lp_lab.evidence import (
     evidence_direction,
     Direction,
 )
-from lp_lab.generate import random_l_related_pair, random_pair, random_prior
 from lp_lab.model import (
     canonical_form,
-    likelihood_vector,
     pair_at,
     pairs_isomorphic,
 )
@@ -50,6 +48,8 @@ from lp_lab.search import (
     search_c_transitivity_counterexample,
 )
 from lp_lab.sufficiency import likelihood_partition, s_related
+from model_reference import likelihood_vector
+from random_models import random_l_related_pair, random_pair, random_prior
 
 SEED = 20260823
 F = Fraction

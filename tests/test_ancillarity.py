@@ -8,7 +8,6 @@ from lp_lab.ancillarity import (
     DEFAULT_MAX_SPACE,
     CWitness,
     ancillary_catalog,
-    balanced_blocks,
     c_related,
     condition_on_block,
     conditional_pairs,
@@ -19,11 +18,12 @@ from lp_lab.ancillarity import (
     verify_c_witness,
 )
 from lp_lab.errors import GroundSetMismatch, NotAncillary, SpaceTooLarge
-from lp_lab.generate import random_pair
 from lp_lab.model import FiniteModel, ModelDataPair, validate_model
 from lp_lab.partition import Partition
 from lp_lab.relations import birnbaumize, l_related
 from lp_lab.sufficiency import likelihood_partition
+from ancillary_reference import balanced_blocks
+from random_models import random_pair
 
 F = Fraction
 

@@ -422,3 +422,43 @@ def test_zero_denominator_is_usage_error(tmp_path, capsys):
     for argv in (["validate", str(bad)], ["relate", "--kind", "C", str(bad), str(bad)]):
         assert run(argv) == 2
         _one_line_error(capsys)
+
+
+def test_deeply_nested_json_is_usage_error(files, tmp_path, capsys):
+    deep = tmp_path / "deep.pair"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    deep = str(deep)
+    for argv in (
+        ["validate", deep],
+        ["relate", "--kind", "L", files["pairB1"], deep],
+        ["rb", "analyze", files["pairB1"], "--prior", deep],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {deep} is not valid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("spelled, rest", [("1e-1", "9/10"), ("5E-1", "1/2")])
+def test_exponent_is_usage_error(files, tmp_path, spelled, rest, capsys):
+    pair, prior = tmp_path / "exponent.pair", tmp_path / "exponent.prior"
+    pair.write_text(
+        json.dumps(
+            {
+                "theta": ["t1"],
+                "space": ["a", "b"],
+                "probs": [[spelled, rest]],
+                "observed": "a",
+            }
+        )
+    )
+    prior.write_text(json.dumps({"theta": ["t1", "t2"], "weights": [spelled, rest]}))
+    for argv in (
+        ["validate", str(pair)],
+        ["rb", "analyze", files["pairB1"], "--prior", str(prior)],
+    ):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {spelled!r} is not a rational number: "
+            "exponents are not accepted\n"
+        )

@@ -15,9 +15,10 @@ from closure_reference import (
     all_pairs_properties_report,
     enumerated_conditional_pairs,
 )
-from model_reference import proportional
+from ancillary_reference import balanced_blocks
+from model_reference import likelihood_vector, proportional
 from lp_lab import relations
-from lp_lab.ancillarity import balanced_blocks, conditional_pairs
+from lp_lab.ancillarity import conditional_pairs
 from lp_lab.model import ModelDataPair, canonical_form
 from lp_lab.relations import (
     RelationKind,
@@ -66,7 +67,7 @@ def test_l_class_key_decides_l(grid):
         for b in members:
             same = l_class_key(a) == l_class_key(b)
             reference = proportional(
-                a.model.column(a.observed), b.model.column(b.observed)
+                likelihood_vector(a), likelihood_vector(b)
             )
             assert same == (reference is not None), (a, b)
 
@@ -127,7 +128,7 @@ def _first_blocks(listed, observed):
     """The entries whose observed block has not occurred earlier."""
     out, seen = [], set()
     for ancillary, conditional in listed:
-        block = ancillary.blocks[ancillary.block_index_of(observed)]
+        block = ancillary.blocks[ancillary.labels[observed]]
         if block not in seen:
             seen.add(block)
             out.append((ancillary, conditional))
@@ -150,7 +151,7 @@ def _agree(pair):
     assert listed == _first_blocks(reference, pair.observed), pair
     blocks = balanced_blocks(pair.model, pair.observed)
     assert blocks == [
-        a.blocks[a.block_index_of(pair.observed)] for a, _ in listed
+        a.blocks[a.labels[pair.observed]] for a, _ in listed
     ]
     assert _distinct_conditionals(listed) == _distinct_conditionals(reference)
 

@@ -25,9 +25,11 @@ from lp_lab.evidence import (
     rb_strength,
     relative_belief,
 )
-from lp_lab.generate import random_pair, random_prior
-from lp_lab.model import ModelDataPair, likelihood_vector, validate_model
+from lp_lab.model import ModelDataPair, validate_model
 from lp_lab.partition import Partition
+from evidence_reference import uniform_prior
+from model_reference import likelihood_vector
+from random_models import random_pair, random_prior
 
 F = Fraction
 
@@ -47,7 +49,7 @@ def test_prior_predictive_theta_constant_model():
     m = validate_model(
         ["t1", "t2"], ["a", "b"], [["1/3", "2/3"], ["1/3", "2/3"]]
     )
-    assert prior_predictive(m, Prior.uniform(["t1", "t2"])) == (F(1, 3), F(2, 3))
+    assert prior_predictive(m, uniform_prior(["t1", "t2"])) == (F(1, 3), F(2, 3))
 
 
 def test_posterior_fixtures(fb, fe, at):
@@ -83,12 +85,12 @@ def test_bayes_factor_one_for_theta_constant():
     m = validate_model(
         ["t1", "t2"], ["a", "b"], [["1/3", "2/3"], ["1/3", "2/3"]]
     )
-    assert bayes_factor(ModelDataPair(m, 0), Prior.uniform(["t1", "t2"]), ["t1"]) == 1
+    assert bayes_factor(ModelDataPair(m, 0), uniform_prior(["t1", "t2"]), ["t1"]) == 1
 
 
 def test_bayes_factor_infinite():
     m = validate_model(["t1", "t2"], ["a", "b"], [["1", "0"], ["0", "1"]])
-    assert bayes_factor(ModelDataPair(m, 0), Prior.uniform(["t1", "t2"]), ["t1"]) is None
+    assert bayes_factor(ModelDataPair(m, 0), uniform_prior(["t1", "t2"]), ["t1"]) is None
 
 
 def test_evidence_direction(fb, fe, at):
@@ -106,7 +108,7 @@ def test_rb_estimate_ties_kept():
     m = validate_model(
         ["t1", "t2"], ["a", "b"], [["1/3", "2/3"], ["1/3", "2/3"]]
     )
-    assert rb_estimate(ModelDataPair(m, 0), Prior.uniform(["t1", "t2"])) == {"t1", "t2"}
+    assert rb_estimate(ModelDataPair(m, 0), uniform_prior(["t1", "t2"])) == {"t1", "t2"}
 
 
 def test_rb_strength(fb, fe, at):
@@ -155,7 +157,7 @@ def test_check_prior_conflict(fb, fe, at):
 
 def test_check_prior_conflict_one_point_model():
     m = validate_model(["t1", "t2"], ["o"], [["1"], ["1"]])
-    assert check_prior_conflict(ModelDataPair(m, 0), Prior.uniform(["t1", "t2"])) == 1
+    assert check_prior_conflict(ModelDataPair(m, 0), uniform_prior(["t1", "t2"])) == 1
 
 
 def test_conservation_and_coherence_random():

@@ -30,7 +30,7 @@ UNIVERSES = {(2, 3, 3): 56, (3, 3, 2): 98}
 def _priors(labels):
     n = len(labels)
     skewed = [Fraction(k, n * (n + 1) // 2) for k in range(1, n + 1)]
-    return [Prior.uniform(labels), Prior.of(labels, skewed)]
+    return [ref.uniform_prior(labels), Prior.of(labels, skewed)]
 
 
 def _hypotheses(labels):
@@ -96,8 +96,8 @@ def test_errors_match_reference():
     pairs = list(enumerate_pairs(2, 3, 3))[:8]
     for pair in pairs:
         labels = pair.model.theta_labels
-        prior = Prior.uniform(labels)
-        foreign = Prior.uniform(["u", "v"])
+        prior = ref.uniform_prior(labels)
+        foreign = ref.uniform_prior(["u", "v"])
         whole = list(labels)
         for hypothesis in (["zz"], [labels[0], "zz"], [], whole):
             for name in ("bayes_factor", "evidence_direction"):
@@ -127,7 +127,7 @@ def test_errors_match_reference():
 def test_error_cases_raise_the_documented_errors():
     pair = next(enumerate_pairs(2, 3, 3))
     labels = list(pair.model.theta_labels)
-    prior = Prior.uniform(labels)
+    prior = ref.uniform_prior(labels)
     with pytest.raises(UnknownTheta):
         evidence_report(pair, prior, [["zz"]])
     with pytest.raises(UnknownTheta):
@@ -140,4 +140,4 @@ def test_error_cases_raise_the_documented_errors():
     whole = evidence_report(pair, prior, [labels]).hypotheses[0]
     assert whole.bayes_factor is None and whole.posterior_probability == 1
     with pytest.raises(ParameterSpaceMismatch):
-        evidence_report(pair, Prior.uniform(["u", "v"]))
+        evidence_report(pair, ref.uniform_prior(["u", "v"]))

@@ -8,22 +8,22 @@ from hypothesis import strategies as st
 from lp_lab.errors import (
     DuplicateLabel,
     LengthMismatch,
+    MalformedRational,
     NegativeEntry,
     NonStochasticRow,
     UnreachablePoint,
 )
-from lp_lab.generate import random_pair
 from lp_lab.model import (
     ModelDataPair,
     canonical_form,
-    likelihood_vector,
     pair_at,
     pairs_isomorphic,
     parse_rational,
     format_rational,
     validate_model,
 )
-from model_reference import proportional
+from model_reference import column, likelihood_vector, proportional
+from random_models import random_pair
 
 F = Fraction
 
@@ -67,6 +67,14 @@ def test_validate_rejects_floats():
 def test_rational_round_trip():
     for text in ["3/2", "-7/3", "0", "12"]:
         assert format_rational(parse_rational(text)) == text
+
+
+def test_parse_rational_refuses_exponents_not_decimals():
+    # Fraction would expand "1e99999999" to 10**99999999 before any check
+    for text in ["1e-1", "5E-1"]:
+        with pytest.raises(MalformedRational, match="exponents are not accepted"):
+            parse_rational(text)
+    assert parse_rational("0.5") == F(1, 2)
 
 
 def test_likelihood_vector_fixtures(fa, fb):
@@ -115,8 +123,8 @@ def test_not_isomorphic_different_probabilities(fb, fc):
 
 def test_canonical_form_orders_columns(fb):
     canon = canonical_form(pair_at(fb, "y1"))
-    assert canon.model.column(0) == (F(1, 2), F(1, 4))
-    assert canon.model.column(1) == (F(1, 2), F(3, 4))
+    assert column(canon.model, 0) == (F(1, 2), F(1, 4))
+    assert column(canon.model, 1) == (F(1, 2), F(3, 4))
     assert canon.observed == 0
 
 

@@ -244,7 +244,7 @@ def test_mixtures_match_reference(mixed_l_pairs):
     for a, b in mixed_l_pairs:
         mixture, _, _ = birnbaumize(a, b)
         _same_model(mixture, ref.mixture_model(a, b, half, half))
-        c = ref.proportional(a.model.column(a.observed), b.model.column(b.observed))
+        c = ref.proportional(ref.likelihood_vector(a), ref.likelihood_vector(b))
         want = ref.mixture_model(a, b, 1 / (1 + c), c / (1 + c))
         _same_model(efm_parent(a, b).parent.model, want)
 
@@ -254,7 +254,7 @@ def test_mss_reductions_match_reference(pairs):
         got = reduce_to_mss(pair).reduced
         partition = ref.likelihood_partition(pair.model)
         want = ref.statistic_induced_model(pair.model, partition)
-        _same_pair(got, ModelDataPair(want, partition.block_index_of(pair.observed)))
+        _same_pair(got, ModelDataPair(want, partition.labels[pair.observed]))
 
 
 def test_mss_factorization_is_exact(pairs):
@@ -276,7 +276,7 @@ def test_likelihoods_decompose_columns(pairs):
         for column, (g, k) in zip(model.scaled_columns, likelihoods):
             assert tuple(g * v for v in k) == column
             assert g > 0 and math.gcd(*k) == 1
-        columns = model.columns()
+        columns = ref.columns(model)
         for x, (_, kx) in enumerate(likelihoods):
             for y, (_, ky) in enumerate(likelihoods):
                 proportional = ref.proportional(columns[x], columns[y])
@@ -317,7 +317,7 @@ def test_l_related_matches_reference(pairs):
         for b in everything:
             c = l_related(a, b)
             assert c == ref.proportional(
-                a.model.column(a.observed), b.model.column(b.observed)
+                ref.likelihood_vector(a), ref.likelihood_vector(b)
             )
             assert type(c) is Fraction or c is None
             positive += c is not None

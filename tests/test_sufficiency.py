@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from lp_lab.errors import GroundSetMismatch, ParameterSpaceMismatch, UnreachablePoint
-from lp_lab.generate import random_pair
 from lp_lab.model import FiniteModel, ModelDataPair, pairs_isomorphic, validate_model
 from lp_lab.partition import Partition, all_partitions
 from lp_lab.sufficiency import (
@@ -16,6 +15,7 @@ from lp_lab.sufficiency import (
     s_related,
     statistic_induced_model,
 )
+from random_models import random_pair
 
 F = Fraction
 
