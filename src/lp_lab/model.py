@@ -279,12 +279,17 @@ def column_embedding(
     return phi
 
 
+@functools.cache
+def _generic_labels(n: int) -> tuple[str, ...]:
+    return tuple(f"x{i + 1}" for i in range(n))
+
+
 def _permuted(model: FiniteModel, order: list[int]) -> FiniteModel:
     """The model with sample point order[i] moved to index i, relabeled
     generically x1, x2, ..."""
     return FiniteModel(
         model.theta_labels,
-        tuple(f"x{i + 1}" for i in range(model.n_points)),
+        _generic_labels(model.n_points),
         model.den,
         tuple(tuple(row[x] for x in order) for row in model.rows),
     )

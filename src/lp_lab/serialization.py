@@ -5,6 +5,8 @@ canonical rational string, so parse(serialize(v)) == v exactly. A command's
 report is a dictionary of library values (models, pairs, priors, witnesses,
 chains, Fractions, ...); :func:`render_machine` is the one place that turns
 it into JSON, through :func:`to_jsonable` and the same rational rendering.
+Files and ``--machine`` payloads render model entries from ``den`` and
+``rows``; ``FiniteModel.probs`` is for library callers and block masses.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -27,13 +30,19 @@ from .model import (
 from .partition import Partition
 
 
+def _entry(p: int, q: int) -> str:
+    """p/q rendered as format_rational renders Fraction(p, q)."""
+    g = math.gcd(p, q)
+    return f"{p // g}/{q // g}" if g != q else str(p // g)
+
+
 def model_to_dict(model: FiniteModel) -> dict:
+    """Entries are rendered from ``den`` and ``rows``, one gcd each."""
+    den = model.den
     return {
         "theta": list(model.theta_labels),
         "space": list(model.sample_labels),
-        "probs": [
-            [format_rational(v) for v in row] for row in model.probs
-        ],
+        "probs": [[_entry(v, den) for v in row] for row in model.rows],
     }
 
 
@@ -121,9 +130,12 @@ def prior_from_dict(data: dict) -> Prior:
 def load_json(path: str | Path) -> dict:
     """The JSON object held by a model, pair or prior file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8")
     except OSError as exc:
         raise LpLabError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise LpLabError(f"{path} is not UTF-8 text: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

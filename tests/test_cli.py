@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from lp_lab.cli import build_parser, run
-from lp_lab.model import pair_at, validate_model
+from lp_lab.cli import _KINDS, build_parser, run
+from lp_lab.model import FiniteModel, pair_at, validate_model
 from lp_lab.relations import birnbaumize
 from lp_lab.serialization import save_pair, save_prior, save_model
 
@@ -462,3 +462,51 @@ def test_exponent_is_usage_error(files, tmp_path, spelled, rest, capsys):
             f"error: {spelled!r} is not a rational number: "
             "exponents are not accepted\n"
         )
+
+
+def test_non_utf8_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.pair"
+    bad.write_bytes(b'{"theta": ["t1"], "space": ["\xff"], "probs": [["1"]]}')
+    assert run(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _request_argvs(files):
+    prior = ["--prior", files["prior"]]
+    argvs = [["closure", "--kind", kind, "--dir", files["dir"]] for kind in _KINDS]
+    argvs += [
+        ["relate", "--kind", "L", files["pairB2"], files["pairC1"]],
+        ["relate", "--kind", "S", files["pairA1"], files["pairB1"]],
+        ["rb", "analyze", files["pairB1"], *prior, "--hypothesis", "t1"],
+        ["rb", "estimate", files["pairB1"], *prior],
+        ["rb", "strength", files["pairB1"], *prior, "--theta", "t2"],
+        ["reduce", files["pairA1"]],
+        ["validate", files["modelD"]],
+        ["validate", files["pairC1"]],
+        ["check", "model", files["pairA1"]],
+        ["check", "prior", files["pairB1"], *prior],
+    ]
+    return [prefix + argv for argv in argvs for prefix in ([], ["--machine"])]
+
+
+def test_request_path_builds_no_fraction_entries(files, monkeypatch, capsys):
+    # files and payloads render entries from den and rows; probs is for
+    # library callers and block_masses, so ancillaries still reach it
+    def outcomes():
+        out = []
+        for argv in _request_argvs(files):
+            code = run(argv)
+            out.append((argv, code, capsys.readouterr().out))
+        return out
+
+    expected = outcomes()
+
+    def refuse(model):
+        raise AssertionError("FiniteModel.probs read on the request path")
+
+    monkeypatch.setattr(FiniteModel, "probs", property(refuse))
+    assert outcomes() == expected
+    with pytest.raises(AssertionError, match="probs read"):
+        run(["ancillaries", files["modelD"]])

@@ -1,12 +1,14 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from lp_lab.errors import LpLabError
 from lp_lab.evidence import Prior, evidence_report
-from lp_lab.model import pair_at
+from lp_lab.model import ModelDataPair, format_rational, pair_at
 from lp_lab.relations import birnbaum_chain
+from lp_lab.search import enumerate_models
 from lp_lab.serialization import (
     load_model,
     load_pair,
@@ -23,6 +25,7 @@ from lp_lab.serialization import (
     save_prior,
     to_jsonable,
 )
+from random_models import random_l_related_pair, random_model
 
 
 def test_model_round_trip(fa, fb, fc, fd, tmp_path):
@@ -97,3 +100,36 @@ def test_to_jsonable_rejects_unknown_types():
 
 def test_to_jsonable_fraction():
     assert to_jsonable(Fraction(6, 4)) == "3/2"
+
+
+def _fraction_probs(model):
+    """The model's entries rendered from its Fractions: the reference for
+    the integer rendering of model_to_dict."""
+    return [[format_rational(v) for v in row] for row in model.probs]
+
+
+def _rendered_models():
+    yield from enumerate_models(2, 4, 6)
+    for seed in range(100):
+        rng = random.Random(seed)
+        yield random_model(
+            rng, rng.randint(1, 3), rng.randint(1, 4), rng.choice((4, 12, 60))
+        )
+        for pair in random_l_related_pair(rng):
+            yield pair.model
+
+
+def test_integer_rendering_matches_fraction_rendering(tmp_path):
+    path = tmp_path / "m.pair"
+    for model in _rendered_models():
+        assert model_to_dict(model)["probs"] == _fraction_probs(model)
+        pair = ModelDataPair(model, model.n_points - 1)
+        save_pair(pair, path)
+        reference = {
+            "theta": list(model.theta_labels),
+            "space": list(model.sample_labels),
+            "probs": _fraction_probs(model),
+            "observed": pair.observed_label,
+        }
+        expected = json.dumps(reference, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
