@@ -276,8 +276,14 @@ def cmd_chain(args, printer) -> int:
 
 
 def cmd_closure(args, printer) -> int:
+    # every name ending in .pair, hidden ones too, as Path.glob lists them
     directory = Path(args.dir)
-    files = sorted(directory.glob("*.pair"))
+    try:
+        names = sorted(n for n in os.listdir(directory) if n.endswith(".pair"))
+    except OSError:
+        names = []
+    prefix = "" if str(directory) == "." else os.path.join(directory, "")
+    files = [prefix + name for name in names]
     if not files:
         raise LpLabError(f"no .pair files in {directory}")
     members = [load_pair(f) for f in files]
@@ -347,7 +353,7 @@ def cmd_rb(args, printer) -> int:
     pair = load_pair(args.file)
     prior = load_prior(args.prior)
     hypotheses = []
-    if args.hypothesis:
+    if args.hypothesis is not None:
         hypotheses.append([h.strip() for h in args.hypothesis.split(",")])
     report = evidence_report(pair, prior, hypotheses)
     payload = {

@@ -18,6 +18,7 @@ freely.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -284,17 +285,6 @@ def _generic_labels(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(n))
 
 
-def _permuted(model: FiniteModel, order: list[int]) -> FiniteModel:
-    """The model with sample point order[i] moved to index i, relabeled
-    generically x1, x2, ..."""
-    return FiniteModel(
-        model.theta_labels,
-        _generic_labels(model.n_points),
-        model.den,
-        tuple(tuple(row[x] for x in order) for row in model.rows),
-    )
-
-
 def canonical_model(model: FiniteModel) -> FiniteModel:
     """Isomorphism-invariant representative of a model (data ignored).
 
@@ -303,8 +293,9 @@ def canonical_model(model: FiniteModel) -> FiniteModel:
     same way) and sample points are relabeled generically, so relabeled or
     permuted copies collapse to an identical value.
     """
-    columns = model.scaled_columns
-    return _permuted(model, sorted(range(len(columns)), key=columns.__getitem__))
+    rows = tuple(zip(*sorted(model.scaled_columns)))
+    labels = _generic_labels(model.n_points)
+    return FiniteModel(model.theta_labels, labels, model.den, rows)
 
 
 def canonical_form(pair: ModelDataPair) -> ModelDataPair:
@@ -316,4 +307,4 @@ def canonical_form(pair: ModelDataPair) -> ModelDataPair:
     """
     model = canonical_model(pair.model)
     observed = pair.model.scaled_columns[pair.observed]
-    return ModelDataPair(model, model.scaled_columns.index(observed))
+    return ModelDataPair(model, bisect.bisect_left(model.scaled_columns, observed))

@@ -12,12 +12,7 @@ from typing import Iterator, Optional
 
 from .ancillarity import CWitness, c_related, conditional_pairs
 from .errors import LpLabError
-from .model import (
-    FiniteModel,
-    ModelDataPair,
-    canonical_form,
-    canonical_model,
-)
+from .model import FiniteModel, ModelDataPair, canonical_form
 from .relations import l_related
 from .sufficiency import s_related
 
@@ -61,7 +56,9 @@ def enumerate_models(
     Rows are integer compositions of the denominator, so they are
     nonnegative and stochastic by construction; a combination is kept iff
     the gcd of the denominator and its entries is 1 and every point is
-    reachable. Bounds below 1 raise LpLabError, as in SearchBounds.
+    reachable. Its sorted columns are its canonical model's columns, so a
+    model is built only for the first combination of each class. Bounds
+    below 1 raise LpLabError, as in SearchBounds.
     """
     SearchBounds(theta_size, max_space, max_denominator)
     thetas = tuple(f"t{i + 1}" for i in range(theta_size))
@@ -69,17 +66,15 @@ def enumerate_models(
         points = tuple(f"x{i + 1}" for i in range(size))
         for den in range(1, max_denominator + 1):
             rows = list(_compositions(den, size))
-            seen: set[FiniteModel] = set()
+            seen: set[tuple[tuple[int, ...], ...]] = set()
             for combo in itertools.product(rows, repeat=theta_size):
                 if math.gcd(den, *itertools.chain(*combo)) != 1:
                     continue
-                if not all(map(any, zip(*combo))):
+                columns = tuple(sorted(zip(*combo)))
+                if columns in seen or not all(map(any, columns)):
                     continue
-                model = FiniteModel(thetas, points, den, combo)
-                canon = canonical_model(model)
-                if canon not in seen:
-                    seen.add(canon)
-                    yield canon
+                seen.add(columns)
+                yield FiniteModel(thetas, points, den, tuple(zip(*columns)))
 
 
 def enumerate_pairs(

@@ -4,9 +4,12 @@ Model, pair and prior files are JSON with every probability written as a
 canonical rational string, so parse(serialize(v)) == v exactly. A command's
 report is a dictionary of library values (models, pairs, priors, witnesses,
 chains, Fractions, ...); :func:`render_machine` is the one place that turns
-it into JSON, through :func:`to_jsonable` and the same rational rendering.
-Files and ``--machine`` payloads render model entries from ``den`` and
-``rows``; ``FiniteModel.probs`` is for library callers and block masses.
+it into JSON text. It writes the bytes of ``json.dumps(to_jsonable(report),
+indent=2, sort_keys=True)`` directly: models and pairs from ``den`` and
+``rows`` with no intermediate dictionary, arrays of strings escaped in C,
+every other lp-lab value through :func:`to_jsonable`. Files render model
+entries from ``den`` and ``rows`` too; ``FiniteModel.probs`` is for library
+callers and block masses.
 """
 
 from __future__ import annotations
@@ -219,6 +222,70 @@ def to_jsonable(value: Any) -> Any:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _block(parts: list[str], nl: str, brackets: str) -> str:
+    """A JSON array or object of rendered ``parts``, at the indent of ``nl``
+    (a newline and the indent of the line that opens it)."""
+    if not parts:
+        return brackets
+    inner = nl + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(parts)}{nl}{brackets[1]}"
+
+
+def _render_model(model: FiniteModel, nl: str, observed: Any = None) -> str:
+    """model_to_dict (pair_to_dict with ``observed``), rendered from
+    ``den`` and ``rows`` with no intermediate dictionary."""
+    inner, den = nl + "  ", model.den
+    probs = [
+        _block([f'"{_entry(v, den)}"' for v in row], inner + "  ", "[]")
+        for row in model.rows
+    ]
+    fields = [
+        f'"probs": {_block(probs, inner, "[]")}',
+        f'"space": {_render(model.sample_labels, inner)}',
+        f'"theta": {_render(model.theta_labels, inner)}',
+    ]
+    if observed is not None:
+        fields.insert(0, f'"observed": {_render(observed, inner)}')
+    return _block(fields, nl, "{}")
+
+
+def _render(value: Any, nl: str) -> str:
+    """The text json.dumps(to_jsonable(value), indent=2, sort_keys=True)
+    gives, with ``nl`` the newline and indent of the enclosing line."""
+    kind = type(value)
+    if kind is str:
+        return _encode(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list or kind is tuple:
+        inner = nl + "  "
+        try:  # an array of strings, such as labels, is escaped in C
+            return _block(list(map(_encode, value)), nl, "[]")
+        except TypeError:
+            return _block([_render(v, inner) for v in value], nl, "[]")
+    if kind is dict:
+        inner = nl + "  "
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        parts = [f"{_encode(k)}: {_render(v, inner)}" for k, v in items]
+        return _block(parts, nl, "{}")
+    if kind is ModelDataPair:
+        return _render_model(value.model, nl, value.observed_label)
+    if kind is FiniteModel:
+        return _render_model(value, nl)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    data = to_jsonable(value)
+    if data is value:  # a subclass of str or int
+        return _encode(data) if isinstance(data, str) else int.__repr__(data)
+    return _render(data, nl)
+
+
 def render_machine(payload: Any) -> str:
-    """Deterministic machine rendering: sorted keys, no whitespace drift."""
-    return json.dumps(to_jsonable(payload), indent=2, sort_keys=True)
+    """Deterministic machine rendering: the text of json.dumps(
+    to_jsonable(payload), indent=2, sort_keys=True), written directly."""
+    return _render(payload, "\n")

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from lp_lab.cli import _KINDS, build_parser, run
-from lp_lab.model import FiniteModel, pair_at, validate_model
+from lp_lab.model import FiniteModel, canonical_form, pair_at, validate_model
 from lp_lab.relations import birnbaumize
 from lp_lab.serialization import save_pair, save_prior, save_model
 
@@ -510,3 +510,47 @@ def test_request_path_builds_no_fraction_entries(files, monkeypatch, capsys):
     assert outcomes() == expected
     with pytest.raises(AssertionError, match="probs read"):
         run(["ancillaries", files["modelD"]])
+
+
+@pytest.mark.parametrize("spelled", ["", ","])
+def test_rb_empty_hypothesis_is_usage_error(files, spelled, capsys):
+    argv = ["rb", "analyze", files["pairB1"], "--prior", files["prior"]]
+    assert run(argv + ["--hypothesis", spelled]) == 2
+    assert capsys.readouterr().err == "error: unknown parameter label ''\n"
+
+
+def test_closure_lists_pair_files_by_name(tmp_path, fa, fb, fc, capsys):
+    # every name that ends in .pair, hidden ones too, in file-name order
+    d = tmp_path / "universe"
+    d.mkdir()
+    save_pair(pair_at(fb, "y2"), d / "b.pair")
+    save_pair(pair_at(fa, "x1"), d / ".hidden.pair")
+    save_pair(pair_at(fc, "z1"), d / "a.pair")
+    save_pair(pair_at(fb, "y1"), d / "c.pair.json")
+    (d / "notes.txt").write_text("not a pair\n")
+    assert run(["--machine", "closure", "--kind", "L", "--dir", str(d)]) == 0
+    members = json.loads(capsys.readouterr().out)["members"]
+    want = [pair_at(fa, "x1"), pair_at(fc, "z1"), pair_at(fb, "y2")]
+    assert [m["probs"] for m in members] == [
+        [[str(v) for v in row] for row in canonical_form(p).model.probs]
+        for p in want
+    ]
+
+
+def test_closure_directory_named_pair_is_usage_error(tmp_path, fb, capsys):
+    d = tmp_path / "universe"
+    d.mkdir()
+    save_pair(pair_at(fb, "y2"), d / "b.pair")
+    (d / "sub.pair").mkdir()
+    assert run(["closure", "--kind", "L", "--dir", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {d / 'sub.pair'}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["missing", "b.pair"])
+def test_closure_without_pair_files_is_usage_error(tmp_path, fb, name, capsys):
+    save_pair(pair_at(fb, "y2"), tmp_path / "b.pair")
+    path = tmp_path / name
+    assert run(["closure", "--kind", "L", "--dir", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: no .pair files in {path}\n"
