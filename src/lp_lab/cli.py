@@ -288,16 +288,7 @@ def cmd_closure(args, printer) -> int:
         raise LpLabError(f"no .pair files in {directory}")
     members = [load_pair(f) for f in files]
     if args.augment:
-        extra = []
-        peers = relations.l_class_peers(members)
-        for i, a in enumerate(members):
-            for b in (members[j] for j in peers[i] if j > i):
-                if args.augment == "birnbaum":
-                    _, e1, e2 = relations.birnbaumize(a, b)
-                    extra.extend([e1, e2])
-                else:
-                    extra.append(relations.efm_parent(a, b).parent)
-        members.extend(extra)
+        members = relations.augment(members, args.augment)
     universe = Universe.of(members)
     result = relations.closure(universe, RelationKind(args.kind))
     payload = {

@@ -334,6 +334,24 @@ class Universe:
         return Universe(tuple(canon))
 
 
+def augment(pairs: Sequence[ModelDataPair], how: str) -> list[ModelDataPair]:
+    """``pairs``, then the mixture pairs that join each two L-related members
+    i < j in a chain: Birnbaum's two embedded pairs (``how="birnbaum"``) or
+    the EFM parent (``how="efm"``), in the order of i, then j."""
+    if how not in ("birnbaum", "efm"):
+        raise ValueError(f"unknown augmentation {how!r}")
+    members = list(pairs)
+    peers = l_class_peers(pairs)
+    for i, a in enumerate(pairs):
+        for b in (pairs[j] for j in peers[i] if j > i):
+            if how == "birnbaum":
+                _, e1, e2 = birnbaumize(a, b)
+                members += (e1, e2)
+            else:
+                members.append(efm_parent(a, b).parent)
+    return members
+
+
 @dataclass(frozen=True)
 class ClosureEdge:
     i: int

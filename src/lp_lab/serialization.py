@@ -1,15 +1,15 @@
 """Bit-exact file and report serialization.
 
 Model, pair and prior files are JSON with every probability written as a
-canonical rational string, so parse(serialize(v)) == v exactly. A command's
-report is a dictionary of library values (models, pairs, priors, witnesses,
-chains, Fractions, ...); :func:`render_machine` is the one place that turns
-it into JSON text. It writes the bytes of ``json.dumps(to_jsonable(report),
-indent=2, sort_keys=True)`` directly: models and pairs from ``den`` and
-``rows`` with no intermediate dictionary, arrays of strings escaped in C,
-every other lp-lab value through :func:`to_jsonable`. Files render model
-entries from ``den`` and ``rows`` too; ``FiniteModel.probs`` is for library
-callers and block masses.
+canonical rational string, so parse(serialize(v)) == v exactly.
+:func:`render_machine` is the one writer of JSON text: files and the
+``--machine`` payloads of commands (dictionaries of models, pairs, priors,
+witnesses, chains, Fractions, ...) both go through it. It writes the bytes
+``json.dumps(indent=2, sort_keys=True)`` gives for the value's JSON form,
+with no intermediate dictionary: models and pairs from ``den`` and
+``rows``, arrays of strings escaped in C. That JSON form, built as
+dictionaries, is the test reference ``tests/render_reference.py``.
+``FiniteModel.probs`` is for library callers and block masses.
 """
 
 from __future__ import annotations
@@ -37,16 +37,6 @@ def _entry(p: int, q: int) -> str:
     """p/q rendered as format_rational renders Fraction(p, q)."""
     g = math.gcd(p, q)
     return f"{p // g}/{q // g}" if g != q else str(p // g)
-
-
-def model_to_dict(model: FiniteModel) -> dict:
-    """Entries are rendered from ``den`` and ``rows``, one gcd each."""
-    den = model.den
-    return {
-        "theta": list(model.theta_labels),
-        "space": list(model.sample_labels),
-        "probs": [[_entry(v, den) for v in row] for row in model.rows],
-    }
 
 
 def _scalars(value: Any) -> bool:
@@ -103,12 +93,6 @@ def model_from_dict(data: dict) -> FiniteModel:
     return _model(data)
 
 
-def pair_to_dict(pair: ModelDataPair) -> dict:
-    data = model_to_dict(pair.model)
-    data["observed"] = pair.observed_label
-    return data
-
-
 def pair_from_dict(data: dict) -> ModelDataPair:
     check_schema(data, "pair")
     model = _model(data)
@@ -116,13 +100,6 @@ def pair_from_dict(data: dict) -> ModelDataPair:
     if observed not in model.sample_labels:
         raise LpLabError(f"observed label {observed!r} not in sample space")
     return ModelDataPair(model, model.sample_labels.index(observed))
-
-
-def prior_to_dict(prior: Prior) -> dict:
-    return {
-        "theta": list(prior.theta_labels),
-        "weights": [format_rational(w) for w in prior.weights],
-    }
 
 
 def prior_from_dict(data: dict) -> Prior:
@@ -162,64 +139,26 @@ def load_prior(path: str | Path) -> Prior:
     return prior_from_dict(load_json(path))
 
 
-def _dump(data: dict, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _dump(value: Any, path: str | Path) -> None:
+    Path(path).write_text(render_machine(value) + "\n", encoding="utf-8")
 
 
 def save_model(model: FiniteModel, path: str | Path) -> None:
-    _dump(model_to_dict(model), path)
+    _dump(model, path)
 
 
 def save_pair(pair: ModelDataPair, path: str | Path) -> None:
-    _dump(pair_to_dict(pair), path)
+    _dump(pair, path)
 
 
 def save_prior(prior: Prior, path: str | Path) -> None:
-    _dump(prior_to_dict(prior), path)
+    _dump(prior, path)
 
 
 def partition_to_labels(
     partition: Partition, sample_labels
 ) -> list[list[str]]:
     return [[sample_labels[x] for x in block] for block in partition.blocks]
-
-
-# JSON leaves, matched by exact type: most of the values rendered are these
-_JSON_LEAVES = frozenset({type(None), str, int, bool})
-
-
-def to_jsonable(value: Any) -> Any:
-    """Render any lp-lab value as JSON-able data with exact rationals."""
-    if type(value) in _JSON_LEAVES:
-        return value
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, FiniteModel):
-        return model_to_dict(value)
-    if isinstance(value, ModelDataPair):
-        return pair_to_dict(value)
-    if isinstance(value, Prior):
-        return prior_to_dict(value)
-    if isinstance(value, Partition):
-        return [list(block) for block in value.blocks]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            field.name: to_jsonable(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
-    if isinstance(value, (set, frozenset)):
-        return [to_jsonable(v) for v in sorted(value, key=repr)]
-    if isinstance(value, (str, int)):
-        return value
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 _encode = json.encoder.encode_basestring_ascii
@@ -235,8 +174,8 @@ def _block(parts: list[str], nl: str, brackets: str) -> str:
 
 
 def _render_model(model: FiniteModel, nl: str, observed: Any = None) -> str:
-    """model_to_dict (pair_to_dict with ``observed``), rendered from
-    ``den`` and ``rows`` with no intermediate dictionary."""
+    """A model's object {"probs", "space", "theta"} (and "observed" for a
+    pair), rendered from ``den`` and ``rows``."""
     inner, den = nl + "  ", model.den
     probs = [
         _block([f'"{_entry(v, den)}"' for v in row], inner + "  ", "[]")
@@ -253,8 +192,16 @@ def _render_model(model: FiniteModel, nl: str, observed: Any = None) -> str:
 
 
 def _render(value: Any, nl: str) -> str:
-    """The text json.dumps(to_jsonable(value), indent=2, sort_keys=True)
-    gives, with ``nl`` the newline and indent of the enclosing line."""
+    """The JSON text of ``value`` as json.dumps(indent=2, sort_keys=True)
+    writes it, with ``nl`` the newline and indent of the enclosing line.
+
+    Exact types come first, the most frequent first. Every other value is
+    tried by isinstance in a fixed order: subclasses of dict, list and
+    tuple; a Fraction as "p/q"; an enum as its value; models and pairs;
+    a prior as {"theta", "weights"}; a partition as its blocks; any other
+    dataclass field by field; a set sorted by repr; subclasses of str and
+    int. Anything else, a float included, raises TypeError.
+    """
     kind = type(value)
     if kind is str:
         return _encode(value)
@@ -279,13 +226,37 @@ def _render(value: Any, nl: str) -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
-    data = to_jsonable(value)
-    if data is value:  # a subclass of str or int
-        return _encode(data) if isinstance(data, str) else int.__repr__(data)
-    return _render(data, nl)
+    if isinstance(value, dict):
+        return _render({str(k): v for k, v in value.items()}, nl)
+    if isinstance(value, (list, tuple)):
+        return _render(list(value), nl)
+    if isinstance(value, Fraction):
+        return _encode(format_rational(value))
+    if isinstance(value, enum.Enum):
+        return _render(value.value, nl)
+    if isinstance(value, FiniteModel):
+        return _render_model(value, nl)
+    if isinstance(value, ModelDataPair):
+        return _render_model(value.model, nl, value.observed_label)
+    if isinstance(value, Prior):
+        weights = [format_rational(w) for w in value.weights]
+        return _render({"theta": value.theta_labels, "weights": weights}, nl)
+    if isinstance(value, Partition):
+        return _render(value.blocks, nl)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = dataclasses.fields(value)
+        return _render({f.name: getattr(value, f.name) for f in fields}, nl)
+    if isinstance(value, (set, frozenset)):
+        return _render(sorted(value, key=repr), nl)
+    if isinstance(value, str):
+        return _encode(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def render_machine(payload: Any) -> str:
-    """Deterministic machine rendering: the text of json.dumps(
-    to_jsonable(payload), indent=2, sort_keys=True), written directly."""
+    """The deterministic JSON text of ``payload``, as json.dumps(indent=2,
+    sort_keys=True) writes it, with no trailing newline: the one writer of
+    ``--machine`` output and of model, pair and prior files."""
     return _render(payload, "\n")

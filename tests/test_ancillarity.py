@@ -17,10 +17,12 @@ from lp_lab.ancillarity import (
     maximal_ancillaries,
     verify_c_witness,
 )
+from lp_lab.cli import run
 from lp_lab.errors import GroundSetMismatch, NotAncillary, SpaceTooLarge
 from lp_lab.model import FiniteModel, ModelDataPair, validate_model
 from lp_lab.partition import Partition
 from lp_lab.relations import birnbaumize, l_related
+from lp_lab.serialization import save_pair
 from lp_lab.sufficiency import likelihood_partition
 from ancillary_reference import balanced_blocks
 from random_models import random_pair
@@ -55,6 +57,7 @@ def test_enumerate_ancillaries_one_point():
 def test_space_too_large(fd):
     with pytest.raises(SpaceTooLarge):
         enumerate_ancillaries(fd, max_space=3)
+    assert enumerate_ancillaries(fd, max_space=4) == enumerate_ancillaries(fd)
 
 
 def test_balanced_blocks_fix_d(fd):
@@ -75,6 +78,23 @@ def test_conditional_pairs_refuse_large_space(seven_point_l_pairs):
     with pytest.raises(SpaceTooLarge):
         conditional_pairs(e1)
     assert len(conditional_pairs(p1)) == len(balanced_blocks(p1.model, 0))
+
+
+def _mirrored_pair(n):
+    """An n-point pair with rows (1, 2, 4, ..., 2^(n-1)) and its reverse:
+    a block is balanced iff it is closed under x -> n - 1 - x."""
+    row = tuple(2**x for x in range(n))
+    labels = tuple(f"x{x}" for x in range(n))
+    model = FiniteModel(("t1", "t2"), labels, sum(row), (row, row[::-1]))
+    return ModelDataPair(model, 0)
+
+
+def test_conditional_pairs_at_the_enumeration_bound():
+    pair = _mirrored_pair(DEFAULT_MAX_SPACE)
+    found = conditional_pairs(pair)
+    assert len(found) == len(balanced_blocks(pair.model, 0)) == 2**5
+    with pytest.raises(SpaceTooLarge):
+        conditional_pairs(_mirrored_pair(DEFAULT_MAX_SPACE + 1))
 
 
 def test_maximal_ancillaries(fd, fb):
@@ -196,6 +216,26 @@ def test_c_related_reflexive(fb):
 
 def test_c_related_absent(fb, fc, at):
     assert c_related(at(fb, "y2"), at(fc, "z1")) is None
+
+
+def test_c_related_needs_whole_multiples(tmp_path):
+    # the observed columns are proportional, (1/4, 1/4) = (5/8) * (2/5,
+    # 2/5), but the child's other column scaled by 5/8 is (3/8, 3/8): not
+    # a multiple of 1/4, so no block of the parent conditions to the child
+    rows = ((1, 1, 2, 0), (1, 1, 0, 2))
+    parent = ModelDataPair(
+        FiniteModel(("t1", "t2"), ("a", "b", "c", "d"), 4, rows), 0
+    )
+    child = ModelDataPair(
+        FiniteModel(("t1", "t2"), ("u", "v"), 5, ((2, 3), (2, 3))), 0
+    )
+    assert l_related(parent, child) is not None
+    assert c_related(parent, child) is None
+    assert c_related(child, parent) is None
+    save_pair(parent, tmp_path / "parent.pair")
+    save_pair(child, tmp_path / "child.pair")
+    files = [str(tmp_path / "parent.pair"), str(tmp_path / "child.pair")]
+    assert run(["relate", "--kind", "C", *files]) == 1
 
 
 def test_c_related_above_enumeration_bound(seven_point_l_pairs):

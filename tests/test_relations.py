@@ -17,6 +17,7 @@ from lp_lab.relations import (
     RelationKind,
     Universe,
     WitnessChain,
+    augment,
     birnbaum_chain,
     birnbaum_chain_durbin,
     birnbaumize,
@@ -232,6 +233,7 @@ def test_closure_without_mixture_members(fb, fc, at):
 def test_closure_with_birnbaum_augmentation(fb, fc, at):
     p1, p2 = at(fb, "y2"), at(fc, "z1")
     _, e1, e2 = birnbaumize(p1, p2)
+    assert augment([p1, p2], "birnbaum") == [p1, p2, e1, e2]
     universe = Universe.of([p1, p2, e1, e2])
     result = closure(universe, RelationKind.S_OR_C)
     assert len(result.classes) == 1
@@ -243,9 +245,12 @@ def test_closure_with_birnbaum_augmentation(fb, fc, at):
 def test_closure_with_efm_augmentation(fb, fc, at):
     p1, p2 = at(fb, "y2"), at(fc, "z1")
     parent = efm_parent(p1, p2).parent
+    assert augment([p1, p2], "efm") == [p1, p2, parent]
     universe = Universe.of([p1, p2, parent])
     result = closure(universe, RelationKind.C)
     assert len(result.classes) == 1
+    with pytest.raises(ValueError):
+        augment([p1, p2], "mixture")
 
 
 def test_relation_properties_l_and_s_pass():

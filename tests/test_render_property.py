@@ -1,8 +1,9 @@
 """render_machine against the earlier, isinstance-first to_jsonable.
 
-`to_jsonable` now returns JSON leaves by exact type and walks dict, list
-and tuple before it tries the lp-lab types. `_reference_to_jsonable` keeps
-the earlier order of tests; on any nested value both must render the same
+render_machine tries exact types first and walks dict, list and tuple
+before it tries the lp-lab types. `_reference_to_jsonable` keeps the
+earlier order of tests, and `render_reference.to_jsonable` the order that
+render_machine follows; on any nested value all three must give the same
 --machine text.
 """
 
@@ -21,11 +22,12 @@ from lp_lab.evidence import Direction, HypothesisRecord, Prior
 from lp_lab.model import FiniteModel, ModelDataPair, format_rational, pair_at
 from lp_lab.partition import Partition
 from lp_lab.relations import ClosureEdge, RelationKind
-from lp_lab.serialization import (
+from lp_lab.serialization import render_machine
+from render_reference import (
     model_to_dict,
     pair_to_dict,
     prior_to_dict,
-    render_machine,
+    to_jsonable,
 )
 
 
@@ -114,6 +116,9 @@ values = st.recursive(
 @given(values)
 def test_render_machine_matches_reference(value):
     assert render_machine(value) == _reference_render(value)
+    assert render_machine(value) == json.dumps(
+        to_jsonable(value), indent=2, sort_keys=True
+    )
 
 
 @pytest.mark.parametrize("value", [object(), 1.5, b"x", [1, {2: 2.5}]])

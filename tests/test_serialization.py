@@ -14,18 +14,22 @@ from lp_lab.serialization import (
     load_pair,
     load_prior,
     model_from_dict,
-    model_to_dict,
     pair_from_dict,
-    pair_to_dict,
     prior_from_dict,
-    prior_to_dict,
     render_machine,
     save_model,
     save_pair,
     save_prior,
-    to_jsonable,
 )
 from random_models import random_l_related_pair, random_model
+from render_reference import _dump, model_to_dict, pair_to_dict, prior_to_dict
+
+
+def _same_file(path, reference_data):
+    """The file at ``path`` holds the reference writer's bytes."""
+    reference = path.with_suffix(".reference")
+    _dump(reference_data, reference)
+    return path.read_bytes() == reference.read_bytes()
 
 
 def test_model_round_trip(fa, fb, fc, fd, tmp_path):
@@ -33,6 +37,7 @@ def test_model_round_trip(fa, fb, fc, fd, tmp_path):
         path = tmp_path / "m.model"
         save_model(model, path)
         assert load_model(path) == model
+        assert _same_file(path, model_to_dict(model))
 
 
 def test_pair_round_trip(fa, tmp_path):
@@ -40,33 +45,40 @@ def test_pair_round_trip(fa, tmp_path):
     path = tmp_path / "p.pair"
     save_pair(pair, path)
     assert load_pair(path) == pair
+    assert _same_file(path, pair_to_dict(pair))
 
 
 def test_prior_round_trip(fe, tmp_path):
     path = tmp_path / "p.prior"
     save_prior(fe, path)
     assert load_prior(path) == fe
+    assert _same_file(path, prior_to_dict(fe))
+
+
+def _data(value):
+    """The JSON object render_machine writes for ``value``, parsed."""
+    return json.loads(render_machine(value))
 
 
 def test_dict_round_trip_is_exact(fa):
-    assert model_from_dict(model_to_dict(fa)) == fa
+    assert model_from_dict(_data(fa)) == fa
     pair = pair_at(fa, "x3")
-    assert pair_from_dict(pair_to_dict(pair)) == pair
+    assert pair_from_dict(_data(pair)) == pair
     prior = Prior.of(["t1", "t2"], ["2/7", "5/7"])
-    assert prior_from_dict(prior_to_dict(prior)) == prior
+    assert prior_from_dict(_data(prior)) == prior
 
 
 def test_missing_fields_raise(fa):
-    data = model_to_dict(fa)
+    data = _data(fa)
     del data["probs"]
     with pytest.raises(LpLabError):
         model_from_dict(data)
     with pytest.raises(LpLabError):
-        pair_from_dict(model_to_dict(fa))
+        pair_from_dict(_data(fa))
 
 
 def test_unknown_observed_label_raises(fa):
-    data = model_to_dict(fa)
+    data = _data(fa)
     data["observed"] = "zz"
     with pytest.raises(LpLabError):
         pair_from_dict(data)
@@ -74,7 +86,7 @@ def test_unknown_observed_label_raises(fa):
 
 def test_rationals_serialized_canonically():
     prior = Prior.of(["t1", "t2"], ["2/4", "1/2"])
-    assert prior_to_dict(prior)["weights"] == ["1/2", "1/2"]
+    assert _data(prior)["weights"] == ["1/2", "1/2"]
 
 
 def test_chain_serializes_and_rationals_reparse(fb, fc):
@@ -93,18 +105,18 @@ def test_render_machine_deterministic(fb, fe):
     assert "0.6" not in render_machine(report)  # no floats anywhere
 
 
-def test_to_jsonable_rejects_unknown_types():
+def test_render_machine_rejects_unknown_types():
     with pytest.raises(TypeError):
-        to_jsonable(object())
+        render_machine(object())
 
 
-def test_to_jsonable_fraction():
-    assert to_jsonable(Fraction(6, 4)) == "3/2"
+def test_render_machine_fraction():
+    assert _data(Fraction(6, 4)) == "3/2"
 
 
 def _fraction_probs(model):
     """The model's entries rendered from its Fractions: the reference for
-    the integer rendering of model_to_dict."""
+    the integer rendering of render_machine."""
     return [[format_rational(v) for v in row] for row in model.probs]
 
 
@@ -122,7 +134,7 @@ def _rendered_models():
 def test_integer_rendering_matches_fraction_rendering(tmp_path):
     path = tmp_path / "m.pair"
     for model in _rendered_models():
-        assert model_to_dict(model)["probs"] == _fraction_probs(model)
+        assert _data(model)["probs"] == _fraction_probs(model)
         pair = ModelDataPair(model, model.n_points - 1)
         save_pair(pair, path)
         reference = {
