@@ -26,7 +26,8 @@ from .sufficiency import check_ground_set, likelihood_partition
 # Bell(|X|) set partitions: Bell(12) is ~4.2M and takes minutes per call.
 # Override per call, or via LP_LAB_MAX_SPACE for the CLI's `ancillaries`.
 # The relations C and Durbin-C do not enumerate, so it does not limit them;
-# conditional_pairs, which tests 2^(|X|-1) blocks, refuses larger models.
+# the split table of conditional_pairs and the C-transitivity search, which
+# tests 2^(|X|-1) blocks, refuses larger models.
 DEFAULT_MAX_SPACE = 12
 
 
@@ -75,33 +76,43 @@ def is_ancillary(model: FiniteModel, partition: Partition) -> bool:
     return block_masses(model, partition) is not None
 
 
-def _balanced_splits(model: FiniteModel) -> list[Partition]:
-    """Every ancillary with at most two blocks, in restricted-growth order.
+def _balanced_splits(model: FiniteModel) -> list[int]:
+    """Every ancillary with at most two blocks, as ascending masks.
 
-    The trivial partition comes first. The test is in integers: with D the
-    common denominator, a block B is balanced iff the sum over B of
-    D*f_theta(x) - D*f_theta1(x) is 0 for every theta. Only 2^(|X|-1)
-    candidates are visited, not Bell(|X|) partitions.
+    Bit b of a mask stands for point |X|-1-b, and the mask is the set
+    X \\ A of the split {A, X \\ A} whose block A holds point 0; ``_split``
+    turns it into its partition. Ascending masks are restricted-growth
+    order, so 0, the trivial partition, comes first. The test is in
+    integers: with D the common denominator, a block B is balanced iff the
+    sum over B of D*f_theta(x) - D*f_theta1(x) is 0 for every theta. Only
+    2^(|X|-1) candidates are visited, not Bell(|X|) partitions, and |X|
+    above DEFAULT_MAX_SPACE raises SpaceTooLarge before any is visited.
     """
     n = model.n_points
+    if n > DEFAULT_MAX_SPACE:
+        raise SpaceTooLarge(
+            f"|X| = {n} exceeds enumeration bound {DEFAULT_MAX_SPACE}"
+        )
     first, *others = model.rows
     diffs = [tuple(row[x] - first[x] for row in others) for x in range(n)]
-    # Bit b of a mask stands for point n-1-b. Counting the masks up lists
-    # the label strings of {A, X \ A}, with 0 in A and the set bits in
-    # X \ A, in restricted-growth order. X is balanced, so A is balanced
-    # iff the set bits are: totals[mask] sums their differences.
+    # X is balanced, so A is balanced iff the set bits are: totals[mask]
+    # sums their differences.
     zero = tuple(0 for _ in others)
     totals = [zero]
-    splits = [Partition((0,) * n)]
+    masks = [0]
     for mask in range(1, 1 << (n - 1)):
         low = mask & -mask
         diff = diffs[n - low.bit_length()]
         total = tuple(a + b for a, b in zip(totals[mask ^ low], diff))
         totals.append(total)
         if total == zero:
-            labels = tuple(mask >> (n - 1 - x) & 1 for x in range(n))
-            splits.append(Partition(labels))
-    return splits
+            masks.append(mask)
+    return masks
+
+
+def _split(n: int, mask: int) -> Partition:
+    """The partition {A, X \\ A} of a mask of ``_balanced_splits``."""
+    return Partition(tuple(mask >> (n - 1 - x) & 1 for x in range(n)))
 
 
 def enumerate_ancillaries(
@@ -185,19 +196,18 @@ def conditional_pairs(pair: ModelDataPair) -> list[tuple[Partition, ModelDataPai
     """All one-step conditionals of a pair, one per balanced block B that
     holds the observed point, each with its ancillary {B, X \\ B}.
 
-    The list is in restricted-growth order of the ancillaries. Among all
-    ancillaries having B as the observed point's block, {B, X \\ B} comes
-    first in that order, so the distinct conditionals appear in the same
-    order as when conditioning on every ancillary partition in turn.
+    The ancillaries are the splits of ``_balanced_splits``, the mask table
+    that the C-transitivity search reads too, and the list is in their
+    restricted-growth order. Among all ancillaries having B as the observed
+    point's block, {B, X \\ B} comes first in that order, so the distinct
+    conditionals appear in the same order as when conditioning on every
+    ancillary partition in turn.
     2^(|X|-1) blocks are tested, so |X| above DEFAULT_MAX_SPACE raises
     SpaceTooLarge.
     """
     n = pair.model.n_points
-    if n > DEFAULT_MAX_SPACE:
-        raise SpaceTooLarge(
-            f"|X| = {n} exceeds enumeration bound {DEFAULT_MAX_SPACE}"
-        )
-    return [(a, _conditional(pair, a)) for a in _balanced_splits(pair.model)]
+    splits = [_split(n, mask) for mask in _balanced_splits(pair.model)]
+    return [(a, _conditional(pair, a)) for a in splits]
 
 
 def _conditioning_witness(

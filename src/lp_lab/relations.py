@@ -5,6 +5,7 @@ the Birnbaum / EFM mixture constructions."""
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from collections import deque
@@ -369,15 +370,22 @@ class ClosureResult:
     classes: tuple[tuple[int, ...], ...]
     edges: tuple[ClosureEdge, ...]
 
+    @functools.cached_property
+    def _adjacency(self) -> dict[int, list[ClosureEdge]]:
+        """The edges at each member, built once for every chain asked of
+        this result."""
+        adjacency: dict[int, list[ClosureEdge]] = {}
+        for e in self.edges:
+            adjacency.setdefault(e.i, []).append(e)
+            adjacency.setdefault(e.j, []).append(e)
+        return adjacency
+
     def chain(self, i: int, j: int) -> Optional[WitnessChain]:
         """Shortest witness chain between two members, if same class."""
         if i == j:
             members = self.universe.members
             return WitnessChain((members[i],), ())
-        adjacency: dict[int, list[ClosureEdge]] = {}
-        for e in self.edges:
-            adjacency.setdefault(e.i, []).append(e)
-            adjacency.setdefault(e.j, []).append(e)
+        adjacency = self._adjacency
         prev: dict[int, tuple[int, ClosureEdge]] = {}
         queue = deque([i])
         seen = {i}

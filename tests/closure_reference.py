@@ -5,19 +5,25 @@ oracle on every pair of the universe, with no grouping by L class.
 ``enumerated_conditional_pairs`` conditions on every ancillary partition,
 found by filtering all Bell(|X|) partitions. The library's versions skip
 pairs across L classes and visit balanced blocks only; differential tests
-compare the two.
+compare the two. ``closure_chain`` is ``ClosureResult.chain`` as first
+written, building the adjacency lists of every edge on each call; the
+library builds them once per result.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from lp_lab.ancillarity import condition_on_block, enumerate_ancillaries
 from lp_lab.model import ModelDataPair
 from lp_lab.relations import (
+    ChainStep,
     ClosureEdge,
     LawReport,
     RelationKind,
     RelationPropertiesReport,
     Universe,
+    WitnessChain,
     related,
 )
 from lp_lab.sufficiency import SWitness
@@ -87,3 +93,40 @@ def enumerated_conditional_pairs(pair: ModelDataPair):
         (a, condition_on_block(pair, a))
         for a in enumerate_ancillaries(pair.model)
     ]
+
+
+def closure_chain(result, i: int, j: int):
+    """Shortest witness chain between two members of a ClosureResult, by a
+    BFS over adjacency lists built for this call."""
+    members = result.universe.members
+    if i == j:
+        return WitnessChain((members[i],), ())
+    adjacency: dict[int, list[ClosureEdge]] = {}
+    for e in result.edges:
+        adjacency.setdefault(e.i, []).append(e)
+        adjacency.setdefault(e.j, []).append(e)
+    prev: dict[int, tuple[int, ClosureEdge]] = {}
+    queue = deque([i])
+    seen = {i}
+    while queue:
+        u = queue.popleft()
+        if u == j:
+            break
+        for e in adjacency.get(u, []):
+            v = e.j if e.i == u else e.i
+            if v not in seen:
+                seen.add(v)
+                prev[v] = (u, e)
+                queue.append(v)
+    if j not in prev:
+        return None
+    path = [j]
+    steps = []
+    node = j
+    while node != i:
+        node, edge = prev[node]
+        path.append(node)
+        steps.append(ChainStep(edge.kind, edge.witness, edge.i == node))
+    path.reverse()
+    steps.reverse()
+    return WitnessChain(tuple(members[k] for k in path), tuple(steps))

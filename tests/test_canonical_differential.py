@@ -7,8 +7,8 @@ on the sorted columns before it builds a model; ``canonical_reference``
 keeps the versions that permuted the rows by a sorted index order and
 built two models per grid combination. Inputs: an enumerated universe and
 seeded random pairs, each also as a permuted copy and with the observed
-point's column repeated, five grid bounds for the enumeration and five
-for the search.
+point's column repeated, three grid bounds for the enumeration and nine
+for the search: four of them exhausted and the default bounds among them.
 """
 
 import random
@@ -90,7 +90,11 @@ def test_enumerate_models_matches_reference(bounds):
 
 
 @pytest.mark.parametrize(
-    "bounds", [(3, 3, 3), (2, 3, 4), (2, 4, 4), (3, 4, 3), (2, 5, 3)]
+    "bounds",
+    [
+        (3, 3, 3), (2, 3, 4), (2, 4, 4), (3, 4, 3), (2, 5, 3),
+        (4, 3, 2), (3, 4, 2), (2, 2, 6), (2, 6, 6),
+    ],
 )
 def test_c_transitivity_search_matches_reference(bounds):
     got = search_c_transitivity_counterexample(SearchBounds(*bounds))

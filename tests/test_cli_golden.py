@@ -49,6 +49,9 @@ COMMANDS = {
     "closure-efm": ["closure", "--kind", "C", "--dir", "{dir}", "--augment", "efm"],
     "search-c-transitivity-found": ["search", "c-transitivity", "--max-space", "3", "--max-denominator", "4"],
     "search-c-transitivity-exhausted": ["search", "c-transitivity", "--max-space", "2", "--max-denominator", "4"],
+    "search-c-transitivity-3-3-3": ["search", "c-transitivity", "--theta-size", "3", "--max-space", "3", "--max-denominator", "3"],
+    "search-c-transitivity-defaults": ["search", "c-transitivity"],
+    "search-c-transitivity-4-3-2": ["search", "c-transitivity", "--theta-size", "4", "--max-space", "3", "--max-denominator", "2"],
     "search-l-minus-sc-found": ["search", "l-minus-sc", "--max-space", "2", "--max-denominator", "4"],
     "search-l-minus-sc-exhausted": ["search", "l-minus-sc", "--max-space", "1", "--max-denominator", "4"],
     "rb-analyze": ["rb", "analyze", "{b2}", "--prior", "{e}", "--hypothesis", "t1"],
@@ -102,6 +105,12 @@ GOLDEN = {
     ('search-c-transitivity-found', 'decimal'): (0, 'a7d5a223a608143fa1460658e6b83941d778713d8c0cfcf4a07a9032c002fbea'),
     ('search-c-transitivity-exhausted', 'machine'): (1, '7e7e63f87585c836905cd23b25f0a156556f8e0e4b2ed55839857865377095ff'),
     ('search-c-transitivity-exhausted', 'decimal'): (1, '2934779119be9f8ba347be1384a55e811f5ecb1fdbdea31d1e0f06614e411281'),
+    ('search-c-transitivity-3-3-3', 'machine'): (1, '7e7e63f87585c836905cd23b25f0a156556f8e0e4b2ed55839857865377095ff'),
+    ('search-c-transitivity-3-3-3', 'decimal'): (1, '2934779119be9f8ba347be1384a55e811f5ecb1fdbdea31d1e0f06614e411281'),
+    ('search-c-transitivity-defaults', 'machine'): (0, 'db8af0654efb97252ae12bdeb666adbf117b21951ebdb27cc6e9aad0d551c560'),
+    ('search-c-transitivity-defaults', 'decimal'): (0, 'a7d5a223a608143fa1460658e6b83941d778713d8c0cfcf4a07a9032c002fbea'),
+    ('search-c-transitivity-4-3-2', 'machine'): (1, '7e7e63f87585c836905cd23b25f0a156556f8e0e4b2ed55839857865377095ff'),
+    ('search-c-transitivity-4-3-2', 'decimal'): (1, '2934779119be9f8ba347be1384a55e811f5ecb1fdbdea31d1e0f06614e411281'),
     ('search-l-minus-sc-found', 'machine'): (0, '408102e1e4b7320734deac3f2206b0fff4b8652caf6fd70bfd17356ee67329c0'),
     ('search-l-minus-sc-found', 'decimal'): (0, 'e4c2998c98def3a962d5d17fbbf32f9314b7d7621a1cbf401af9f71269e45889'),
     ('search-l-minus-sc-exhausted', 'machine'): (1, '2218fe4218c883ac38efb548545e9da8bf0e236d1e1c4159f5efb3107d8db82e'),

@@ -31,6 +31,7 @@ the minimal sufficient statistic; here neither augmentation merges a
 single DURBIN class, with or without S.
 """
 
+from closure_reference import closure_chain
 from lp_lab.partition import components
 from lp_lab.relations import (
     RelationKind,
@@ -67,7 +68,8 @@ def test_grid_census_of_the_2_3_3_universe():
         census[how] = row
         if how == "birnbaum":
             # every chain within the smallest L class that holds at least
-            # four grid members (4 of them and 9 embedded pairs) certifies
+            # four grid members (4 of them and 9 embedded pairs) certifies,
+            # and equals the chain of a BFS over freshly built adjacency
             chains = results[K.S_OR_C]
             cls = min(
                 (c for c in results[K.L].classes if sum(i < n for i in c) >= 4),
@@ -78,6 +80,7 @@ def test_grid_census_of_the_2_3_3_universe():
                 for j in cls:
                     chain = chains.chain(i, j)
                     assert chain is not None and verify_chain(chain), (i, j)
+                    assert chain == closure_chain(chains, i, j), (i, j)
 
     assert census[None] == {
         "S": 38, "C": 37, "DURBIN": 41, "SC": 23, "L": 9, "S|DURBIN": 23

@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from lp_lab.ancillarity import c_related
-from lp_lab.errors import LpLabError
+from lp_lab import search
+from lp_lab.ancillarity import (
+    DEFAULT_MAX_SPACE,
+    c_related,
+    conditional_pairs,
+    verify_c_witness,
+)
+from lp_lab.errors import LpLabError, SpaceTooLarge
 from lp_lab.model import (
     ModelDataPair,
     canonical_form,
@@ -111,6 +117,25 @@ def test_check_l_minus_sc_fixture(fb, fc, at):
     assert check_l_minus_sc(at(fb, "y1"), at(fb, "y1")) is None  # S holds
 
 
+def test_check_l_minus_sc_refuses_pairs_in_s_or_in_c():
+    # in L and S but not C: x1 and x2 of the second model have one likelihood
+    s_only = (
+        _frozen_pair(("0", "1"), ("1", "0"), "x1"),
+        _frozen_pair(("0", "0", "1"), ("1/2", "1/2", "0"), "x1"),
+    )
+    # in L and C but not S: {x3} has mass 1/2 under both parameters
+    c_only = (
+        _frozen_pair(("1",), ("1",), "x1"),
+        _frozen_pair(("0", "1/2", "1/2"), ("1/2", "0", "1/2"), "x3"),
+    )
+    for (p1, p2), s_holds in ((s_only, True), (c_only, False)):
+        assert l_related(p1, p2) is not None
+        assert (s_related(p1, p2) is not None) is s_holds
+        assert (c_related(p1, p2) is not None) is not s_holds
+        assert check_l_minus_sc(p1, p2) is None
+        assert check_l_minus_sc(p2, p1) is None
+
+
 def test_search_l_minus_sc_returns_verified_witness():
     witness = search_l_minus_sc(SearchBounds(2, 2, 4))
     assert witness is not None
@@ -127,3 +152,55 @@ def test_search_bounds_reject_empty_grid(field):
     # the grid itself checks no signs or labels, so it refuses such bounds
     with pytest.raises(LpLabError, match=f"search bound {field} must be"):
         next(enumerate_models(**{field: 0}))
+
+
+@pytest.mark.parametrize("bounds", [(2, 4, 4), (3, 3, 3)])
+def test_nested_balanced_blocks_give_c_related_conditionals(bounds):
+    # why the search may skip such a pair, and a point whose balanced
+    # blocks are all nested, without asking the C oracle
+    nested = 0
+    for model in enumerate_models(*bounds):
+        for x in range(model.n_points):
+            pair = ModelDataPair(model, x)
+            found = [
+                (set(a.blocks[a.labels[x]]), cond)
+                for a, cond in conditional_pairs(pair)
+            ]
+            for (a, pa), (b, pb) in itertools.permutations(found, 2):
+                if a < b:
+                    nested += 1
+                    witness = c_related(pa, pb)
+                    assert witness is not None, (model, x, a, b)
+                    assert verify_c_witness(pa, pb, witness)
+    assert nested > 50
+
+
+def test_c_transitivity_search_skips_only_related_pairs(monkeypatch):
+    # in a parameter-free uniform model every two conditionals are uniform
+    # and C-related, also where their blocks are not nested: at x3 the
+    # blocks {x1, x2, x3} and {x3, x4} give them
+    uniform = _frozen_pair(("1/4",) * 4, ("1/4",) * 4, "x1").model
+    monkeypatch.setattr(search, "enumerate_models", lambda *bounds: iter([uniform]))
+    assert search_c_transitivity_counterexample() is None
+
+
+class _SizeOnly:
+    """A model of 13 points whose rows cannot be read, so reading them to
+    tabulate its balanced splits fails the test."""
+
+    n_points = DEFAULT_MAX_SPACE + 1
+
+    @property
+    def rows(self):
+        raise AssertionError("balanced splits tabulated above the bound")
+
+
+@pytest.mark.parametrize(
+    "model",
+    [_frozen_pair(("1/13",) * 13, ("1/13",) * 13, "x1").model, _SizeOnly()],
+)
+def test_c_transitivity_search_refuses_large_space(monkeypatch, model):
+    monkeypatch.setattr(search, "enumerate_models", lambda *bounds: iter([model]))
+    with pytest.raises(SpaceTooLarge) as refused:
+        search_c_transitivity_counterexample()
+    assert str(refused.value) == "|X| = 13 exceeds enumeration bound 12"
