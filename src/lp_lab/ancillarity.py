@@ -9,7 +9,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .certify import verify_c_witness  # the C certificate check, bound here too
 from .errors import NotAncillary, SpaceTooLarge
@@ -113,6 +113,42 @@ def _balanced_splits(model: FiniteModel) -> list[int]:
 def _split(n: int, mask: int) -> Partition:
     """The partition {A, X \\ A} of a mask of ``_balanced_splits``."""
     return Partition(tuple(mask >> (n - 1 - x) & 1 for x in range(n)))
+
+
+def _nested(a: int, b: int) -> bool:
+    """True iff one of two point masks contains the other."""
+    return a & b in (a, b)
+
+
+def _branching_conditionals(
+    model: FiniteModel,
+) -> Iterator[tuple[ModelDataPair, list[tuple[int, ModelDataPair]]]]:
+    """Each pair (model, x) whose balanced blocks holding x are not all
+    nested, with (B, the pair given B) for each such block B, in the
+    restricted-growth order of the splits {B, X \\ B}.
+
+    B is a point mask, so ``_nested`` tells whether two blocks are. The
+    splits are tabulated once per model. A point is left out when every
+    two of its blocks are nested: for balanced A within B, A has mass
+    m_A / m_B under every parameter of the pair given B, and conditioning
+    that on A gives the pair given A, so the two are C-related. |X| above
+    DEFAULT_MAX_SPACE raises SpaceTooLarge before any row is read.
+    """
+    n = model.n_points
+    masks = _balanced_splits(model)
+    full = (1 << n) - 1
+    for x in range(n):
+        bit = 1 << (n - 1 - x)
+        # the block of each split that holds x
+        blocks = [m if m & bit else full ^ m for m in masks]
+        ordered = sorted(blocks)  # a subset is the smaller number
+        if all(map(_nested, ordered, ordered[1:])):
+            continue
+        pair = ModelDataPair(model, x)
+        yield pair, [
+            (block, _conditional(pair, _split(n, mask)))
+            for mask, block in zip(masks, blocks)
+        ]
 
 
 def enumerate_ancillaries(

@@ -10,13 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .ancillarity import (
-    CWitness,
-    _balanced_splits,
-    _conditional,
-    _split,
-    c_related,
-)
+from .ancillarity import CWitness, _branching_conditionals, _nested, c_related
 from .errors import LpLabError
 from .model import FiniteModel, ModelDataPair, canonical_form
 from .relations import l_related
@@ -109,11 +103,6 @@ class TransitivityCounterexample:
     witness_23: CWitness
 
 
-def _nested(a: int, b: int) -> bool:
-    """True iff one of two point masks contains the other."""
-    return a & b in (a, b)
-
-
 def search_c_transitivity_counterexample(
     bounds: SearchBounds = SearchBounds(),
 ) -> Optional[TransitivityCounterexample]:
@@ -125,34 +114,21 @@ def search_c_transitivity_counterexample(
     negative claim is decided exactly by the C oracle, which enumerates
     nothing.
 
-    Each scanned model's balanced splits are tabulated once, as masks. Two
-    nested balanced blocks A within B that hold x give C-related
-    conditionals: A has mass m_A / m_B under every parameter of the
-    conditional on B, and conditioning that on A gives the conditional on
-    A. So a point whose balanced blocks are all nested is skipped before
-    any conditional is built, and so is each nested pair of a point's
-    distinct conditionals; neither changes the triple found.
-    ``bounds.max_space`` caps |X| of the scanned models; the split table
-    refuses models above DEFAULT_MAX_SPACE points.
+    Conditionals on two nested balanced blocks are C-related, so only the
+    points of ``_branching_conditionals`` are scanned: each scanned model's
+    balanced splits are tabulated once, and a point whose balanced blocks
+    are all nested is skipped before any conditional is built. Each nested
+    pair of a point's distinct conditionals is skipped too; neither skip
+    changes the triple found. ``bounds.max_space`` caps |X| of the scanned
+    models; the split table refuses models above DEFAULT_MAX_SPACE points.
     """
     for model in enumerate_models(
         bounds.theta_size, bounds.max_space, bounds.max_denominator
     ):
-        n = model.n_points
-        masks = _balanced_splits(model)
-        full = (1 << n) - 1
-        for x in range(n):
-            bit = 1 << (n - 1 - x)
-            # the block of each split that holds x, as a point mask
-            blocks = [m if m & bit else full ^ m for m in masks]
-            ordered = sorted(blocks)  # a subset is the smaller number
-            if all(map(_nested, ordered, ordered[1:])):
-                continue
-            p2 = ModelDataPair(model, x)
+        for p2, found in _branching_conditionals(model):
             conditionals = []
             seen: set[ModelDataPair] = set()
-            for mask, block in zip(masks, blocks):
-                cond = _conditional(p2, _split(n, mask))
+            for block, cond in found:
                 key = canonical_form(cond)
                 if key not in seen:
                     seen.add(key)

@@ -1,10 +1,8 @@
 """Mutation gate for the certificate checker and the C-transitivity search.
 
-Usage (from the repository root; pytest is not collecting this file):
+Usage, from the repository root (pytest does not collect this file):
 
-    python tests/mutants.py                 # every covered module
-    python tests/mutants.py search.py       # one of them
-    python tests/mutants.py --list          # name the mutants, run nothing
+    python tests/mutants.py
 
 Each mutant changes one site of a module of ``src/lp_lab``:
 - an ``if`` whose body is a lone ``continue`` or ``return`` is dropped;
@@ -13,16 +11,15 @@ Each mutant changes one site of a module of ``src/lp_lab``:
 - ``and`` becomes ``or``, and ``or`` becomes ``and``.
 
 The mutated module is written into a fresh copy of ``src/``, and the
-module's tests in COVERED run against it with ``-x``, under a timeout: a
-mutant is killed when they fail or time out. The script exits 1 if a
-mutant survives that EQUIVALENT does not list with its reason, or if a
-listed one is killed or no longer exists, and 2 if the copy fails its
-tests before any mutation.
+module's tests in COVERED run against it with ``-x``, under a timeout of
+TIMEOUT_S seconds: a mutant is killed when they fail or time out. The
+script exits 1 if a mutant survives that EQUIVALENT does not list with
+its reason, or if a listed one is killed or no longer exists, and 2 if
+the copy fails its tests before any mutation.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -53,10 +50,6 @@ COVERED = {
 # module -> {mutant: why no test can kill it}
 EQUIVALENT = {
     "search.py": {
-        "search_c_transitivity_counterexample: drop "
-        "`if all(map(_nested, ordered, ordered[1:])): continue`":
-            "the point's conditionals are then built and every pair of "
-            "them is C-related, so the search only takes longer",
         "search_c_transitivity_counterexample: "
         "`w12 is not None and w23 is not None`: and to or":
             "both witnesses exist by construction, so the weaker assert "
@@ -133,18 +126,18 @@ def mutants(tree: ast.AST) -> list[tuple[str, object]]:
     ]
 
 
-def run_tests(src: Path, tests: list[str], timeout: float) -> bool:
+def run_tests(src: Path, tests: list[str]) -> bool:
     """True iff the tests pass against the package under ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, timeout=timeout)
+        proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False
     return proc.returncode == 0
 
 
-def check(module: str, timeout: float) -> list[str]:
+def check(module: str) -> list[str]:
     """Run every mutant of one module; return the gate's complaints."""
     source = (PACKAGE / module).read_text(encoding="utf-8")
     names = [name for name, _ in mutants(ast.parse(source))]
@@ -154,7 +147,7 @@ def check(module: str, timeout: float) -> list[str]:
         src = Path(tmp) / "src"
         shutil.copytree(PACKAGE, src / "lp_lab", ignore=shutil.ignore_patterns("__pycache__"))
         target = src / "lp_lab" / module
-        if not run_tests(src, COVERED[module], timeout):
+        if not run_tests(src, COVERED[module]):
             print(f"{module}: the tests fail before any mutation", file=sys.stderr)
             raise SystemExit(2)
         for k, name in enumerate(names):
@@ -162,7 +155,7 @@ def check(module: str, timeout: float) -> list[str]:
             mutants(tree)[k][1]()
             target.write_text(ast.unparse(tree), encoding="utf-8")
             start = time.perf_counter()
-            survived = run_tests(src, COVERED[module], timeout)
+            survived = run_tests(src, COVERED[module])
             verdict = ("equivalent" if name in equivalent else "SURVIVED") if survived else "killed"
             print(f"{verdict:10} {time.perf_counter() - start:6.1f}s  {module}  {name}", flush=True)
             if survived and name not in equivalent:
@@ -172,23 +165,8 @@ def check(module: str, timeout: float) -> list[str]:
     return problems
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("modules", nargs="*", help=f"default: {' '.join(COVERED)}")
-    parser.add_argument("--timeout", type=float, default=TIMEOUT_S, help="seconds per mutant")
-    parser.add_argument("--list", action="store_true", help="print the mutants only")
-    args = parser.parse_args(argv)
-    modules = args.modules or list(COVERED)
-    unknown = [m for m in modules if m not in COVERED]
-    if unknown:
-        parser.error(f"not covered: {' '.join(unknown)}")
-    if args.list:
-        for module in modules:
-            tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-            for name, _ in mutants(tree):
-                print(f"{module}  {name}")
-        return 0
-    problems = [p for module in modules for p in check(module, args.timeout)]
+def main() -> int:
+    problems = [p for module in COVERED for p in check(module)]
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0
