@@ -9,7 +9,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .certify import verify_c_witness  # the C certificate check, bound here too
 from .errors import NotAncillary, SpaceTooLarge
@@ -25,9 +25,10 @@ from .sufficiency import check_ground_set, likelihood_partition
 # Bound on |X| for exhaustive ancillary enumeration, which filters all
 # Bell(|X|) set partitions: Bell(12) is ~4.2M and takes minutes per call.
 # Override per call, or via LP_LAB_MAX_SPACE for the CLI's `ancillaries`.
-# The relations C and Durbin-C do not enumerate, so it does not limit them;
-# the split table of conditional_pairs and the C-transitivity search, which
-# tests 2^(|X|-1) blocks, refuses larger models.
+# The relations C and Durbin-C do not enumerate, so it does not limit them.
+# The table of balanced splits, which tests 2^(|X|-1) blocks, refuses larger
+# models: conditional_pairs conditions on its splits, and the C-transitivity
+# search compares the column multisets of their blocks.
 DEFAULT_MAX_SPACE = 12
 
 
@@ -76,17 +77,15 @@ def is_ancillary(model: FiniteModel, partition: Partition) -> bool:
     return block_masses(model, partition) is not None
 
 
-def _balanced_splits(model: FiniteModel) -> list[int]:
-    """Every ancillary with at most two blocks, as ascending masks.
+def _balanced_splits(model: FiniteModel) -> list[Partition]:
+    """Every ancillary with at most two blocks, in restricted-growth order.
 
-    Bit b of a mask stands for point |X|-1-b, and the mask is the set
-    X \\ A of the split {A, X \\ A} whose block A holds point 0; ``_split``
-    turns it into its partition. Ascending masks are restricted-growth
-    order, so 0, the trivial partition, comes first. The test is in
-    integers: with D the common denominator, a block B is balanced iff the
-    sum over B of D*f_theta(x) - D*f_theta1(x) is 0 for every theta. Only
-    2^(|X|-1) candidates are visited, not Bell(|X|) partitions, and |X|
-    above DEFAULT_MAX_SPACE raises SpaceTooLarge before any is visited.
+    Each is a split {A, X \\ A} whose block A holds point 0, so the trivial
+    partition comes first. The test is in integers: with D the common
+    denominator, a block B is balanced iff the sum over B of
+    D*f_theta(x) - D*f_theta1(x) is 0 for every theta. Only 2^(|X|-1)
+    candidates are visited, not Bell(|X|) partitions, and |X| above
+    DEFAULT_MAX_SPACE raises SpaceTooLarge before any row is read.
     """
     n = model.n_points
     if n > DEFAULT_MAX_SPACE:
@@ -95,60 +94,22 @@ def _balanced_splits(model: FiniteModel) -> list[int]:
         )
     first, *others = model.rows
     diffs = [tuple(row[x] - first[x] for row in others) for x in range(n)]
-    # X is balanced, so A is balanced iff the set bits are: totals[mask]
-    # sums their differences.
+    # A mask is the set X \ A, bit b standing for point |X|-1-b, so
+    # ascending masks are restricted-growth order. X is balanced, so A is
+    # balanced iff the set bits are: totals[mask] sums their differences.
     zero = tuple(0 for _ in others)
     totals = [zero]
-    masks = [0]
+    splits = [Partition.trivial(n)]
     for mask in range(1, 1 << (n - 1)):
         low = mask & -mask
         diff = diffs[n - low.bit_length()]
         total = tuple(a + b for a, b in zip(totals[mask ^ low], diff))
         totals.append(total)
         if total == zero:
-            masks.append(mask)
-    return masks
-
-
-def _split(n: int, mask: int) -> Partition:
-    """The partition {A, X \\ A} of a mask of ``_balanced_splits``."""
-    return Partition(tuple(mask >> (n - 1 - x) & 1 for x in range(n)))
-
-
-def _nested(a: int, b: int) -> bool:
-    """True iff one of two point masks contains the other."""
-    return a & b in (a, b)
-
-
-def _branching_conditionals(
-    model: FiniteModel,
-) -> Iterator[tuple[ModelDataPair, list[tuple[int, ModelDataPair]]]]:
-    """Each pair (model, x) whose balanced blocks holding x are not all
-    nested, with (B, the pair given B) for each such block B, in the
-    restricted-growth order of the splits {B, X \\ B}.
-
-    B is a point mask, so ``_nested`` tells whether two blocks are. The
-    splits are tabulated once per model. A point is left out when every
-    two of its blocks are nested: for balanced A within B, A has mass
-    m_A / m_B under every parameter of the pair given B, and conditioning
-    that on A gives the pair given A, so the two are C-related. |X| above
-    DEFAULT_MAX_SPACE raises SpaceTooLarge before any row is read.
-    """
-    n = model.n_points
-    masks = _balanced_splits(model)
-    full = (1 << n) - 1
-    for x in range(n):
-        bit = 1 << (n - 1 - x)
-        # the block of each split that holds x
-        blocks = [m if m & bit else full ^ m for m in masks]
-        ordered = sorted(blocks)  # a subset is the smaller number
-        if all(map(_nested, ordered, ordered[1:])):
-            continue
-        pair = ModelDataPair(model, x)
-        yield pair, [
-            (block, _conditional(pair, _split(n, mask)))
-            for mask, block in zip(masks, blocks)
-        ]
+            splits.append(
+                Partition(tuple(mask >> (n - 1 - x) & 1 for x in range(n)))
+            )
+    return splits
 
 
 def enumerate_ancillaries(
@@ -232,8 +193,8 @@ def conditional_pairs(pair: ModelDataPair) -> list[tuple[Partition, ModelDataPai
     """All one-step conditionals of a pair, one per balanced block B that
     holds the observed point, each with its ancillary {B, X \\ B}.
 
-    The ancillaries are the splits of ``_balanced_splits``, the mask table
-    that the C-transitivity search reads too, and the list is in their
+    The ancillaries are the splits of ``_balanced_splits``, whose blocks the
+    C-transitivity search compares too, and the list is in their
     restricted-growth order. Among all ancillaries having B as the observed
     point's block, {B, X \\ B} comes first in that order, so the distinct
     conditionals appear in the same order as when conditioning on every
@@ -241,9 +202,7 @@ def conditional_pairs(pair: ModelDataPair) -> list[tuple[Partition, ModelDataPai
     2^(|X|-1) blocks are tested, so |X| above DEFAULT_MAX_SPACE raises
     SpaceTooLarge.
     """
-    n = pair.model.n_points
-    splits = [_split(n, mask) for mask in _balanced_splits(pair.model)]
-    return [(a, _conditional(pair, a)) for a in splits]
+    return [(a, _conditional(pair, a)) for a in _balanced_splits(pair.model)]
 
 
 def _conditioning_witness(

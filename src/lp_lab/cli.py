@@ -317,7 +317,12 @@ def cmd_search(args, printer) -> int:
         found = search.search_c_transitivity_counterexample(bounds)
     else:
         found = search.search_l_minus_sc(bounds)
-    payload = {"command": "search", "what": args.what, "found": found}
+    payload = {
+        "command": "search",
+        "what": args.what,
+        "bounds": bounds,
+        "found": found,
+    }
     if found is None:
         missing = "counterexample" if transitivity else "witness"
         printer.emit(payload, [f"no {missing} within bounds"])

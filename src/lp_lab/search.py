@@ -6,11 +6,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .ancillarity import CWitness, _branching_conditionals, _nested, c_related
+from .ancillarity import CWitness, _balanced_splits, _conditional, c_related
 from .errors import LpLabError
 from .model import FiniteModel, ModelDataPair, canonical_form
 from .relations import l_related
@@ -108,39 +109,56 @@ def search_c_transitivity_counterexample(
 ) -> Optional[TransitivityCounterexample]:
     """First triple (p1, p2, p3) with C(p1,p2), C(p2,p3) but not C(p1,p3).
 
-    p1 and p3 are taken among the conditionals of a scanned pair p2, one
-    per balanced block holding its observed point, so the two positive
-    claims hold by construction (and are re-verified by the oracle); the
-    negative claim is decided exactly by the C oracle, which enumerates
-    nothing.
+    p1 and p3 are taken among the conditionals of a scanned pair p2 = (M, x),
+    one per balanced block holding x, so the two positive claims hold by
+    construction (and are re-verified by the oracle). The negative claim is
+    decided by a lemma. For a block B let cols(B) be the multiset of M's
+    integer columns ``scaled_columns`` over B, and m_B their common sum.
+    For balanced blocks A and B holding x, the pairs given A and given B
+    are C-related iff one of cols(A) and cols(B) contains the other, and
+    isomorphic iff the two are equal; nested blocks are one case of
+    containment. Proof: a witness conditions the pair given A on a block
+    B' within A holding x to a copy of the pair given B. x keeps its
+    column, so col(x) / m_B' = col(x) / m_B, m_B' = m_B and cols(B') =
+    cols(B). Conversely, if cols(B) is within cols(A), map x to x and the
+    other points of B to points of A with equal columns; the image has sum
+    m_B under every parameter, so it is balanced.
 
-    Conditionals on two nested balanced blocks are C-related, so only the
-    points of ``_branching_conditionals`` are scanned: each scanned model's
-    balanced splits are tabulated once, and a point whose balanced blocks
-    are all nested is skipped before any conditional is built. Each nested
-    pair of a point's distinct conditionals is skipped too; neither skip
-    changes the triple found. ``bounds.max_space`` caps |X| of the scanned
-    models; the split table refuses models above DEFAULT_MAX_SPACE points.
+    So each model's balanced splits are tabulated once, with the column
+    multisets of their blocks; a model with fewer than three splits is
+    skipped (every point's blocks are X and at most one other). At each
+    point x the blocks holding x are scanned in pairs, in the
+    restricted-growth order of their splits, up to the first pair neither of
+    whose multisets contains the other. A repeated multiset needs no
+    dedupe: had a later copy an incomparable partner, so would its first
+    occurrence, earlier in the scan. No conditional is built before that
+    pair, and one oracle call confirms its negative. ``bounds.max_space``
+    caps |X| of the scanned models; the split table refuses models above
+    DEFAULT_MAX_SPACE points.
     """
     for model in enumerate_models(
         bounds.theta_size, bounds.max_space, bounds.max_denominator
     ):
-        for p2, found in _branching_conditionals(model):
-            conditionals = []
-            seen: set[ModelDataPair] = set()
-            for block, cond in found:
-                key = canonical_form(cond)
-                if key not in seen:
-                    seen.add(key)
-                    conditionals.append((block, cond))
-            for i, (a, pa) in enumerate(conditionals):
-                for b, pb in conditionals[i + 1 :]:
-                    if _nested(a, b) or c_related(pa, pb) is not None:
-                        continue
-                    w12 = c_related(pa, p2)
-                    w23 = c_related(p2, pb)
-                    assert w12 is not None and w23 is not None
-                    return TransitivityCounterexample(pa, p2, pb, w12, w23)
+        splits = _balanced_splits(model)
+        if len(splits) < 3:
+            continue
+        columns = model.scaled_columns
+        multisets = [
+            [Counter(columns[x] for x in block) for block in split.blocks]
+            for split in splits
+        ]
+        for x in range(model.n_points):
+            held = [(s, m[s.labels[x]]) for s, m in zip(splits, multisets)]
+            for (sa, a), (sb, b) in itertools.combinations(held, 2):
+                if a <= b or b <= a:
+                    continue
+                p2 = ModelDataPair(model, x)
+                pa, pb = _conditional(p2, sa), _conditional(p2, sb)
+                assert c_related(pa, pb) is None
+                w12 = c_related(pa, p2)
+                w23 = c_related(p2, pb)
+                assert w12 is not None and w23 is not None
+                return TransitivityCounterexample(pa, p2, pb, w12, w23)
     return None
 
 

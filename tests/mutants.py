@@ -1,4 +1,5 @@
-"""Mutation gate for the certificate checker and the C-transitivity search.
+"""Mutation gate for the certificate checker, the C-transitivity search and
+set partitions.
 
 Usage, from the repository root (pytest does not collect this file):
 
@@ -45,11 +46,25 @@ COVERED = {
         "tests/test_canonical_differential.py",
         "tests/test_cli_golden.py",
     ],
+    "partition.py": [
+        "tests/test_partition.py",
+        "tests/test_ancillarity.py",
+    ],
 }
 
 # module -> {mutant: why no test can kill it}
 EQUIVALENT = {
     "search.py": {
+        "search_c_transitivity_counterexample: drop `if len(splits) < 3: continue`":
+            "with fewer than three splits every point's blocks are X and at "
+            "most one other, so all pairs are comparable and the scan only "
+            "takes longer",
+        "search_c_transitivity_counterexample: `a <= b`: <= to <":
+            "a == b is caught by `b <= a`, so proper containment on one side "
+            "decides the same pairs",
+        "search_c_transitivity_counterexample: `b <= a`: <= to <":
+            "a == b is caught by `a <= b`, so proper containment on one side "
+            "decides the same pairs",
         "search_c_transitivity_counterexample: "
         "`w12 is not None and w23 is not None`: and to or":
             "both witnesses exist by construction, so the weaker assert "

@@ -101,19 +101,19 @@ GOLDEN = {
     ('closure-birnbaum', 'decimal'): (0, '52209825bb850ccb175b5ea6c0aca87345333b1edb23b30e04981e3475a6c954'),
     ('closure-efm', 'machine'): (0, '9032506d50f87f76bc9e50ce35426eb8359670341488745bb1de4824e8a74d16'),
     ('closure-efm', 'decimal'): (0, 'de3e35f30fae87915015edafd18aae7fdda5971910fc74f9018e561ba0a107ef'),
-    ('search-c-transitivity-found', 'machine'): (0, 'db8af0654efb97252ae12bdeb666adbf117b21951ebdb27cc6e9aad0d551c560'),
+    ('search-c-transitivity-found', 'machine'): (0, 'af4af4d640ac1cdce63cd6d9005834268e5fda03df0f63ae7e1ba5ff2ee57b24'),
     ('search-c-transitivity-found', 'decimal'): (0, 'a7d5a223a608143fa1460658e6b83941d778713d8c0cfcf4a07a9032c002fbea'),
-    ('search-c-transitivity-exhausted', 'machine'): (1, '7e7e63f87585c836905cd23b25f0a156556f8e0e4b2ed55839857865377095ff'),
+    ('search-c-transitivity-exhausted', 'machine'): (1, '78637eaf2c8beadbe56a3dba2fa7eb7b8de820adcf78e63265bdc5efd4f45407'),
     ('search-c-transitivity-exhausted', 'decimal'): (1, '2934779119be9f8ba347be1384a55e811f5ecb1fdbdea31d1e0f06614e411281'),
-    ('search-c-transitivity-3-3-3', 'machine'): (1, '7e7e63f87585c836905cd23b25f0a156556f8e0e4b2ed55839857865377095ff'),
+    ('search-c-transitivity-3-3-3', 'machine'): (1, '320041ea1740d546cef25e6933ff189057b032dc15460bae802a81144c14d009'),
     ('search-c-transitivity-3-3-3', 'decimal'): (1, '2934779119be9f8ba347be1384a55e811f5ecb1fdbdea31d1e0f06614e411281'),
-    ('search-c-transitivity-defaults', 'machine'): (0, 'db8af0654efb97252ae12bdeb666adbf117b21951ebdb27cc6e9aad0d551c560'),
+    ('search-c-transitivity-defaults', 'machine'): (0, 'eb5f1ee78918d52c34d778ef05d5136c80c9e690f1dab6dfb36f986cd561deb1'),
     ('search-c-transitivity-defaults', 'decimal'): (0, 'a7d5a223a608143fa1460658e6b83941d778713d8c0cfcf4a07a9032c002fbea'),
-    ('search-c-transitivity-4-3-2', 'machine'): (1, '7e7e63f87585c836905cd23b25f0a156556f8e0e4b2ed55839857865377095ff'),
+    ('search-c-transitivity-4-3-2', 'machine'): (1, '43d54c760a769d59f750b54a094583a469fefc6ffb5329198de566494383d114'),
     ('search-c-transitivity-4-3-2', 'decimal'): (1, '2934779119be9f8ba347be1384a55e811f5ecb1fdbdea31d1e0f06614e411281'),
-    ('search-l-minus-sc-found', 'machine'): (0, '408102e1e4b7320734deac3f2206b0fff4b8652caf6fd70bfd17356ee67329c0'),
+    ('search-l-minus-sc-found', 'machine'): (0, '9328bd65d617f76bd5f9f5906ce515cee24474b178c3b7571a8e42021fdc1261'),
     ('search-l-minus-sc-found', 'decimal'): (0, 'e4c2998c98def3a962d5d17fbbf32f9314b7d7621a1cbf401af9f71269e45889'),
-    ('search-l-minus-sc-exhausted', 'machine'): (1, '2218fe4218c883ac38efb548545e9da8bf0e236d1e1c4159f5efb3107d8db82e'),
+    ('search-l-minus-sc-exhausted', 'machine'): (1, '707eba267c59fb4727bed02aa98a0f7b56633bbd25d5af65a83bd8ca754d303b'),
     ('search-l-minus-sc-exhausted', 'decimal'): (1, 'd37ae4f1704f630f268b2e7ce5141640a2cc59436afe547eb3ce7b8abaca4c11'),
     ('rb-analyze', 'machine'): (0, '0b031b0d8357716fc2c1fd70d515425f89abf708da763d9fda1630c06a5d6fe9'),
     ('rb-analyze', 'decimal'): (0, 'f66937a6322231396b975e420be32be78a25d1f0894e5a2797549cbed974d7f0'),
@@ -174,6 +174,21 @@ def paths(tmp_path_factory):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_golden_output(command, form, paths):
     assert outcome(command, form, paths) == GOLDEN[command, form]
+
+
+def test_exhausted_searches_name_their_bounds(paths):
+    # the payload carries the bounds, so searches that find nothing over
+    # different grids print different bytes
+    outcomes = [
+        outcome(command, "machine", paths)
+        for command in (
+            "search-c-transitivity-exhausted",
+            "search-c-transitivity-3-3-3",
+            "search-c-transitivity-4-3-2",
+        )
+    ]
+    assert {code for code, _ in outcomes} == {1}
+    assert len({digest for _, digest in outcomes}) == 3
 
 
 if __name__ == "__main__":

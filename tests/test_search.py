@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -156,31 +157,50 @@ def test_search_bounds_reject_empty_grid(field):
 
 @pytest.mark.parametrize("bounds", [(2, 4, 4), (3, 3, 3)])
 def test_nested_balanced_blocks_give_c_related_conditionals(bounds):
-    # why the search may skip such a pair, and a point whose balanced
-    # blocks are all nested, without asking the C oracle
-    nested = 0
+    # the lemma the search decides C by: two conditionals of one pair are
+    # C-related iff one block's column multiset contains the other's, and
+    # isomorphic iff the two are equal; nested blocks are one case of it
+    kinds = Counter()
     for model in enumerate_models(*bounds):
+        columns = model.scaled_columns
         for x in range(model.n_points):
-            pair = ModelDataPair(model, x)
-            found = [
-                (set(a.blocks[a.labels[x]]), cond)
-                for a, cond in conditional_pairs(pair)
-            ]
-            for (a, pa), (b, pb) in itertools.permutations(found, 2):
-                if a < b:
-                    nested += 1
-                    witness = c_related(pa, pb)
-                    assert witness is not None, (model, x, a, b)
-                    assert verify_c_witness(pa, pb, witness)
-    assert nested > 50
+            found = []
+            for a, cond in conditional_pairs(ModelDataPair(model, x)):
+                block = a.blocks[a.labels[x]]
+                found.append((set(block), Counter(columns[y] for y in block), cond))
+            for (a, ma, pa), (b, mb, pb) in itertools.combinations(found, 2):
+                witness = c_related(pa, pb)
+                if a <= b or b <= a:
+                    kinds["nested"] += 1
+                elif ma <= mb or mb <= ma:
+                    kinds["contained"] += 1
+                else:
+                    kinds["incomparable"] += 1
+                    assert witness is None, (model, x, a, b)
+                    continue
+                assert witness is not None, (model, x, a, b)
+                assert verify_c_witness(pa, pb, witness)
+                assert (canonical_form(pa) == canonical_form(pb)) is (ma == mb)
+    assert kinds["nested"] > 0 and kinds["contained"] > 0
+    # an incomparable pair is a counterexample: (2, 4, 4) has one, and the
+    # search exhausts (3, 3, 3)
+    found = search_c_transitivity_counterexample(SearchBounds(*bounds))
+    assert (kinds["incomparable"] > 0) is (found is not None) is (bounds == (2, 4, 4))
 
 
 def test_c_transitivity_search_skips_only_related_pairs(monkeypatch):
     # in a parameter-free uniform model every two conditionals are uniform
     # and C-related, also where their blocks are not nested: at x3 the
-    # blocks {x1, x2, x3} and {x3, x4} give them
+    # blocks {x1, x2, x3} and {x3, x4} give them; their column multisets
+    # are contained, so no conditional is built and no oracle is asked
     uniform = _frozen_pair(("1/4",) * 4, ("1/4",) * 4, "x1").model
     monkeypatch.setattr(search, "enumerate_models", lambda *bounds: iter([uniform]))
+
+    def unexpected(*args):
+        raise AssertionError("conditional built for comparable blocks")
+
+    monkeypatch.setattr(search, "_conditional", unexpected)
+    monkeypatch.setattr(search, "c_related", unexpected)
     assert search_c_transitivity_counterexample() is None
 
 
