@@ -181,7 +181,7 @@ def test_nested_balanced_blocks_give_c_related_conditionals(bounds):
                 assert witness is not None, (model, x, a, b)
                 assert verify_c_witness(pa, pb, witness)
                 assert (canonical_form(pa) == canonical_form(pb)) is (ma == mb)
-    assert kinds["nested"] > 0 and kinds["contained"] > 0
+    assert kinds["nested"] > 50 and kinds["contained"] > 0
     # an incomparable pair is a counterexample: (2, 4, 4) has one, and the
     # search exhausts (3, 3, 3)
     found = search_c_transitivity_counterexample(SearchBounds(*bounds))
