@@ -220,6 +220,17 @@ class ModelDataPair:
     def observed_label(self) -> str:
         return self.model.sample_labels[self.observed]
 
+    @functools.cached_property
+    def canonical(self) -> "ModelDataPair":
+        """Isomorphism-invariant representative of the pair, built once.
+
+        Among equal columns the observed index is normalized to the first
+        position of its run, since such points are interchangeable.
+        """
+        model = canonical_model(self.model)
+        observed = self.model.scaled_columns[self.observed]
+        return ModelDataPair(model, bisect.bisect_left(model.scaled_columns, observed))
+
 
 def pair_at(model: FiniteModel, label: str) -> ModelDataPair:
     """Convenience constructor addressing the observed point by label."""
@@ -299,12 +310,10 @@ def canonical_model(model: FiniteModel) -> FiniteModel:
 
 
 def canonical_form(pair: ModelDataPair) -> ModelDataPair:
-    """Isomorphism-invariant representative of a model-data pair.
+    """Isomorphism-invariant representative of a model-data pair, its
+    ``canonical`` property: built on the first call, then shared.
 
     canonical_form(p1) == canonical_form(p2) iff pairs_isomorphic(p1, p2)
-    is present. Among equal columns the observed index is normalized to
-    the first position of its run, since such points are interchangeable.
+    is present.
     """
-    model = canonical_model(pair.model)
-    observed = pair.model.scaled_columns[pair.observed]
-    return ModelDataPair(model, bisect.bisect_left(model.scaled_columns, observed))
+    return pair.canonical

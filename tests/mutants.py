@@ -1,5 +1,5 @@
-"""Mutation gate for the certificate checker, the C-transitivity search and
-set partitions.
+"""Mutation gate for the certificate checker, the C-transitivity search,
+set partitions and the model core.
 
 Usage, from the repository root (pytest does not collect this file):
 
@@ -12,8 +12,10 @@ Each mutant changes one site of a module of ``src/lp_lab``:
 - ``and`` becomes ``or``, and ``or`` becomes ``and``.
 
 The mutated module is written into a fresh copy of ``src/``, and the
-module's tests in COVERED run against it with ``-x``, under a timeout of
-TIMEOUT_S seconds: a mutant is killed when they fail or time out. The
+module's tests in COVERED run against it with ``-x``: a mutant is killed
+when they fail or time out. The timeout is TIMEOUT_FACTOR times the run of
+the same tests on the unmutated copy, at most TIMEOUT_S seconds, so a
+mutant that loops forever costs seconds, not minutes. The
 script exits 1 if a mutant survives that EQUIVALENT does not list with
 its reason, or if a listed one is killed or no longer exists, and 2 if
 the copy fails its tests before any mutation.
@@ -33,6 +35,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lp_lab"
 TIMEOUT_S = 120
+# a mutant's tests may take this many times the unmutated run before they
+# count as hanging; every mutant that ends takes at most 1.2 times as long
+TIMEOUT_FACTOR = 10
 
 # module -> the test files that must kill its mutants
 COVERED = {
@@ -50,10 +55,25 @@ COVERED = {
         "tests/test_partition.py",
         "tests/test_ancillarity.py",
     ],
+    "model.py": [
+        "tests/test_model.py",
+        "tests/test_input_schema.py",
+        "tests/test_model_differential.py",
+    ],
 }
 
 # module -> {mutant: why no test can kill it}
 EQUIVALENT = {
+    "model.py": {
+        "FiniteModel.__post_init__: `g > 1`: > to >=":
+            "g == 1 divides den and every entry by 1, which changes nothing",
+        "FiniteModel.likelihoods: `g > 1`: > to >=":
+            "a column whose gcd is 1 divided by 1 is the same column",
+        "_parse_entry: `not slash or den.isdigit()`: or to and":
+            "every entry then goes through parse_rational, which reads the "
+            "digit-only spellings the skipped fast path reads to the same "
+            "lowest terms, so parsing is only slower",
+    },
     "search.py": {
         "search_c_transitivity_counterexample: drop `if len(splits) < 3: continue`":
             "with fewer than three splits every point's blocks are X and at "
@@ -141,12 +161,13 @@ def mutants(tree: ast.AST) -> list[tuple[str, object]]:
     ]
 
 
-def run_tests(src: Path, tests: list[str]) -> bool:
-    """True iff the tests pass against the package under ``src``."""
+def run_tests(src: Path, tests: list[str], timeout: float) -> bool:
+    """True iff the tests pass against the package under ``src`` within
+    ``timeout`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT_S)
+        proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return False
     return proc.returncode == 0
@@ -162,15 +183,19 @@ def check(module: str) -> list[str]:
         src = Path(tmp) / "src"
         shutil.copytree(PACKAGE, src / "lp_lab", ignore=shutil.ignore_patterns("__pycache__"))
         target = src / "lp_lab" / module
-        if not run_tests(src, COVERED[module]):
+        start = time.perf_counter()
+        if not run_tests(src, COVERED[module], TIMEOUT_S):
             print(f"{module}: the tests fail before any mutation", file=sys.stderr)
             raise SystemExit(2)
+        elapsed = time.perf_counter() - start
+        timeout = min(TIMEOUT_S, TIMEOUT_FACTOR * elapsed)
+        print(f"unmutated  {elapsed:6.1f}s  {module}  (timeout {timeout:.1f}s)", flush=True)
         for k, name in enumerate(names):
             tree = ast.parse(source)
             mutants(tree)[k][1]()
             target.write_text(ast.unparse(tree), encoding="utf-8")
             start = time.perf_counter()
-            survived = run_tests(src, COVERED[module])
+            survived = run_tests(src, COVERED[module], timeout)
             verdict = ("equivalent" if name in equivalent else "SURVIVED") if survived else "killed"
             print(f"{verdict:10} {time.perf_counter() - start:6.1f}s  {module}  {name}", flush=True)
             if survived and name not in equivalent:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lp_lab import model as model_module
 from lp_lab.errors import (
     DuplicateLabel,
     LengthMismatch,
@@ -16,6 +17,7 @@ from lp_lab.errors import (
 from lp_lab.model import (
     ModelDataPair,
     canonical_form,
+    column_embedding,
     pair_at,
     pairs_isomorphic,
     parse_rational,
@@ -59,6 +61,20 @@ def test_validate_rejects_duplicate_labels():
         validate_model(["t1"], ["a", "a"], [["1/2", "1/2"]])
 
 
+def test_validate_rejects_empty_spaces():
+    with pytest.raises(DuplicateLabel, match="nonempty"):
+        validate_model([], ["a"], [])
+    with pytest.raises(DuplicateLabel, match="nonempty"):
+        validate_model(["t1"], [], [[]])
+
+
+def test_observed_index_must_be_a_sample_point(fa):
+    for index in (-1, fa.n_points):
+        with pytest.raises(LengthMismatch):
+            ModelDataPair(fa, index)
+    assert ModelDataPair(fa, fa.n_points - 1).observed_label == "x3"
+
+
 def test_validate_rejects_floats():
     with pytest.raises(TypeError):
         validate_model(["t1"], ["a", "b"], [[0.5, 0.5]])
@@ -75,6 +91,25 @@ def test_parse_rational_refuses_exponents_not_decimals():
         with pytest.raises(MalformedRational, match="exponents are not accepted"):
             parse_rational(text)
     assert parse_rational("0.5") == F(1, 2)
+
+
+def test_parse_rational_passes_exact_values_through():
+    # str() refuses ints of more than 4,300 digits, so exact values must not
+    # be spelled out and read back
+    big = F(10**5000, 3)
+    assert parse_rational(big) is big
+    assert parse_rational(10**5000) == 10**5000
+    assert parse_rational(-3) == -3
+
+
+def test_column_embedding_maps_observed_to_observed():
+    into = [(1, 0), (0, 1), (1, 1)]
+    assert column_embedding([(1, 1), (1, 0)], 0, into, 2) == [2, 0]
+    # (1, 0) is a column of ``into``, but not its observed one
+    assert column_embedding([(1, 0)], 0, into, 2) is None
+    assert column_embedding([(1, 0)], 0, into, 0) == [0]
+    # an injection: a column of ``into`` is used once
+    assert column_embedding([(1, 1), (1, 0), (1, 0)], 0, into, 2) is None
 
 
 def test_likelihood_vector_fixtures(fa, fb):
@@ -131,6 +166,21 @@ def test_canonical_form_orders_columns(fb):
 def test_canonical_form_idempotent(fb, fa):
     for pair in [pair_at(fb, "y2"), pair_at(fa, "x1")]:
         assert canonical_form(canonical_form(pair)) == canonical_form(pair)
+
+
+def test_canonical_form_is_built_once(fb, monkeypatch):
+    built = []
+    original = model_module.canonical_model
+    monkeypatch.setattr(
+        model_module, "canonical_model", lambda m: built.append(m) or original(m)
+    )
+    pair = pair_at(fb, "y2")
+    first = canonical_form(pair)
+    assert canonical_form(pair) is first
+    assert pair.canonical is first
+    assert built == [fb]
+    # an equal pair built apart holds an equal canonical form of its own
+    assert canonical_form(pair_at(fb, "y2")) == first
 
 
 def _permuted(pair, order):

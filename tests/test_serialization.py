@@ -1,15 +1,22 @@
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from lp_lab import cli, serialization
 from lp_lab.errors import LpLabError
 from lp_lab.evidence import Prior, evidence_report
-from lp_lab.model import ModelDataPair, format_rational, pair_at
+from lp_lab.model import FiniteModel, ModelDataPair, format_rational, pair_at
 from lp_lab.relations import birnbaum_chain
 from lp_lab.search import enumerate_models
 from lp_lab.serialization import (
+    LOAD_CACHE_SIZE,
     load_model,
     load_pair,
     load_prior,
@@ -145,3 +152,143 @@ def test_integer_rendering_matches_fraction_rendering(tmp_path):
         }
         expected = json.dumps(reference, indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+# -- the load cache --------------------------------------------------------
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The arguments of every validate_model call from here on, with the
+    load cache emptied first."""
+    calls = []
+    original = serialization.validate_model
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    serialization._value.cache_clear()
+    monkeypatch.setattr(serialization, "validate_model", counting)
+    return calls
+
+
+def test_loads_of_one_file_share_one_value(fa, tmp_path, validations):
+    path = tmp_path / "p.pair"
+    save_pair(pair_at(fa, "x2"), path)
+    first = load_pair(path)
+    assert load_pair(str(path)) is first
+    assert len(validations) == 1
+    # the same bytes under another name are the same value
+    twin = tmp_path / "twin.pair"
+    twin.write_bytes(path.read_bytes())
+    assert load_pair(twin) is first
+    assert len(validations) == 1
+
+
+def test_rewritten_file_gives_its_new_value(fa, fb, tmp_path, validations):
+    path = tmp_path / "p.pair"
+    save_pair(pair_at(fa, "x2"), path)
+    assert load_pair(path) == pair_at(fa, "x2")
+    save_pair(pair_at(fb, "y1"), path)
+    assert load_pair(path) == pair_at(fb, "y1")
+    assert len(validations) == 2
+
+
+def test_rewritten_malformed_file_is_a_usage_error(fb, fc, tmp_path, capsys):
+    first, second = tmp_path / "b2.pair", tmp_path / "c1.pair"
+    save_pair(pair_at(fb, "y2"), first)
+    save_pair(pair_at(fc, "z1"), second)
+    argv = ["relate", "--kind", "L", str(first), str(second)]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    truncated = '{"theta": ["t1", "t2"], "space": ["y1"]'
+    with pytest.raises(json.JSONDecodeError) as reason:
+        json.loads(truncated)
+    first.write_text(truncated)
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == f"error: {first} is not valid JSON: {reason.value}\n"
+    first.write_text('{"theta": ["t1", "t2"], "space": ["y1"]}')
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: missing field 'probs' in pair description\n"
+    )
+
+
+def test_errors_are_not_cached(tmp_path, validations):
+    path = tmp_path / "bad.pair"
+    data = {"theta": ["t1"], "space": ["a", "b"], "probs": [["1/2", "1/3"]]}
+    path.write_text(json.dumps(dict(data, observed="a")))
+    messages = []
+    for _ in range(3):
+        with pytest.raises(LpLabError) as caught:
+            load_pair(path)
+        messages.append(str(caught.value))
+    assert messages == ["row for t1 sums to 5/6, not 1"] * 3
+    assert len(validations) == 3
+    path.write_text("[]")
+    for _ in range(2):
+        with pytest.raises(LpLabError) as caught:
+            load_pair(path)
+        assert str(caught.value) == f"{path} must hold a JSON object"
+    assert serialization._value.cache_info().currsize == 0
+
+
+def test_kind_is_part_of_the_key(fa, tmp_path, validations):
+    path = tmp_path / "p.pair"
+    save_pair(pair_at(fa, "x3"), path)
+    model = load_model(path)
+    pair = load_pair(path)
+    assert type(model) is FiniteModel and model == fa
+    assert type(pair) is ModelDataPair and pair == pair_at(fa, "x3")
+    assert len(validations) == 2
+    prior = tmp_path / "p.prior"
+    save_prior(Prior.of(["t1", "t2"], ["1/3", "2/3"]), prior)
+    assert load_prior(prior) is load_prior(prior)
+
+
+def test_load_cache_evicts(tmp_path, validations):
+    # one-parameter two-point models k/n, (n-k)/n are pairwise distinct
+    path = tmp_path / "m.model"
+    texts = [
+        json.dumps({"theta": ["t1"], "space": ["a", "b"], "probs": [[f"{k}/{n}", f"{n - k}/{n}"]]})
+        for n in range(2, 60)
+        for k in range(1, n)
+        if math.gcd(k, n) == 1
+    ]
+    assert len(texts) > LOAD_CACHE_SIZE
+    for text in texts:
+        path.write_text(text)
+        load_model(path)
+    info = serialization._value.cache_info()
+    assert info.maxsize == info.currsize == LOAD_CACHE_SIZE
+    assert info.misses == len(texts) == len(validations)
+    path.write_text(texts[0])
+    load_model(path)  # evicted, so validated again
+    assert len(validations) == len(texts) + 1
+    path.write_text(texts[-1])
+    load_model(path)  # still held
+    assert len(validations) == len(texts) + 1
+    assert serialization._value.cache_info().hits == info.hits + 1
+
+
+def test_closure_after_a_rewrite_matches_a_fresh_process(fb, fc, tmp_path, capsys):
+    argv = ["--machine", "closure", "--kind", "C", "--dir", str(tmp_path)]
+    for label in fb.sample_labels:
+        save_pair(pair_at(fb, label), tmp_path / f"b{label}.pair")
+    save_pair(pair_at(fc, "z1"), tmp_path / "c.pair")
+    assert cli.run(argv) == 0
+    before = capsys.readouterr().out
+    save_pair(pair_at(fc, "z2"), tmp_path / f"b{fb.sample_labels[0]}.pair")
+    assert cli.run(argv) == 0
+    after = capsys.readouterr().out
+    assert after != before
+    src = Path(serialization.__file__).resolve().parent.parent
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys; from lp_lab.cli import main; main()", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert fresh.stdout == after
