@@ -22,14 +22,10 @@ from .model import (
 from .partition import Partition, all_partitions, is_function_of
 from .sufficiency import check_ground_set, likelihood_partition
 
-# Bound on |X| for exhaustive ancillary enumeration, which filters all
-# Bell(|X|) set partitions: Bell(12) is ~4.2M and takes minutes per call.
-# Override per call, or via LP_LAB_MAX_SPACE for the CLI's `ancillaries`.
-# The relations C and Durbin-C do not enumerate, so it does not limit them.
-# The table of balanced splits, which tests 2^(|X|-1) blocks, refuses larger
-# models: conditional_pairs conditions on its splits, and the C-transitivity
-# search compares the column multisets of their blocks.
-DEFAULT_MAX_SPACE = 12
+# Bound on |X| for the two enumerations that need one, read at call time:
+# enumerate_ancillaries filters all Bell(|X|) partitions (Bell(12) is ~4.2M),
+# and the table of balanced splits tests 2^(|X|-1) blocks.
+MAX_SPACE = 12
 
 
 @dataclass(frozen=True)
@@ -77,6 +73,11 @@ def is_ancillary(model: FiniteModel, partition: Partition) -> bool:
     return block_masses(model, partition) is not None
 
 
+def _check_space(n: int) -> None:
+    if n > MAX_SPACE:
+        raise SpaceTooLarge(f"|X| = {n} exceeds enumeration bound {MAX_SPACE}")
+
+
 def _balanced_splits(model: FiniteModel) -> list[Partition]:
     """Every ancillary with at most two blocks, in restricted-growth order.
 
@@ -85,13 +86,10 @@ def _balanced_splits(model: FiniteModel) -> list[Partition]:
     denominator, a block B is balanced iff the sum over B of
     D*f_theta(x) - D*f_theta1(x) is 0 for every theta. Only 2^(|X|-1)
     candidates are visited, not Bell(|X|) partitions, and |X| above
-    DEFAULT_MAX_SPACE raises SpaceTooLarge before any row is read.
+    MAX_SPACE raises SpaceTooLarge before any row is read.
     """
     n = model.n_points
-    if n > DEFAULT_MAX_SPACE:
-        raise SpaceTooLarge(
-            f"|X| = {n} exceeds enumeration bound {DEFAULT_MAX_SPACE}"
-        )
+    _check_space(n)
     first, *others = model.rows
     diffs = [tuple(row[x] - first[x] for row in others) for x in range(n)]
     # A mask is the set X \ A, bit b standing for point |X|-1-b, so
@@ -112,24 +110,18 @@ def _balanced_splits(model: FiniteModel) -> list[Partition]:
     return splits
 
 
-def enumerate_ancillaries(
-    model: FiniteModel, max_space: int = DEFAULT_MAX_SPACE
-) -> list[Partition]:
-    """All ancillary partitions of the sample space, in canonical order."""
-    if model.n_points > max_space:
-        raise SpaceTooLarge(
-            f"|X| = {model.n_points} exceeds enumeration bound {max_space}"
-        )
+def enumerate_ancillaries(model: FiniteModel) -> list[Partition]:
+    """All ancillary partitions of the sample space, in canonical order;
+    |X| above MAX_SPACE raises SpaceTooLarge before any is generated."""
+    _check_space(model.n_points)
     return [
         p for p in all_partitions(model.n_points) if is_ancillary(model, p)
     ]
 
 
-def maximal_ancillaries(
-    model: FiniteModel, max_space: int = DEFAULT_MAX_SPACE
-) -> list[Partition]:
+def maximal_ancillaries(model: FiniteModel) -> list[Partition]:
     """Refinement-maximal ancillaries: no other ancillary strictly refines them."""
-    ancillaries = enumerate_ancillaries(model, max_space)
+    ancillaries = enumerate_ancillaries(model)
     out = []
     for a in ancillaries:
         if not any(b != a and b.refines(a) for b in ancillaries):
@@ -137,9 +129,7 @@ def maximal_ancillaries(
     return out
 
 
-def laminal_ancillary(
-    model: FiniteModel, max_space: int = DEFAULT_MAX_SPACE
-) -> Partition:
+def laminal_ancillary(model: FiniteModel) -> Partition:
     """The finest ancillary that is a function of every maximal ancillary.
 
     It always exists and is the join of the maximal ancillaries. A union of
@@ -147,17 +137,15 @@ def laminal_ancillary(
     join is balanced and the join is ancillary; and any statistic that is a
     function of every maximal ancillary is a function of their join.
     """
-    maximal = maximal_ancillaries(model, max_space)
+    maximal = maximal_ancillaries(model)
     return functools.reduce(Partition.join, maximal)
 
 
-def ancillary_catalog(
-    model: FiniteModel, max_space: int = DEFAULT_MAX_SPACE
-) -> AncillaryCatalog:
+def ancillary_catalog(model: FiniteModel) -> AncillaryCatalog:
     return AncillaryCatalog(
-        tuple(enumerate_ancillaries(model, max_space)),
-        tuple(maximal_ancillaries(model, max_space)),
-        laminal_ancillary(model, max_space),
+        tuple(enumerate_ancillaries(model)),
+        tuple(maximal_ancillaries(model)),
+        laminal_ancillary(model),
     )
 
 
@@ -199,7 +187,7 @@ def conditional_pairs(pair: ModelDataPair) -> list[tuple[Partition, ModelDataPai
     point's block, {B, X \\ B} comes first in that order, so the distinct
     conditionals appear in the same order as when conditioning on every
     ancillary partition in turn.
-    2^(|X|-1) blocks are tested, so |X| above DEFAULT_MAX_SPACE raises
+    2^(|X|-1) blocks are tested, so |X| above MAX_SPACE raises
     SpaceTooLarge.
     """
     return [(a, _conditional(pair, a)) for a in _balanced_splits(pair.model)]

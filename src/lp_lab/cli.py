@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import relations, search
-from .ancillarity import DEFAULT_MAX_SPACE, ancillary_catalog
+from .ancillarity import ancillary_catalog
 from .errors import LpLabError
 from .evidence import (
     check_model_ancillary,
@@ -24,16 +24,14 @@ from .evidence import (
     check_prior_conflict,
     evidence_report,
 )
-from .model import canonical_form, format_rational
+from .model import ModelDataPair, canonical_form, format_rational
 from .partition import Partition
 from .relations import RelationKind, Universe
 from .serialization import (
-    load_json,
     load_model,
     load_pair,
+    load_pair_or_model,
     load_prior,
-    model_from_dict,
-    pair_from_dict,
     partition_to_labels,
     render_machine,
 )
@@ -101,38 +99,19 @@ def _partition_text(partition: Partition, labels) -> str:
 _KINDS = sorted(kind.value for kind in RelationKind)
 
 
-def _enumeration_bound() -> int:
-    """The |X| bound for ancillary enumeration, from LP_LAB_MAX_SPACE."""
-    raw = os.environ.get("LP_LAB_MAX_SPACE", DEFAULT_MAX_SPACE)
-    try:
-        return int(raw)
-    except ValueError:
-        raise LpLabError(f"LP_LAB_MAX_SPACE is not an integer: {raw!r}") from None
-
-
 def cmd_validate(args, printer) -> int:
-    data = load_json(args.file)
-    if "observed" in data:
-        pair = pair_from_dict(data)
-        payload = {
-            "command": "validate",
-            "input": pair,
-            "canonical": canonical_form(pair),
-            "valid": True,
-        }
+    value = load_pair_or_model(args.file)
+    payload = {"command": "validate", "input": value, "valid": True}
+    if isinstance(value, ModelDataPair):
+        model = value.model
+        payload["canonical"] = canonical_form(value)
         lines = [
-            f"valid pair: |Theta| = {pair.model.n_theta}, "
-            f"|X| = {pair.model.n_points}, observed = {pair.observed_label}"
+            f"valid pair: |Theta| = {model.n_theta}, "
+            f"|X| = {model.n_points}, observed = {value.observed_label}"
         ]
     else:
-        model = model_from_dict(data)
-        payload = {
-            "command": "validate",
-            "input": model,
-            "valid": True,
-        }
         lines = [
-            f"valid model: |Theta| = {model.n_theta}, |X| = {model.n_points}"
+            f"valid model: |Theta| = {value.n_theta}, |X| = {value.n_points}"
         ]
     printer.emit(payload, lines)
     return EXIT_OK
@@ -190,7 +169,7 @@ def cmd_relate(args, printer) -> int:
 def cmd_ancillaries(args, printer) -> int:
     model = load_model(args.file)
     labels = model.sample_labels
-    catalog = ancillary_catalog(model, _enumeration_bound())
+    catalog = ancillary_catalog(model)
     payload = {
         "command": "ancillaries",
         "model": model,

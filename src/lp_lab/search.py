@@ -134,7 +134,7 @@ def search_c_transitivity_counterexample(
     occurrence, earlier in the scan. No conditional is built before that
     pair, and one oracle call confirms its negative. ``bounds.max_space``
     caps |X| of the scanned models; the split table refuses models above
-    DEFAULT_MAX_SPACE points.
+    MAX_SPACE points.
     """
     for model in enumerate_models(
         bounds.theta_size, bounds.max_space, bounds.max_denominator

@@ -11,13 +11,15 @@ with no intermediate dictionary: models and pairs from ``den`` and
 dictionaries, is the test reference ``tests/render_reference.py``.
 ``FiniteModel.probs`` is for library callers and block masses.
 
-:func:`load_model`, :func:`load_pair` and :func:`load_prior` read a file's
-text on every call, then return the value held for that text and kind in
-one ``functools.lru_cache`` of LOAD_CACHE_SIZE entries. Text not seen
-before is parsed, shape-checked and validated; errors are never cached,
-so a bad file fails the same way on every load. Repeated commands in one
-process (``cli.run`` called from Python) share one value per distinct
-file, and with it its canonical form and likelihoods.
+:func:`load_model`, :func:`load_pair`, :func:`load_prior` and
+:func:`load_pair_or_model` (``validate``'s, which takes the kind from the
+"observed" field) read a file's text on every call, then return the value
+held for that text and kind in one ``functools.lru_cache`` of
+LOAD_CACHE_SIZE entries. Text not seen before is parsed, shape-checked and
+validated; errors are never cached, so a bad file fails the same way on
+every load. Repeated commands in one process (``cli.run`` called from
+Python) share one value per distinct file, and with it its canonical form
+and likelihoods.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import enum
 import functools
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -63,6 +66,19 @@ def _string(value: Any) -> bool:
     return type(value) is str
 
 
+def _utf8(value: Any) -> bool:
+    """No string in a label or an array of labels holds a lone surrogate,
+    such as JSON's "\\ud800", which no UTF-8 output can show."""
+    texts = [value] if type(value) is str else [v for v in value if type(v) is str]
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+_LABELS = ("theta", "space", "observed")
+
 # field -> (shape test, what the field must be)
 _SHAPES = {
     "theta": (_scalars, "an array of strings or integers"),
@@ -90,6 +106,11 @@ def check_schema(data: Any, kind: str) -> None:
         if not valid(data[field]):
             raise LpLabError(
                 f"field '{field}' of the {kind} description must be {expected}"
+            )
+        if field in _LABELS and not _utf8(data[field]):
+            raise LpLabError(
+                f"field '{field}' of the {kind} description holds a label "
+                "that cannot be written as UTF-8"
             )
 
 
@@ -128,6 +149,9 @@ def _decode(text: str) -> dict:
         raise _NotAnObject(f"is not valid JSON: {exc}")
     except RecursionError:
         raise _NotAnObject("is not valid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal beyond int's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise _NotAnObject(f"holds an integer of more than {limit} digits") from None
     if type(data) is not dict:
         raise _NotAnObject("must hold a JSON object")
     return data
@@ -163,9 +187,15 @@ def _load(path: str | Path, parse, *args):
         raise LpLabError(f"{path} {exc}") from None
 
 
-def load_json(path: str | Path) -> dict:
-    """The JSON object held by a model, pair or prior file."""
-    return _load(path, _decode)
+def _pair_or_model(text: str) -> ModelDataPair | FiniteModel:
+    kind = "pair" if "observed" in _decode(text) else "model"
+    return _value(text, kind)
+
+
+def load_pair_or_model(path: str | Path) -> ModelDataPair | FiniteModel:
+    """A pair if the file's object has an "observed" field, else a model:
+    the value load_pair or load_model returns for the same text."""
+    return _load(path, _pair_or_model)
 
 
 def load_model(path: str | Path) -> FiniteModel:

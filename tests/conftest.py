@@ -39,7 +39,7 @@ def seven_point_l_pairs():
     """Two non-isomorphic 7-point pairs with likelihoods in ratio 2.
 
     Their Birnbaum mixture has 14 points, above the ancillary enumeration
-    bound DEFAULT_MAX_SPACE.
+    bound MAX_SPACE.
     """
     points = [f"x{i}" for i in range(1, 8)]
     first = validate_model(

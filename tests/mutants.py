@@ -1,5 +1,5 @@
 """Mutation gate for the certificate checker, the C-transitivity search,
-set partitions and the model core.
+set partitions, the model core, ancillarity and sufficiency.
 
 Usage, from the repository root (pytest does not collect this file):
 
@@ -60,10 +60,23 @@ COVERED = {
         "tests/test_input_schema.py",
         "tests/test_model_differential.py",
     ],
+    "ancillarity.py": [
+        "tests/test_ancillarity.py",
+        "tests/test_c_differential.py",
+        "tests/test_laminal_differential.py",
+    ],
+    "sufficiency.py": [
+        "tests/test_sufficiency.py",
+    ],
 }
 
 # module -> {mutant: why no test can kill it}
 EQUIVALENT = {
+    "ancillarity.py": {
+        "_conditioning_witness: `x in image`: in to not in":
+            "complementary labels name the same two blocks, and from_labels "
+            "numbers blocks by first appearance, so the partition is the same",
+    },
     "model.py": {
         "FiniteModel.__post_init__: `g > 1`: > to >=":
             "g == 1 divides den and every entry by 1, which changes nothing",

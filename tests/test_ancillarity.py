@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from lp_lab import ancillarity
 from lp_lab.ancillarity import (
-    DEFAULT_MAX_SPACE,
+    MAX_SPACE,
     CWitness,
     ancillary_catalog,
     c_related,
@@ -54,10 +55,13 @@ def test_enumerate_ancillaries_one_point():
     assert enumerate_ancillaries(m) == [Partition.trivial(1)]
 
 
-def test_space_too_large(fd):
-    with pytest.raises(SpaceTooLarge):
-        enumerate_ancillaries(fd, max_space=3)
-    assert enumerate_ancillaries(fd, max_space=4) == enumerate_ancillaries(fd)
+def test_space_too_large(fd, monkeypatch):
+    default = enumerate_ancillaries(fd)
+    monkeypatch.setattr(ancillarity, "MAX_SPACE", 3)
+    with pytest.raises(SpaceTooLarge, match=r"^\|X\| = 4 exceeds enumeration bound 3$"):
+        enumerate_ancillaries(fd)
+    monkeypatch.setattr(ancillarity, "MAX_SPACE", 4)
+    assert enumerate_ancillaries(fd) == default
 
 
 def test_balanced_blocks_fix_d(fd):
@@ -70,7 +74,7 @@ def test_balanced_blocks_fix_d(fd):
 def test_conditional_pairs_refuse_large_space(seven_point_l_pairs):
     p1, p2 = seven_point_l_pairs
     _, e1, _ = birnbaumize(p1, p2)
-    assert e1.model.n_points == 14 > DEFAULT_MAX_SPACE
+    assert e1.model.n_points == 14 > MAX_SPACE
     # balanced_blocks itself has no bound: X comes first, and the copy of
     # the first component is among the balanced blocks
     blocks = balanced_blocks(e1.model, e1.observed)
@@ -90,11 +94,11 @@ def _mirrored_pair(n):
 
 
 def test_conditional_pairs_at_the_enumeration_bound():
-    pair = _mirrored_pair(DEFAULT_MAX_SPACE)
+    pair = _mirrored_pair(MAX_SPACE)
     found = conditional_pairs(pair)
     assert len(found) == len(balanced_blocks(pair.model, 0)) == 2**5
     with pytest.raises(SpaceTooLarge):
-        conditional_pairs(_mirrored_pair(DEFAULT_MAX_SPACE + 1))
+        conditional_pairs(_mirrored_pair(MAX_SPACE + 1))
 
 
 def test_maximal_ancillaries(fd, fb):
@@ -241,7 +245,7 @@ def test_c_related_needs_whole_multiples(tmp_path):
 def test_c_related_above_enumeration_bound(seven_point_l_pairs):
     p1, p2 = seven_point_l_pairs
     _, e1, e2 = birnbaumize(p1, p2)
-    assert e1.model.n_points == 14 > DEFAULT_MAX_SPACE
+    assert e1.model.n_points == 14 > MAX_SPACE
     with pytest.raises(SpaceTooLarge):
         enumerate_ancillaries(e1.model)
     for pair, embedded in ((p1, e1), (p2, e2)):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lp_lab import ancillarity
 from lp_lab.cli import _KINDS, build_parser, run
 from lp_lab.model import FiniteModel, canonical_form, pair_at, validate_model
 from lp_lab.relations import birnbaumize
@@ -401,10 +402,23 @@ def test_search_above_enumeration_bound_stops_at_first_find(capsys):
     assert json.loads(capsys.readouterr().out)["found"] is not None
 
 
-def test_invalid_enumeration_bound_is_usage_error(files, monkeypatch, capsys):
-    monkeypatch.setenv("LP_LAB_MAX_SPACE", "abc")
-    assert run(["ancillaries", files["modelD"]]) == 2
-    _one_line_error(capsys)
+def test_ancillaries_above_the_bound_fails_at_once(tmp_path, monkeypatch, capsys):
+    # a theta-free 13-point model: every one of its Bell(13) partitions is
+    # ancillary; the bound is fixed, so the variable a user might set is
+    # ignored, and no partition is generated before the refusal
+    model = validate_model(["t1", "t2"], [f"x{i}" for i in range(13)], [["1/13"] * 13] * 2)
+    path = tmp_path / "thirteen.model"
+    save_model(model, path)
+    monkeypatch.setenv("LP_LAB_MAX_SPACE", "20")
+
+    def unexpected(n):
+        raise AssertionError("partitions enumerated above the bound")
+
+    monkeypatch.setattr(ancillarity, "all_partitions", unexpected)
+    assert run(["ancillaries", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: |X| = 13 exceeds enumeration bound 12\n"
 
 
 def test_zero_denominator_is_usage_error(tmp_path, capsys):

@@ -171,3 +171,75 @@ def test_numeric_labels_load(workdir):
     assert _run(["validate", str(pair)]) == (0, "")
     assert _run(["relate", "--kind", "L", str(pair), str(pair)]) == (0, "")
     assert _run(["rb", "analyze", str(pair), "--prior", str(prior)]) == (0, "")
+
+
+@pytest.mark.parametrize("field", ["theta", "space"])
+def test_over_long_integer_label_names_the_file(workdir, field, capsys):
+    # json.loads refuses an integer literal beyond int's digit limit
+    data = json.loads(json.dumps(GOOD["pair"]))
+    data[field][0] = "LONG"
+    bad = workdir / "long.pair"
+    bad.write_text(json.dumps(data).replace('"LONG"', "7" * 5000))
+    for command in ("validate", "reduce"):
+        assert run([command, str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {bad} holds an integer of more than 4300 digits\n"
+
+
+def test_over_long_rational_string_is_usage_error(workdir, capsys):
+    data = json.loads(json.dumps(GOOD["pair"]))
+    data["probs"][0][0] = "1/" + "3" * 5000
+    bad = workdir / "long-rational.pair"
+    bad.write_text(json.dumps(data))
+    for command in ("validate", "reduce"):
+        assert run([command, str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def _with_surrogate(kind, field):
+    """GOOD[kind] with a lone surrogate, which UTF-8 cannot encode, as the
+    first label of ``field`` (and as the observed label of a pair)."""
+    data = json.loads(json.dumps(GOOD[kind]))
+    if field == "observed":
+        data["observed"] = "\ud800"
+    else:
+        data[field][0] = "\ud800"
+        if kind == "pair" and field == "space":
+            data["observed"] = "\ud800"
+    return data
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("pair", "space"),
+        ("pair", "theta"),
+        ("pair", "observed"),
+        ("model", "space"),
+        ("model", "theta"),
+        ("prior", "theta"),
+    ],
+)
+def test_labels_utf8_cannot_encode_are_refused(workdir, kind, field, capsys):
+    data = _with_surrogate(kind, field)
+    with pytest.raises(LpLabError, match=f"field '{field}' of the {kind} description"):
+        check_schema(data, kind)
+    bad = workdir / f"surrogate.{kind}"
+    # json.dumps escapes the surrogate, so the file itself is valid UTF-8
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    good = str(workdir / "good.pair")
+    commands = {
+        "pair": [["validate"], ["reduce"], ["ancillaries"], ["--machine", "reduce"]],
+        "model": [["validate"], ["ancillaries"], ["--machine", "ancillaries"]],
+    }.get(kind)
+    argvs = [c + [str(bad)] for c in commands] if commands else [["rb", "analyze", good, "--prior", str(bad)]]
+    if field == "observed":  # ancillaries reads a pair file as its model
+        argvs.remove(["ancillaries", str(bad)])
+    for argv in argvs:
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "cannot be written as UTF-8" in err

@@ -6,7 +6,7 @@ import pytest
 
 from lp_lab import search
 from lp_lab.ancillarity import (
-    DEFAULT_MAX_SPACE,
+    MAX_SPACE,
     c_related,
     conditional_pairs,
     verify_c_witness,
@@ -208,7 +208,7 @@ class _SizeOnly:
     """A model of 13 points whose rows cannot be read, so reading them to
     tabulate its balanced splits fails the test."""
 
-    n_points = DEFAULT_MAX_SPACE + 1
+    n_points = MAX_SPACE + 1
 
     @property
     def rows(self):

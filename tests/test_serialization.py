@@ -19,6 +19,7 @@ from lp_lab.serialization import (
     LOAD_CACHE_SIZE,
     load_model,
     load_pair,
+    load_pair_or_model,
     load_prior,
     model_from_dict,
     pair_from_dict,
@@ -184,6 +185,21 @@ def test_loads_of_one_file_share_one_value(fa, tmp_path, validations):
     twin.write_bytes(path.read_bytes())
     assert load_pair(twin) is first
     assert len(validations) == 1
+
+
+def test_validate_shares_the_load_cache(fa, fd, tmp_path, validations, capsys):
+    pair, model = tmp_path / "p.pair", tmp_path / "m.model"
+    save_pair(pair_at(fa, "x2"), pair)
+    save_model(fd, model)
+    assert cli.run(["validate", str(pair)]) == 0
+    assert cli.run(["reduce", str(pair)]) == 0
+    assert len(validations) == 1
+    assert cli.run(["validate", str(model)]) == 0
+    assert cli.run(["ancillaries", str(model)]) == 0
+    assert len(validations) == 2
+    assert load_pair_or_model(pair) is load_pair(pair)
+    assert load_pair_or_model(model) is load_model(model)
+    assert len(validations) == 2
 
 
 def test_rewritten_file_gives_its_new_value(fa, fb, tmp_path, validations):
