@@ -177,22 +177,6 @@ def condition_on_block(
     return _conditional(pair, ancillary)
 
 
-def conditional_pairs(pair: ModelDataPair) -> list[tuple[Partition, ModelDataPair]]:
-    """All one-step conditionals of a pair, one per balanced block B that
-    holds the observed point, each with its ancillary {B, X \\ B}.
-
-    The ancillaries are the splits of ``_balanced_splits``, whose blocks the
-    C-transitivity search compares too, and the list is in their
-    restricted-growth order. Among all ancillaries having B as the observed
-    point's block, {B, X \\ B} comes first in that order, so the distinct
-    conditionals appear in the same order as when conditioning on every
-    ancillary partition in turn.
-    2^(|X|-1) blocks are tested, so |X| above MAX_SPACE raises
-    SpaceTooLarge.
-    """
-    return [(a, _conditional(pair, a)) for a in _balanced_splits(pair.model)]
-
-
 def _conditioning_witness(
     parent: ModelDataPair,
     child: ModelDataPair,

@@ -65,47 +65,6 @@ class Direction(enum.Enum):
     NEUTRAL = "neutral"
 
 
-def _bayes(
-    pair: ModelDataPair, prior: Prior
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """m(x_obs) and the posterior, from the likelihood ``(g, k)`` of the
-    observed point: the posterior is proportional to pi * k, and
-    m(x_obs) = g * sum(pi * k) / D."""
-    check_same_theta(pair.model.theta_labels, prior.theta_labels)
-    g, k = pair.model.likelihoods[pair.observed]
-    joint = [w * v for w, v in zip(prior.weights, k)]
-    total = sum(joint)
-    return g * total / pair.model.den, tuple(j / total for j in joint)
-
-
-def _ratios(post: Sequence[Fraction], prior: Prior) -> tuple[Fraction, ...]:
-    return tuple(p / w for p, w in zip(post, prior.weights))
-
-
-def _masses(
-    post: Sequence[Fraction], prior: Prior, indices: Sequence[int]
-) -> tuple[Fraction, Fraction]:
-    """Prior and posterior probability of the hypothesis at ``indices``."""
-    return (
-        sum(prior.weights[i] for i in indices),
-        sum(post[i] for i in indices),
-    )
-
-
-def _odds_ratio(p_a: Fraction, q_a: Fraction) -> Optional[Fraction]:
-    if q_a == 1:
-        return None
-    return (q_a / (1 - q_a)) / (p_a / (1 - p_a))
-
-
-def _direction(p_a: Fraction, q_a: Fraction) -> Direction:
-    if q_a > p_a:
-        return Direction.FOR
-    if q_a < p_a:
-        return Direction.AGAINST
-    return Direction.NEUTRAL
-
-
 def _tail(
     probs: Sequence[Fraction], scores: Sequence[Fraction], cutoff: Fraction
 ) -> Fraction:
@@ -115,9 +74,8 @@ def _tail(
     )
 
 
-def _estimate(labels: Sequence[str], rb: Sequence[Fraction]) -> set[str]:
-    best = max(rb)
-    return {label for label, value in zip(labels, rb) if value == best}
+def _hypothesis_indices(prior: Prior, hypothesis: Sequence[str]) -> list[int]:
+    return sorted({prior.index_of(label) for label in hypothesis})
 
 
 def prior_predictive(
@@ -133,18 +91,14 @@ def prior_predictive(
 
 def posterior(pair: ModelDataPair, prior: Prior) -> tuple[Fraction, ...]:
     """pi(theta | x) over the parameter space; sums to 1 exactly."""
-    return _bayes(pair, prior)[1]
+    return evidence_report(pair, prior).posterior
 
 
 def relative_belief(
     pair: ModelDataPair, prior: Prior
 ) -> tuple[Fraction, ...]:
     """RB(theta | x) = posterior / prior = f_theta(x) / m(x)."""
-    return _ratios(posterior(pair, prior), prior)
-
-
-def _hypothesis_indices(prior: Prior, hypothesis: Sequence[str]) -> list[int]:
-    return sorted({prior.index_of(label) for label in hypothesis})
+    return evidence_report(pair, prior).rb
 
 
 def bayes_factor(
@@ -160,22 +114,22 @@ def bayes_factor(
         raise DegenerateHypothesis(
             "hypothesis must be a nonempty proper subset of the parameter space"
         )
-    return _odds_ratio(*_masses(posterior(pair, prior), prior, indices))
+    return evidence_report(pair, prior, [hypothesis]).hypotheses[0].bayes_factor
 
 
 def evidence_direction(
     pair: ModelDataPair, prior: Prior, hypothesis: Sequence[str]
 ) -> Direction:
     """Exact three-way comparison of posterior and prior probability."""
-    indices = _hypothesis_indices(prior, hypothesis)
-    if not indices:
+    # the hypothesis is checked before the parameter spaces are compared
+    if not _hypothesis_indices(prior, hypothesis):
         raise EmptyHypothesis("hypothesis must be nonempty")
-    return _direction(*_masses(posterior(pair, prior), prior, indices))
+    return evidence_report(pair, prior, [hypothesis]).hypotheses[0].direction
 
 
 def rb_estimate(pair: ModelDataPair, prior: Prior) -> set[str]:
     """Parameter values maximizing the relative belief ratio; ties kept."""
-    return _estimate(prior.theta_labels, relative_belief(pair, prior))
+    return set(evidence_report(pair, prior).estimate)
 
 
 def rb_strength(
@@ -187,9 +141,7 @@ def rb_strength(
     relative belief ratio exceeds 1.
     """
     index = prior.index_of(theta0)
-    post = posterior(pair, prior)
-    rb = _ratios(post, prior)
-    return _tail(post, rb, rb[index])
+    return evidence_report(pair, prior).strength(index)
 
 
 def check_model_mss(pair: ModelDataPair) -> Fraction:
@@ -256,31 +208,44 @@ def evidence_report(
 ) -> EvidenceReport:
     """Full evidence summary for a pair, a prior and optional hypotheses.
 
-    The posterior is computed once; every other field is derived from it.
+    Each evidence formula is written here once; the functions above read
+    their answer from the report. The posterior is proportional to pi * k,
+    with ``(g, k)`` the likelihood of the observed point, and
+    m(x_obs) = g * sum(pi * k) / D. Every other field is derived from the
+    posterior.
     """
-    m, post = _bayes(pair, prior)
-    rb = _ratios(post, prior)
+    check_same_theta(pair.model.theta_labels, prior.theta_labels)
+    g, k = pair.model.likelihoods[pair.observed]
+    joint = [w * v for w, v in zip(prior.weights, k)]
+    total = sum(joint)
+    m = g * total / pair.model.den
+    post = tuple(j / total for j in joint)
+    rb = tuple(p / w for p, w in zip(post, prior.weights))
     records = []
     for hypothesis in hypotheses:
         indices = _hypothesis_indices(prior, hypothesis)
         if not indices:
             raise EmptyHypothesis("hypothesis must be nonempty")
-        p_a, q_a = _masses(post, prior, indices)
-        proper = len(indices) < len(prior.theta_labels)
+        p_a = sum(prior.weights[i] for i in indices)
+        q_a = sum(post[i] for i in indices)
+        # q_a == 1 when the complement has posterior probability 0, as the
+        # whole space's complement has: the posterior odds are infinite
+        factor = None if q_a == 1 else (q_a / (1 - q_a)) / (p_a / (1 - p_a))
+        direction = (
+            Direction.FOR if q_a > p_a
+            else Direction.AGAINST if q_a < p_a
+            else Direction.NEUTRAL
+        )
         records.append(
             HypothesisRecord(
                 tuple(prior.theta_labels[i] for i in indices),
                 p_a,
                 q_a,
-                _odds_ratio(p_a, q_a) if proper else None,
-                _direction(p_a, q_a),
+                factor,
+                direction,
                 _tail(post, rb, rb[indices[0]]) if len(indices) == 1 else None,
             )
         )
-    return EvidenceReport(
-        m,
-        post,
-        rb,
-        tuple(sorted(_estimate(prior.theta_labels, rb))),
-        tuple(records),
-    )
+    best = max(rb)
+    estimate = (t for t, value in zip(prior.theta_labels, rb) if value == best)
+    return EvidenceReport(m, post, rb, tuple(sorted(estimate)), tuple(records))

@@ -36,6 +36,25 @@ from .errors import (
     UnreachablePoint,
 )
 
+# An error message quotes an entry of at most this many characters, and a
+# rational whose numerator and denominator have at most this many digits;
+# a longer one is described, so that the message stays one short line.
+_QUOTED = 40
+
+
+def _quoted_entry(text: object) -> str:
+    shown = repr(text)
+    if len(shown) <= _QUOTED:
+        return shown
+    return f"an entry of {len(shown)} characters"
+
+
+def _quoted_value(value: Fraction) -> str:
+    if max(abs(value.numerator), value.denominator) < 10**_QUOTED:
+        return format_rational(value)
+    return f"a rational with a numerator or denominator of over {_QUOTED} digits"
+
+
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse "p/q" or an integer string into an exact fraction.
 
@@ -51,12 +70,15 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     spelled = str(text).strip()
     if "e" in spelled or "E" in spelled:
         raise MalformedRational(
-            f"{text!r} is not a rational number: exponents are not accepted"
+            f"{_quoted_entry(text)} is not a rational number: "
+            "exponents are not accepted"
         )
     try:
         return Fraction(spelled)
     except (ValueError, ZeroDivisionError):
-        raise MalformedRational(f"{text!r} is not a rational number") from None
+        raise MalformedRational(
+            f"{_quoted_entry(text)} is not a rational number"
+        ) from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -182,14 +204,14 @@ def validate_model(
         for point, (p, q) in zip(points, row):
             if p < 0:
                 raise NegativeEntry(
-                    f"f[{label}]({point}) = {format_rational(Fraction(p, q))} < 0"
+                    f"f[{label}]({point}) = {_quoted_value(Fraction(p, q))} < 0"
                 )
         row_den = math.lcm(*(q for _, q in row))
         total = sum(p * (row_den // q) for p, q in row)
         if total != row_den:
             raise NonStochasticRow(
                 f"row for {label} sums to "
-                f"{format_rational(Fraction(total, row_den))}, not 1"
+                f"{_quoted_value(Fraction(total, row_den))}, not 1"
             )
         den = math.lcm(den, row_den)
         parsed.append(row)

@@ -239,9 +239,14 @@ def birnbaum_chain_durbin(
 ) -> DurbinChainAttempt:
     """Attempt the Birnbaum chain with only MSS-measurable ancillaries.
 
-    For non-isomorphic L-related pairs the mixture's minimal sufficient
-    partition merges the two embedded observations into one block, so the
-    component indicator is inadmissible and the outer C steps fail.
+    For every L-related pair, isomorphic ones and a pair with itself
+    included, the mixture's minimal sufficient partition merges the two
+    embedded observations into one block, so the component indicator is
+    inadmissible. Neither outer C step holds either. The step to p1 can
+    only condition the mixture, which has more points than p1. A Durbin
+    block is a union of the mixture's likelihood classes, so it holds both
+    embedded observations, and its conditional has more columns
+    proportional to the observed one than p1 has. The same holds at p2.
     """
     if l_related(p1, p2) is None:
         raise NotLRelated("inputs do not have proportional likelihoods")

@@ -13,9 +13,8 @@ from typing import Iterator, Optional
 
 from .ancillarity import CWitness, _balanced_splits, _conditional, c_related
 from .errors import LpLabError
-from .model import FiniteModel, ModelDataPair, canonical_form
-from .relations import l_related
-from .sufficiency import s_related
+from .model import FiniteModel, ModelDataPair
+from .relations import RelationKind, l_related, related
 
 
 @dataclass(frozen=True)
@@ -83,14 +82,17 @@ def enumerate_pairs(
     max_space: int = 6,
     max_denominator: int = 6,
 ) -> Iterator[ModelDataPair]:
-    """Canonical model-data pairs over enumerate_models, deduplicated."""
-    seen: set[ModelDataPair] = set()
+    """Canonical model-data pairs over enumerate_models, deduplicated.
+
+    Each model is canonical already, and its isomorphisms permute equal
+    columns only, so its distinct canonical pairs are those observed at
+    the first point of each run of equal columns.
+    """
     for model in enumerate_models(theta_size, max_space, max_denominator):
+        columns = model.scaled_columns
         for x in range(model.n_points):
-            pair = canonical_form(ModelDataPair(model, x))
-            if pair not in seen:
-                seen.add(pair)
-                yield pair
+            if x == 0 or columns[x] != columns[x - 1]:
+                yield ModelDataPair(model, x)
 
 
 @dataclass(frozen=True)
@@ -176,11 +178,7 @@ def check_l_minus_sc(
 ) -> Optional[ProperContainmentWitness]:
     """Verify a candidate for L \\ (S union C) by the exact oracles, or None."""
     c = l_related(p1, p2)
-    if c is None:
-        return None
-    if s_related(p1, p2) is not None:
-        return None
-    if c_related(p1, p2) is not None:
+    if c is None or related(p1, p2, RelationKind.S_OR_C) is not None:
         return None
     return ProperContainmentWitness(p1, p2, c)
 

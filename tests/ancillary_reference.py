@@ -8,7 +8,8 @@ test checks that this never happens.
 
 ``balanced_blocks`` lists the blocks with parameter-free mass that hold a
 point, by summing ``Fraction`` probabilities over every subset; the library
-finds them as the two-block ancillaries of ``conditional_pairs``.
+finds them as the two-block ancillaries of ``_balanced_splits``.
+``conditional_pairs`` conditions a pair on each of those splits.
 """
 
 from __future__ import annotations
@@ -16,8 +17,13 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from lp_lab.ancillarity import enumerate_ancillaries, maximal_ancillaries
-from lp_lab.model import FiniteModel
+from lp_lab.ancillarity import (
+    _balanced_splits,
+    _conditional,
+    enumerate_ancillaries,
+    maximal_ancillaries,
+)
+from lp_lab.model import FiniteModel, ModelDataPair
 from lp_lab.partition import Partition, is_function_of
 
 
@@ -57,3 +63,19 @@ def balanced_blocks(model: FiniteModel, point: int) -> list[tuple[int, ...]]:
         if len(masses) == 1:
             out.append(block)
     return out
+
+
+def conditional_pairs(pair: ModelDataPair) -> list[tuple[Partition, ModelDataPair]]:
+    """All one-step conditionals of a pair, one per balanced block B that
+    holds the observed point, each with its ancillary {B, X \\ B}.
+
+    The ancillaries are the splits of ``_balanced_splits``, whose blocks the
+    C-transitivity search compares too, and the list is in their
+    restricted-growth order. Among all ancillaries having B as the observed
+    point's block, {B, X \\ B} comes first in that order, so the distinct
+    conditionals appear in the same order as when conditioning on every
+    ancillary partition in turn.
+    2^(|X|-1) blocks are tested, so |X| above MAX_SPACE raises
+    SpaceTooLarge.
+    """
+    return [(a, _conditional(pair, a)) for a in _balanced_splits(pair.model)]

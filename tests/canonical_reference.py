@@ -4,11 +4,14 @@ only.
 ``canonical_model`` and ``canonical_form`` sort the sample-point indices
 by their integer columns and build the permuted model from the rows;
 ``enumerate_models`` builds a model for every grid combination and then
-its canonical model, deduplicating on that. The library builds a
-canonical model from the sorted columns themselves, finds the observed
-index by bisection and deduplicates the grid on the sorted columns before
-it builds a model. ``search_c_transitivity_counterexample`` is the search
-over this enumeration and these canonical forms. The differential tests in
+its canonical model, deduplicating on that, and ``enumerate_pairs`` takes
+the canonical form of every pair of those models, deduplicating again. The
+library builds a canonical model from the sorted columns themselves, finds
+the observed index by bisection, deduplicates the grid on the sorted
+columns before it builds a model, and observes each model at the first
+point of each run of equal columns.
+``search_c_transitivity_counterexample`` is the search over this
+enumeration and these canonical forms. The differential tests in
 ``test_canonical_differential.py`` compare the two.
 """
 
@@ -18,7 +21,8 @@ import itertools
 import math
 from typing import Iterator, Optional
 
-from lp_lab.ancillarity import c_related, conditional_pairs
+from ancillary_reference import conditional_pairs
+from lp_lab.ancillarity import c_related
 from lp_lab.model import FiniteModel, ModelDataPair
 from lp_lab.search import (
     SearchBounds,
@@ -67,6 +71,20 @@ def enumerate_models(
                 if canon not in seen:
                     seen.add(canon)
                     yield canon
+
+
+def enumerate_pairs(
+    theta_size: int = 2,
+    max_space: int = 6,
+    max_denominator: int = 6,
+) -> Iterator[ModelDataPair]:
+    seen: set[ModelDataPair] = set()
+    for model in enumerate_models(theta_size, max_space, max_denominator):
+        for x in range(model.n_points):
+            pair = canonical_form(ModelDataPair(model, x))
+            if pair not in seen:
+                seen.add(pair)
+                yield pair
 
 
 def search_c_transitivity_counterexample(

@@ -1,5 +1,6 @@
 """Mutation gate for the certificate checker, the C-transitivity search,
-set partitions, the model core, ancillarity and sufficiency.
+set partitions, the model core, ancillarity, sufficiency, the evidence
+calculus and the relation algebra.
 
 Usage, from the repository root (pytest does not collect this file):
 
@@ -67,6 +68,16 @@ COVERED = {
     ],
     "sufficiency.py": [
         "tests/test_sufficiency.py",
+    ],
+    "evidence.py": [
+        "tests/test_evidence.py",
+        "tests/test_evidence_differential.py",
+    ],
+    "relations.py": [
+        "tests/test_relations.py",
+        "tests/test_closure_differential.py",
+        "tests/test_acceptance.py",
+        "tests/test_grid_census.py",
     ],
 }
 

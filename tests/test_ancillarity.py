@@ -11,7 +11,6 @@ from lp_lab.ancillarity import (
     ancillary_catalog,
     c_related,
     condition_on_block,
-    conditional_pairs,
     enumerate_ancillaries,
     is_ancillary,
     laminal_ancillary,
@@ -25,7 +24,7 @@ from lp_lab.partition import Partition
 from lp_lab.relations import birnbaumize, l_related
 from lp_lab.serialization import save_pair
 from lp_lab.sufficiency import likelihood_partition
-from ancillary_reference import balanced_blocks
+from ancillary_reference import balanced_blocks, conditional_pairs
 from random_models import random_pair
 
 F = Fraction

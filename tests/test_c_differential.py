@@ -11,8 +11,9 @@ import random
 
 import pytest
 
+from ancillary_reference import conditional_pairs
 from c_reference import exhaustive_c_related
-from lp_lab.ancillarity import c_related, conditional_pairs, verify_c_witness
+from lp_lab.ancillarity import c_related, verify_c_witness
 from lp_lab.model import canonical_form
 from lp_lab.relations import birnbaumize, efm_parent, l_related
 from lp_lab.search import enumerate_pairs

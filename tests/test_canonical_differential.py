@@ -2,13 +2,15 @@
 their first integer versions.
 
 The library builds a canonical model from its sorted integer columns,
-finds the observed index by bisection and deduplicates each grid stratum
-on the sorted columns before it builds a model; ``canonical_reference``
-keeps the versions that permuted the rows by a sorted index order and
-built two models per grid combination. Inputs: an enumerated universe and
-seeded random pairs, each also as a permuted copy and with the observed
-point's column repeated, three grid bounds for the enumeration and nine
-for the search: four of them exhausted and the default bounds among them.
+finds the observed index by bisection, deduplicates each grid stratum on
+the sorted columns before it builds a model, and lists a model's pairs
+without canonical forms; ``canonical_reference`` keeps the versions that
+permuted the rows by a sorted index order, built two models per grid
+combination and deduplicated the canonical forms of all pairs. Inputs: an
+enumerated universe and seeded random pairs, each also as a permuted copy
+and with the observed point's column repeated, three grid bounds for the
+model enumeration, four for the pair enumeration and nine for the search:
+four of them exhausted and the default bounds among them.
 """
 
 import random
@@ -87,6 +89,11 @@ def test_enumerate_models_matches_reference(bounds):
     got = list(enumerate_models(*bounds))
     assert got == list(ref.enumerate_models(*bounds))
     assert len(set(got)) == len(got)
+
+
+@pytest.mark.parametrize("bounds", [(2, 4, 4), (3, 3, 3), (2, 3, 6), (1, 5, 5)])
+def test_enumerate_pairs_matches_reference(bounds):
+    assert list(enumerate_pairs(*bounds)) == list(ref.enumerate_pairs(*bounds))
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import lp_lab
-from lp_lab.ancillarity import CWitness, c_related, conditional_pairs
+from ancillary_reference import conditional_pairs
+from lp_lab.ancillarity import CWitness, c_related
 from lp_lab.certify import verify_c_witness, verify_l_witness, verify_s_witness
 from lp_lab.errors import LpLabError
 from lp_lab.model import FiniteModel, ModelDataPair, validate_model

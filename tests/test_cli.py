@@ -365,7 +365,8 @@ def test_rb_strength_unknown_theta_is_usage_error(files, capsys):
 
 
 def test_relate_c_ignores_enumeration_bound(files, monkeypatch, capsys):
-    monkeypatch.setenv("LP_LAB_MAX_SPACE", "1")
+    # the C oracle enumerates nothing, so it answers on models of any size
+    monkeypatch.setattr(ancillarity, "MAX_SPACE", 1)
     assert run(["relate", "--kind", "C", files["pairB1"], files["pairB1"]]) == 0
     assert "C: related" in capsys.readouterr().out
 
@@ -387,16 +388,15 @@ def _one_line_error(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("bound", ["1", "abc"])
-def test_search_ignores_enumeration_bound(bound, monkeypatch, capsys):
-    # the search's own --max-space caps |X|; LP_LAB_MAX_SPACE is for ancillaries
-    monkeypatch.setenv("LP_LAB_MAX_SPACE", bound)
-    assert run(["--machine", "search", "c-transitivity"]) == 0
+@pytest.mark.parametrize("what", ["c-transitivity", "l-minus-sc"])
+def test_search_finds_within_small_bounds(what, capsys):
+    # the search's own --max-space caps |X|
+    assert run(["--machine", "search", what, "--max-space", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["found"] is not None
 
 
 def test_search_above_enumeration_bound_stops_at_first_find(capsys):
-    # conditional_pairs refuses |X| > 12, but the search finds a triple long
+    # _balanced_splits refuses |X| > 12, but the search finds a triple long
     # before it scans models that large
     assert run(["--machine", "search", "c-transitivity", "--max-space", "13"]) == 0
     assert json.loads(capsys.readouterr().out)["found"] is not None

@@ -15,10 +15,9 @@ from closure_reference import (
     all_pairs_properties_report,
     enumerated_conditional_pairs,
 )
-from ancillary_reference import balanced_blocks
+from ancillary_reference import balanced_blocks, conditional_pairs
 from model_reference import likelihood_vector, proportional
 from lp_lab import relations
-from lp_lab.ancillarity import conditional_pairs
 from lp_lab.model import ModelDataPair, canonical_form
 from lp_lab.relations import (
     RelationKind,

@@ -188,14 +188,23 @@ def test_over_long_integer_label_names_the_file(workdir, field, capsys):
 
 
 def test_over_long_rational_string_is_usage_error(workdir, capsys):
-    data = json.loads(json.dumps(GOOD["pair"]))
-    data["probs"][0][0] = "1/" + "3" * 5000
-    bad = workdir / "long-rational.pair"
-    bad.write_text(json.dumps(data))
-    for command in ("validate", "reduce"):
-        assert run([command, str(bad)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    # malformed (beyond int's digit limit), not summing to 1, and negative:
+    # the one error line describes the long number instead of spelling it
+    long = "3" * 4000
+    for row in (
+        ["1/" + "3" * 5000, "1/3", "1/2"],
+        ["1/" + long, "1/" + long, "1/2"],
+        ["-1/" + long, "1/3", "1/2"],
+    ):
+        data = json.loads(json.dumps(GOOD["pair"]))
+        data["probs"][0] = row
+        bad = workdir / "long-rational.pair"
+        bad.write_text(json.dumps(data))
+        for command in ("validate", "reduce"):
+            assert run([command, str(bad)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert len(err) < 200, err[:100]
 
 
 def _with_surrogate(kind, field):

@@ -102,6 +102,40 @@ def test_parse_rational_passes_exact_values_through():
     assert parse_rational(-3) == -3
 
 
+def test_error_messages_describe_long_numbers():
+    # an entry is quoted while its repr has at most _QUOTED characters, and
+    # a rational while its numerator and denominator have at most _QUOTED
+    # digits; longer ones are described, not spelled out
+    n = model_module._QUOTED
+    with pytest.raises(MalformedRational) as caught:
+        parse_rational("x" * (n - 2))
+    assert str(caught.value) == f"{'x' * (n - 2)!r} is not a rational number"
+    with pytest.raises(MalformedRational) as caught:
+        parse_rational("x" * (n - 1))
+    assert str(caught.value) == (
+        f"an entry of {n + 1} characters is not a rational number"
+    )
+    with pytest.raises(MalformedRational) as caught:
+        parse_rational("1e" + "1" * n)
+    assert str(caught.value) == (
+        f"an entry of {n + 4} characters is not a rational number: "
+        "exponents are not accepted"
+    )
+    long = f"a rational with a numerator or denominator of over {n} digits"
+    with pytest.raises(NegativeEntry) as caught:
+        validate_model(["t1"], ["a", "b"], [[f"-1/{10**n - 1}", "1"]])
+    assert str(caught.value) == f"f[t1](a) = -1/{10**n - 1} < 0"
+    with pytest.raises(NegativeEntry) as caught:
+        validate_model(["t1"], ["a", "b"], [[f"-{10**n}/3", "1"]])
+    assert str(caught.value) == f"f[t1](a) = {long} < 0"
+    with pytest.raises(NonStochasticRow) as caught:
+        validate_model(["t1"], ["a", "b"], [[f"1/{10**n - 1}", "0"]])
+    assert str(caught.value) == f"row for t1 sums to 1/{10**n - 1}, not 1"
+    with pytest.raises(NonStochasticRow) as caught:
+        validate_model(["t1"], ["a", "b"], [[f"1/{10**n}", "0"]])
+    assert str(caught.value) == f"row for t1 sums to {long}, not 1"
+
+
 def test_column_embedding_maps_observed_to_observed():
     into = [(1, 0), (0, 1), (1, 1)]
     assert column_embedding([(1, 1), (1, 0)], 0, into, 2) == [2, 0]

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import model_reference as ref
+from ancillary_reference import conditional_pairs
 from lp_lab.model import (
     FiniteModel,
     ModelDataPair,
@@ -28,7 +29,6 @@ from lp_lab.model import (
     pairs_isomorphic,
     validate_model,
 )
-from lp_lab.ancillarity import conditional_pairs
 from lp_lab.relations import (
     birnbaumize,
     efm_parent,

@@ -45,6 +45,7 @@ def test_test_only_helpers_are_not_in_the_package():
     moved = {
         "likelihood_vector",
         "balanced_blocks",
+        "conditional_pairs",
         "random_model",
         "random_pair",
         "random_prior",
@@ -54,6 +55,7 @@ def test_test_only_helpers_are_not_in_the_package():
     for owner, name in [
         (model, "likelihood_vector"),
         (ancillarity, "balanced_blocks"),
+        (ancillarity, "conditional_pairs"),
         (FiniteModel, "column"),
         (FiniteModel, "columns"),
         (Partition, "block_index_of"),

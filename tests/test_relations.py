@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from lp_lab import relations
 from lp_lab.ancillarity import c_related, condition_on_block, is_ancillary
 from lp_lab.errors import NotLRelated, ParameterSpaceMismatch
 from lp_lab.model import (
+    FiniteModel,
     ModelDataPair,
     pairs_isomorphic,
     validate_model,
@@ -14,6 +16,7 @@ from lp_lab.model import (
 from lp_lab.partition import Partition
 from lp_lab.relations import (
     ChainStep,
+    DurbinChainAttempt,
     RelationKind,
     Universe,
     WitnessChain,
@@ -28,6 +31,7 @@ from lp_lab.relations import (
     relation_properties_report,
     verify_chain,
 )
+from lp_lab.search import enumerate_pairs
 from lp_lab.sufficiency import s_related
 from model_reference import column, columns
 from random_models import random_pair
@@ -40,6 +44,14 @@ def test_l_related_fixtures(fb, fc, at):
     p = at(fb, "y1")
     assert l_related(p, p) == 1
     assert l_related(at(fb, "y1"), at(fc, "z1")) is None
+
+
+def test_l_related_at_unreachable_points():
+    # validated models reach every point; a directly built one need not,
+    # and its all-zero likelihood is L-related to itself by c = 1
+    m = FiniteModel(("t1", "t2"), ("a", "b"), 1, ((1, 0), (1, 0)))
+    assert l_related(ModelDataPair(m, 1), ModelDataPair(m, 1)) == 1
+    assert l_related(ModelDataPair(m, 0), ModelDataPair(m, 1)) is None
 
 
 def test_l_related_parameter_mismatch(fb):
@@ -172,6 +184,19 @@ def test_birnbaum_chain_requires_l(fb, fc, at):
         birnbaum_chain(at(fb, "y1"), at(fc, "z1"))
 
 
+def test_mixture_chains_refuse_a_failed_oracle_step(fb, fc, at, monkeypatch):
+    # only the step out of p1 fails; the other steps still hold
+    p1, p2 = at(fb, "y2"), at(fc, "z1")
+
+    def c_related_failing_at_p1(a, b, durbin=False):
+        return None if a is p1 else c_related(a, b, durbin=durbin)
+
+    monkeypatch.setattr(relations, "c_related", c_related_failing_at_p1)
+    for construct in (birnbaum_chain, efm_parent):
+        with pytest.raises(NotLRelated, match="failed oracle verification"):
+            construct(p1, p2)
+
+
 def test_efm_fixture(fb, fc, at):
     result = efm_parent(at(fb, "y2"), at(fc, "z1"))
     parent = result.parent
@@ -216,6 +241,32 @@ def test_durbin_breakage(fb, fc, at):
     attempt = birnbaum_chain_durbin(at(fb, "y2"), at(fc, "z1"))
     assert not attempt.indicator_is_function_of_mss
     assert not attempt.succeeded
+
+
+def test_durbin_attempt_succeeds_only_with_both_steps(fb, at):
+    p = at(fb, "y1")
+    step = c_related(p, p)
+    assert step is not None
+    assert DurbinChainAttempt(True, step, step).succeeded
+    assert not DurbinChainAttempt(True, step, None).succeeded
+    assert not DurbinChainAttempt(True, None, step).succeeded
+    assert not DurbinChainAttempt(True, None, None).succeeded
+
+
+def test_durbin_steps_fail_on_every_l_related_grid_pair():
+    # each pair with itself included: a Durbin block of the mixture holds
+    # both embedded observations, so no outer step can reach p1 or p2
+    grid = list(enumerate_pairs(2, 3, 3))
+    attempts = [
+        birnbaum_chain_durbin(a, b)
+        for i, a in enumerate(grid)
+        for b in grid[i:]
+        if l_related(a, b) is not None
+    ]
+    assert len(attempts) == 355
+    for attempt in attempts:
+        assert not attempt.indicator_is_function_of_mss
+        assert attempt.first_step is None and attempt.last_step is None
 
 
 def test_closure_single_member(fb, at):
@@ -274,3 +325,12 @@ def test_relation_properties_c_fails_on_counterexample_universe():
     assert report.symmetric.holds
     assert not report.transitive.holds
     assert report.transitive.counterexamples
+
+
+def test_relation_properties_c_on_the_grid_is_not_an_equivalence():
+    # reflexive and symmetric, but not transitive
+    universe = Universe.of(list(enumerate_pairs(2, 3, 3)))
+    report = relation_properties_report(universe, RelationKind.C)
+    assert report.reflexive.holds and report.symmetric.holds
+    assert not report.transitive.holds
+    assert not report.is_equivalence

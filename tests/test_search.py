@@ -8,7 +8,6 @@ from lp_lab import search
 from lp_lab.ancillarity import (
     MAX_SPACE,
     c_related,
-    conditional_pairs,
     verify_c_witness,
 )
 from lp_lab.errors import LpLabError, SpaceTooLarge
@@ -28,6 +27,7 @@ from lp_lab.search import (
     search_l_minus_sc,
 )
 from lp_lab.sufficiency import s_related
+from ancillary_reference import conditional_pairs
 
 F = Fraction
 
