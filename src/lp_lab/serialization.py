@@ -9,7 +9,12 @@ witnesses, chains, Fractions, ...) both go through it. It writes the bytes
 with no intermediate dictionary: models and pairs from ``den`` and
 ``rows``, arrays of strings escaped in C. That JSON form, built as
 dictionaries, is the test reference ``tests/render_reference.py``.
-``FiniteModel.probs`` is for library callers and block masses.
+``FiniteModel.probs`` is for library callers and block masses. Each
+distinct (model, indent, observed label) is rendered once per process and
+held in a ``functools.lru_cache`` of LOAD_CACHE_SIZE entries, so the five
+closure kinds over one directory print each member from one rendering.
+Only models whose labels are all exactly ``str`` are cached: equal labels
+of other types, such as 1, True and Fraction(1), print differently.
 
 :func:`load_model`, :func:`load_pair`, :func:`load_prior` and
 :func:`load_pair_or_model` (``validate``'s, which takes the kind from the
@@ -159,9 +164,11 @@ def _decode(text: str) -> dict:
 
 _FROM_DICT = {"model": model_from_dict, "pair": pair_from_dict, "prior": prior_from_dict}
 
-# Entries kept by the load cache, one per distinct (file text, kind). One
-# closure pass of the benchmark peaks at 296 (the distinct texts of its 311
-# files) and one evidence pass at 195 (of 200), so no workload evicts.
+# Entries kept by the load cache, one per distinct (file text, kind), and by
+# the render cache, one per distinct (model, indent, observed label). One
+# closure pass of the benchmark peaks at 296 texts (the distinct texts of its
+# 311 files) and 241 renderings, one evidence pass at 195 texts (of 200) and
+# 280 renderings, and one catalog pass at 103 of each, so no workload evicts.
 LOAD_CACHE_SIZE = 1024
 
 
@@ -244,7 +251,8 @@ def _block(parts: list[str], nl: str, brackets: str) -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(parts)}{nl}{brackets[1]}"
 
 
-def _render_model(model: FiniteModel, nl: str, observed: Any = None) -> str:
+@functools.lru_cache(maxsize=LOAD_CACHE_SIZE)
+def _model_text(model: FiniteModel, nl: str, observed: Any) -> str:
     """A model's object {"probs", "space", "theta"} (and "observed" for a
     pair), rendered from ``den`` and ``rows``."""
     inner, den = nl + "  ", model.den
@@ -260,6 +268,24 @@ def _render_model(model: FiniteModel, nl: str, observed: Any = None) -> str:
     if observed is not None:
         fields.insert(0, f'"observed": {_render(observed, inner)}')
     return _block(fields, nl, "{}")
+
+
+def _render_model(model: FiniteModel, nl: str, observed: Any = None) -> str:
+    """_model_text, from the render cache when every label is exactly a str.
+
+    Equal models need not print alike: the labels 1, True and Fraction(1)
+    are equal, yet print as 1, true and "1", and a float label raises
+    TypeError. A cache keyed by such a model would print whichever came
+    first, so every other model is rendered afresh, as is one built from
+    lists, which does not hash. Entries print through integer division,
+    so equal rows print alike.
+    """
+    try:
+        if set(map(type, model.theta_labels + model.sample_labels)) == {str}:
+            return _model_text(model, nl, observed)
+    except TypeError:  # a model built from lists
+        pass
+    return _model_text.__wrapped__(model, nl, observed)
 
 
 def _render(value: Any, nl: str) -> str:

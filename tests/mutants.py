@@ -1,6 +1,6 @@
 """Mutation gate for the certificate checker, the C-transitivity search,
 set partitions, the model core, ancillarity, sufficiency, the evidence
-calculus and the relation algebra.
+calculus, the relation algebra and serialization.
 
 Usage, from the repository root (pytest does not collect this file):
 
@@ -79,6 +79,12 @@ COVERED = {
         "tests/test_acceptance.py",
         "tests/test_grid_census.py",
     ],
+    "serialization.py": [
+        "tests/test_serialization.py",
+        "tests/test_input_schema.py",
+        "tests/test_render_edges.py",
+        "tests/test_render_property.py",
+    ],
 }
 
 # module -> {mutant: why no test can kill it}
@@ -113,6 +119,21 @@ EQUIVALENT = {
         "`w12 is not None and w23 is not None`: and to or":
             "both witnesses exist by construction, so the weaker assert "
             "holds wherever the original does",
+    },
+    "serialization.py": {
+        "_render: drop `if kind is str: return _encode(value)`":
+            "a str then reaches the isinstance(value, str) fallback, which "
+            "prints the same bytes",
+        "_render: drop `if kind is int: return int.__repr__(value)`":
+            "an int then reaches the isinstance(value, int) fallback, which "
+            "prints the same bytes",
+        "_render: drop `if kind is ModelDataPair: "
+        "return _render_model(value.model, nl, value.observed_label)`":
+            "a pair then reaches the isinstance(value, ModelDataPair) "
+            "fallback, which prints the same bytes",
+        "_render: drop `if kind is FiniteModel: return _render_model(value, nl)`":
+            "a model then reaches the isinstance(value, FiniteModel) "
+            "fallback, which prints the same bytes",
     },
 }
 

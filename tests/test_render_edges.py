@@ -6,7 +6,13 @@ of ``render_reference``, without building any intermediate tree. These
 cases pin what a random draw rarely reaches: keys that collide once
 stringified, labels that need escaping, empty containers at every depth,
 booleans beside integers, a one-point model, subclasses of the types that
-have an exact-type fast path, and one value of each other type it takes.
+have an exact-type fast path, one value of each other type it takes, and
+a model built from lists, which does not hash.
+
+render_machine caches the text of each model whose labels are all exactly
+str. Models whose labels differ only in numeric type are equal, yet each
+must still print its own labels, and a float label must still be refused,
+whatever was rendered before.
 """
 
 import dataclasses
@@ -16,8 +22,14 @@ from fractions import Fraction
 
 import pytest
 
-from lp_lab import fixtures
-from lp_lab.model import FiniteModel, ModelDataPair, pair_at, validate_model
+from lp_lab import fixtures, serialization
+from lp_lab.model import (
+    FiniteModel,
+    ModelDataPair,
+    format_rational,
+    pair_at,
+    validate_model,
+)
 from lp_lab.partition import Partition
 from lp_lab.relations import RelationKind
 from lp_lab.serialization import render_machine
@@ -86,6 +98,8 @@ CASES = [
     ModelDataPair(FiniteModel((1, 2), (3, "y"), 2, ((1, 1), (2, 0))), 0),
     _escaped_model(),
     ModelDataPair(_escaped_model(), 3),
+    FiniteModel(("t",), ["a", "b"], 2, [[1, 1]]),
+    ModelDataPair(FiniteModel(("t",), ("a", "b"), 2, ([1, 1],)), 1),
     {"models": [_escaped_model(), fixtures.fix_d()], "empty": []},
     [pair_at(fixtures.fix_b(), "y2"), Fraction(-3, 4), 2**80, -7],
     "é",
@@ -114,3 +128,46 @@ def test_render_machine_matches_json_dumps(value):
 def test_float_is_refused(value):
     with pytest.raises(TypeError):
         render_machine(value)
+
+
+def _twin(label):
+    """A model whose labels are ``label`` and "2": twins whose labels differ
+    only in numeric type are equal models."""
+    return FiniteModel((label,), (label, "2"), 2, ((1, 1),))
+
+
+def _twin_text(label, pair: bool) -> str:
+    """What json.dumps prints for the twin's reference dict."""
+    shown = format_rational(label) if isinstance(label, Fraction) else label
+    data = {"theta": [shown], "space": [shown, "2"], "probs": [["1/2", "1/2"]]}
+    if pair:
+        data["observed"] = shown
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(1, True), (True, 1), (1, Fraction(1)), (Fraction(1), 1)],
+    ids=["1-True", "True-1", "1-Fraction", "Fraction-1"],
+)
+def test_equal_models_print_their_own_labels(first, second):
+    assert _twin(first) == _twin(second)
+    assert hash(_twin(first)) == hash(_twin(second))
+    serialization._model_text.cache_clear()
+    for _ in range(2):  # the second round runs with the cache warm
+        for label in (first, second, "1"):
+            assert render_machine(_twin(label)) == _twin_text(label, pair=False)
+            pair = ModelDataPair(_twin(label), 0)
+            assert render_machine(pair) == _twin_text(label, pair=True)
+    # only the model and the pair whose labels are all str were cached
+    assert serialization._model_text.cache_info().currsize == 2
+
+
+def test_float_label_is_refused_after_an_equal_int_label():
+    assert _twin(1.0) == _twin(1)
+    render_machine(_twin(1))
+    render_machine(ModelDataPair(_twin(1), 0))
+    with pytest.raises(TypeError):
+        render_machine(_twin(1.0))
+    with pytest.raises(TypeError):
+        render_machine(ModelDataPair(_twin(1.0), 0))

@@ -9,11 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from lp_lab import cli, serialization
+from lp_lab import cli, relations, serialization
 from lp_lab.errors import LpLabError
 from lp_lab.evidence import Prior, evidence_report
-from lp_lab.model import FiniteModel, ModelDataPair, format_rational, pair_at
-from lp_lab.relations import birnbaum_chain
+from lp_lab.model import (
+    FiniteModel,
+    ModelDataPair,
+    format_rational,
+    pair_at,
+    validate_model,
+)
+from lp_lab.relations import RelationKind, Universe, birnbaum_chain
 from lp_lab.search import enumerate_models
 from lp_lab.serialization import (
     LOAD_CACHE_SIZE,
@@ -288,23 +294,80 @@ def test_load_cache_evicts(tmp_path, validations):
     assert serialization._value.cache_info().hits == info.hits + 1
 
 
-def test_closure_after_a_rewrite_matches_a_fresh_process(fb, fc, tmp_path, capsys):
-    argv = ["--machine", "closure", "--kind", "C", "--dir", str(tmp_path)]
-    for label in fb.sample_labels:
-        save_pair(pair_at(fb, label), tmp_path / f"b{label}.pair")
-    save_pair(pair_at(fc, "z1"), tmp_path / "c.pair")
-    assert cli.run(argv) == 0
-    before = capsys.readouterr().out
-    save_pair(pair_at(fc, "z2"), tmp_path / f"b{fb.sample_labels[0]}.pair")
-    assert cli.run(argv) == 0
-    after = capsys.readouterr().out
-    assert after != before
+# -- the render cache ------------------------------------------------------
+
+
+@pytest.fixture
+def renders():
+    """The render cache's statistics, with the cache emptied first."""
+    serialization._model_text.cache_clear()
+    return serialization._model_text.cache_info
+
+
+def _write_universe(fb, fc, directory):
+    """One pair file per point of FIX-B and FIX-C, written by the reference
+    writer, so that the render cache is not touched."""
+    for model in (fb, fc):
+        for label in model.sample_labels:
+            _dump(pair_to_dict(pair_at(model, label)), directory / f"{label}.pair")
+
+
+def _closures(directory):
+    """The --machine command lines of the five closure kinds over a
+    directory and its Birnbaum mixtures."""
+    return [
+        ["--machine", "closure", "--kind", kind, "--dir", str(directory), "--augment", "birnbaum"]
+        for kind in cli._KINDS
+    ]
+
+
+def _fresh_process(argv):
     src = Path(serialization.__file__).resolve().parent.parent
-    fresh = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "import sys; from lp_lab.cli import main; main()", *argv],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
         check=True,
-    )
-    assert fresh.stdout == after
+    ).stdout
+
+
+def test_closure_payload_renders_each_member_once(fb, fc, renders):
+    pairs = [pair_at(m, x) for m in (fb, fc) for x in m.sample_labels]
+    universe = Universe.of(relations.augment(pairs, "birnbaum"))
+    result = relations.closure(universe, RelationKind.S_OR_C)
+    payload = {"members": universe.members, "classes": result.classes}
+    text = render_machine(payload)
+    assert render_machine(payload) == text
+    distinct = len(set(universe.members))
+    assert distinct > len(pairs)
+    assert renders().misses == distinct
+    assert renders().hits == distinct
+
+
+def test_five_closure_kinds_render_each_member_once(fb, fc, tmp_path, renders, capsys):
+    _write_universe(fb, fc, tmp_path)
+    members = []
+    for argv in _closures(tmp_path):
+        assert cli.run(argv) == 0
+        members.append(json.loads(capsys.readouterr().out)["members"])
+    assert len(members) == 5
+    assert all(listed == members[0] for listed in members)
+    assert renders().misses == len(members[0])
+    assert renders().hits == 4 * len(members[0])
+
+
+def test_closure_after_a_rewrite_matches_a_fresh_process(fb, fc, tmp_path, capsys):
+    _write_universe(fb, fc, tmp_path)
+    before = []
+    for argv in _closures(tmp_path):
+        assert cli.run(argv) == 0
+        before.append(capsys.readouterr().out)
+    # y1 becomes a pair of another model, with labels of its own
+    model = validate_model(["t1", "t2"], ["w1", "w2", "w3"], [["1/3"] * 3, ["1/6", "1/3", "1/2"]])
+    save_pair(pair_at(model, "w2"), tmp_path / "y1.pair")
+    for argv, old in zip(_closures(tmp_path), before):
+        assert cli.run(argv) == 0
+        after = capsys.readouterr().out
+        assert after != old
+        assert _fresh_process(argv) == after
