@@ -1,10 +1,30 @@
 """Relative-belief evidence calculus on finite models: posterior, relative
 belief ratio, Bayes factor, direction and strength of evidence, plus model
-checking and prior-data conflict checking. All quantities are exact."""
+checking and prior-data conflict checking. All quantities are exact.
+
+Every formula is evaluated in integers and each reported value is built
+once as a ``Fraction``. A prior is held as ``Prior.scaled = (W, a)``, its
+weights over their least common denominator (pi_i = a_i / W), and the
+observed point's likelihood as ``(g, k)`` from ``FiniteModel.likelihoods``
+(f_i(x) = g * k_i / D). With joint_i = a_i * k_i and T = sum(joint):
+
+- the posterior is joint_i / T and RB_i = W * k_i / T, so the relative
+  belief estimate is the argmax of k;
+- m(x) = g * T / (D * W);
+- for a hypothesis A with a_A = sum of a_i and J_A = sum of joint_i over
+  A, the prior and posterior probabilities are a_A / W and J_A / T, the
+  Bayes factor is J_A * (W - a_A) / ((T - J_A) * a_A), and the evidence
+  is for A iff J_A * W > a_A * T;
+- each strength or tail probability is one integer sum over one
+  denominator.
+"""
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -12,6 +32,7 @@ from typing import Optional, Sequence
 from .ancillarity import block_masses
 from .errors import (
     DegenerateHypothesis,
+    DuplicateLabel,
     EmptyHypothesis,
     LpLabError,
     NotAncillary,
@@ -21,8 +42,8 @@ from .errors import (
 from .model import (
     FiniteModel,
     ModelDataPair,
+    _parse_entry,
     check_same_theta,
-    parse_rational,
 )
 from .partition import Partition
 from .sufficiency import reduce_to_mss
@@ -30,7 +51,11 @@ from .sufficiency import reduce_to_mss
 
 @dataclass(frozen=True)
 class Prior:
-    """Strictly positive prior weights on a parameter space, summing to 1."""
+    """Strictly positive prior weights on a parameter space, summing to 1.
+
+    Each weight is an ``int`` or a ``Fraction``; ``scaled`` holds them as
+    integers over their least common denominator.
+    """
 
     theta_labels: tuple[str, ...]
     weights: tuple[Fraction, ...]
@@ -40,16 +65,35 @@ class Prior:
             raise ParameterSpaceMismatch(
                 f"{len(self.theta_labels)} labels, {len(self.weights)} weights"
             )
-        if any(w <= 0 for w in self.weights):
+        if len(set(self.theta_labels)) != len(self.theta_labels):
+            raise DuplicateLabel(
+                f"duplicate parameter labels in {self.theta_labels}"
+            )
+        if not all(isinstance(w, (int, Fraction)) for w in self.weights):
+            raise TypeError(
+                "prior weights must be int or Fraction: "
+                "floating point probabilities are not accepted"
+            )
+        total, scaled = self.scaled
+        if any(v <= 0 for v in scaled):
             raise LpLabError("prior weights must be strictly positive")
-        if sum(self.weights) != 1:
+        if sum(scaled) != total:
             raise LpLabError("prior weights must sum to exactly 1")
+
+    @functools.cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """``(W, a)`` with ``weights[i] == a[i] / W``, W the least common
+        denominator of the weights."""
+        total = math.lcm(*(w.denominator for w in self.weights))
+        return total, tuple(
+            w.numerator * (total // w.denominator) for w in self.weights
+        )
 
     @staticmethod
     def of(theta_labels: Sequence[str], weights: Sequence) -> "Prior":
         return Prior(
             tuple(str(t) for t in theta_labels),
-            tuple(parse_rational(w) for w in weights),
+            tuple(Fraction(*_parse_entry(w)) for w in weights),
         )
 
     def index_of(self, label: str) -> int:
@@ -78,15 +122,25 @@ def _hypothesis_indices(prior: Prior, hypothesis: Sequence[str]) -> list[int]:
     return sorted({prior.index_of(label) for label in hypothesis})
 
 
+def _predictive_masses(
+    model: FiniteModel, prior: Prior
+) -> tuple[list[int], int]:
+    """``(s, D * W)`` with m(x) = s[x] / (D * W) for each sample point x."""
+    check_same_theta(model.theta_labels, prior.theta_labels)
+    total, scaled = prior.scaled
+    masses = [
+        sum(map(operator.mul, scaled, column))
+        for column in model.scaled_columns
+    ]
+    return masses, model.den * total
+
+
 def prior_predictive(
     model: FiniteModel, prior: Prior
 ) -> tuple[Fraction, ...]:
     """m(x) = sum_theta pi(theta) f_theta(x); entries sum to 1."""
-    check_same_theta(model.theta_labels, prior.theta_labels)
-    return tuple(
-        g * sum(w * v for w, v in zip(prior.weights, k)) / model.den
-        for g, k in model.likelihoods
-    )
+    masses, scale = _predictive_masses(model, prior)
+    return tuple(Fraction(s, scale) for s in masses)
 
 
 def posterior(pair: ModelDataPair, prior: Prior) -> tuple[Fraction, ...]:
@@ -148,15 +202,16 @@ def check_model_mss(pair: ModelDataPair) -> Fraction:
     """Exact tail probability of the data given the minimal sufficient value.
 
     The conditional distribution within the observed MSS block is
-    parameter-free (carried by the reduction's theta-free factors); the
-    returned value sums the conditional probabilities no larger than the
-    observed one.
+    parameter-free: h(x) = g(x) / (sum of g over the block), with g(x)
+    the gcd of x's column in ``model.likelihoods``. The returned value
+    sums the conditional probabilities no larger than the observed one.
     """
-    reduction = reduce_to_mss(pair)
-    factors, block_map = reduction.theta_free_factor, reduction.block_map
+    block_map = reduce_to_mss(pair).block_map
     b = block_map[pair.observed]
-    q = [h for h, block in zip(factors, block_map) if block == b]
-    return _tail(q, q, factors[pair.observed])
+    likelihoods = pair.model.likelihoods
+    gcds = [g for (g, _), block in zip(likelihoods, block_map) if block == b]
+    cutoff = likelihoods[pair.observed][0]
+    return Fraction(sum(g for g in gcds if g <= cutoff), sum(gcds))
 
 
 def check_model_ancillary(
@@ -172,10 +227,10 @@ def check_model_ancillary(
 def check_prior_conflict(pair: ModelDataPair, prior: Prior) -> Fraction:
     """Tail probability of the prior predictive of the MSS at its observed
     value; small values signal prior-data conflict."""
-    reduction = reduce_to_mss(pair)
-    reduced = reduction.reduced
-    m = prior_predictive(reduced.model, prior)
-    return _tail(m, m, m[reduced.observed])
+    reduced = reduce_to_mss(pair).reduced
+    masses, scale = _predictive_masses(reduced.model, prior)
+    cutoff = masses[reduced.observed]
+    return Fraction(sum(s for s in masses if s <= cutoff), scale)
 
 
 @dataclass(frozen=True)
@@ -209,43 +264,57 @@ def evidence_report(
     """Full evidence summary for a pair, a prior and optional hypotheses.
 
     Each evidence formula is written here once; the functions above read
-    their answer from the report. The posterior is proportional to pi * k,
-    with ``(g, k)`` the likelihood of the observed point, and
-    m(x_obs) = g * sum(pi * k) / D. Every other field is derived from the
-    posterior.
+    their answer from the report. With ``(g, k)`` the likelihood of the
+    observed point, ``(W, a)`` the scaled prior, joint_i = a_i * k_i and
+    T = sum(joint): m(x_obs) = g * T / (D * W), the posterior is
+    joint_i / T, RB_i = W * k_i / T and the estimate is the argmax of k.
+    For a hypothesis A, with a_A and J_A the sums of a and joint over A,
+    BF = J_A * (W - a_A) / ((T - J_A) * a_A), the direction compares
+    J_A * W with a_A * T, and the strength of a single value i is the sum
+    of joint_j over k_j <= k_i, over T.
     """
     check_same_theta(pair.model.theta_labels, prior.theta_labels)
+    total_prior, scaled = prior.scaled
     g, k = pair.model.likelihoods[pair.observed]
-    joint = [w * v for w, v in zip(prior.weights, k)]
+    joint = list(map(operator.mul, scaled, k))
     total = sum(joint)
-    m = g * total / pair.model.den
-    post = tuple(j / total for j in joint)
-    rb = tuple(p / w for p, w in zip(post, prior.weights))
+    m = Fraction(g * total, pair.model.den * total_prior)
+    post = tuple(Fraction(j, total) for j in joint)
+    rb = tuple(Fraction(total_prior * v, total) for v in k)
     records = []
     for hypothesis in hypotheses:
         indices = _hypothesis_indices(prior, hypothesis)
         if not indices:
             raise EmptyHypothesis("hypothesis must be nonempty")
-        p_a = sum(prior.weights[i] for i in indices)
-        q_a = sum(post[i] for i in indices)
-        # q_a == 1 when the complement has posterior probability 0, as the
-        # whole space's complement has: the posterior odds are infinite
-        factor = None if q_a == 1 else (q_a / (1 - q_a)) / (p_a / (1 - p_a))
+        a_a = sum(scaled[i] for i in indices)
+        j_a = sum(joint[i] for i in indices)
+        # j_a == total when the complement has posterior probability 0, as
+        # the whole space's complement has: the posterior odds are infinite
+        factor = (
+            None if j_a == total
+            else Fraction(j_a * (total_prior - a_a), (total - j_a) * a_a)
+        )
+        lhs, rhs = j_a * total_prior, a_a * total
         direction = (
-            Direction.FOR if q_a > p_a
-            else Direction.AGAINST if q_a < p_a
+            Direction.FOR if lhs > rhs
+            else Direction.AGAINST if lhs < rhs
             else Direction.NEUTRAL
         )
+        strength = None
+        if len(indices) == 1:
+            cutoff = k[indices[0]]
+            tail = sum(j for j, v in zip(joint, k) if v <= cutoff)
+            strength = Fraction(tail, total)
         records.append(
             HypothesisRecord(
                 tuple(prior.theta_labels[i] for i in indices),
-                p_a,
-                q_a,
+                Fraction(a_a, total_prior),
+                Fraction(j_a, total),
                 factor,
                 direction,
-                _tail(post, rb, rb[indices[0]]) if len(indices) == 1 else None,
+                strength,
             )
         )
-    best = max(rb)
-    estimate = (t for t, value in zip(prior.theta_labels, rb) if value == best)
+    best = max(k)
+    estimate = (t for t, v in zip(prior.theta_labels, k) if v == best)
     return EvidenceReport(m, post, rb, tuple(sorted(estimate)), tuple(records))

@@ -2,9 +2,11 @@
 
 Each function recomputes the posterior from the prior predictive, and
 `reference_report` builds every field of an EvidenceReport by calling the
-standalone functions again for each hypothesis. The library derives the
-whole report from one posterior; differential tests compare the two.
-``uniform_prior`` is the flat prior the tests use.
+standalone functions again for each hypothesis. The two model checks find
+the minimal sufficient blocks by cross-multiplying ``probs`` columns. All
+of it is ``Fraction`` arithmetic on ``probs``; the library computes in
+integers from ``likelihoods`` and ``Prior.scaled``, and differential
+tests compare the two. ``uniform_prior`` is the flat prior the tests use.
 """
 
 from __future__ import annotations
@@ -162,3 +164,40 @@ def reference_report(
         tuple(sorted(rb_estimate(pair, prior))),
         tuple(records),
     )
+
+
+def _mss_blocks(model: FiniteModel) -> list[list[int]]:
+    """Points grouped by proportional probability columns: x and y share
+    a block iff col(x) * sum(col(y)) == col(y) * sum(col(x))."""
+    columns = [tuple(row[x] for row in model.probs) for x in range(model.n_points)]
+    blocks: list[list[int]] = []
+    for x, column in enumerate(columns):
+        for block in blocks:
+            other = columns[block[0]]
+            if all(
+                u * sum(other) == v * sum(column)
+                for u, v in zip(column, other)
+            ):
+                block.append(x)
+                break
+        else:
+            blocks.append([x])
+    return blocks
+
+
+def check_model_mss(pair: ModelDataPair) -> Fraction:
+    probs, observed = pair.model.probs, pair.observed
+    (block,) = [b for b in _mss_blocks(pair.model) if observed in b]
+    row = next(row for row in probs if row[observed] > 0)
+    mass = sum(row[x] for x in block)
+    conditional = [row[x] / mass for x in block]
+    cutoff = row[observed] / mass
+    return sum((q for q in conditional if q <= cutoff), Fraction(0))
+
+
+def check_prior_conflict(pair: ModelDataPair, prior: Prior) -> Fraction:
+    m = prior_predictive(pair.model, prior)
+    blocks = _mss_blocks(pair.model)
+    masses = [sum(m[x] for x in block) for block in blocks]
+    (cutoff,) = [v for v, b in zip(masses, blocks) if pair.observed in b]
+    return sum((v for v in masses if v <= cutoff), Fraction(0))

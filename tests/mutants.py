@@ -1,6 +1,6 @@
 """Mutation gate for the certificate checker, the C-transitivity search,
 set partitions, the model core, ancillarity, sufficiency, the evidence
-calculus, the relation algebra and serialization.
+calculus, the relation algebra, serialization and the command line.
 
 Usage, from the repository root (pytest does not collect this file):
 
@@ -84,6 +84,11 @@ COVERED = {
         "tests/test_input_schema.py",
         "tests/test_render_edges.py",
         "tests/test_render_property.py",
+    ],
+    "cli.py": [
+        "tests/test_cli.py",
+        "tests/test_cli_golden.py",
+        "tests/test_input_schema.py",
     ],
 }
 

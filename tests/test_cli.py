@@ -195,6 +195,15 @@ def test_rb_analyze_infinite_odds_bayes_factor_is_inf(files, tmp_path, capsys):
     assert record["bayes_factor"] is None
 
 
+def test_rb_prior_with_duplicate_labels_is_usage_error(files, tmp_path, capsys):
+    prior = tmp_path / "twice.prior"
+    prior.write_text(json.dumps({"theta": ["t1", "t1"], "weights": ["1/2", "1/2"]}))
+    assert run(["rb", "analyze", files["pairB1"], "--prior", str(prior)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate parameter labels in ('t1', 't1')\n"
+
+
 def test_check_model_and_prior(files, capsys):
     assert run(["check", "model", files["pairA1"]]) == 0
     assert "1/3" in capsys.readouterr().out
@@ -304,6 +313,18 @@ def test_decimal_zero_keeps_whole_part(files, capsys):
     argv = ["--decimal", "0", "relate", "--kind", "L"]
     assert run(argv + [files["pairB2"], files["pairC1"]]) == 0
     assert capsys.readouterr().out == "L: related with c = 3/2 (~1)\n"
+
+
+def test_decimal_zero_has_no_sign(files, tmp_path, capsys):
+    model = validate_model(["t1", "t2"], ["a", "b"], [["1/2", "1/2"], ["1", "0"]])
+    save_pair(pair_at(model, "b"), tmp_path / "zero.pair")
+    argv = ["--decimal", "2", "rb", "analyze", str(tmp_path / "zero.pair")]
+    assert run(argv + ["--prior", files["prior"]]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "posterior: (1 (~1.00), 0 (~0.00))",
+        "RB:        (2 (~2.00), 0 (~0.00))",
+    ]
 
 
 def test_cached_parser_keeps_no_state_between_calls(files, capsys):

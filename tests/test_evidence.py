@@ -5,9 +5,11 @@ import pytest
 
 from lp_lab.errors import (
     DegenerateHypothesis,
+    DuplicateLabel,
     GroundSetMismatch,
     LpLabError,
     NotAncillary,
+    ParameterSpaceMismatch,
     UnknownTheta,
 )
 from lp_lab.evidence import (
@@ -35,10 +37,62 @@ F = Fraction
 
 
 def test_prior_requires_positive_weights_summing_to_one():
-    with pytest.raises(LpLabError):
+    with pytest.raises(LpLabError, match="strictly positive"):
         Prior.of(["t1", "t2"], ["1", "0"])
-    with pytest.raises(LpLabError):
+    with pytest.raises(LpLabError, match="strictly positive"):
+        Prior.of(["t1", "t2"], ["-1", "2"])
+    with pytest.raises(LpLabError, match="sum to exactly 1"):
         Prior.of(["t1", "t2"], ["1/2", "1/3"])
+    with pytest.raises(LpLabError, match="sum to exactly 1"):
+        Prior((), ())
+
+
+def test_prior_scaled_holds_weights_over_their_least_common_denominator():
+    assert Prior.of(["t1", "t2", "t3"], ["1/6", "2/6", "1/2"]).scaled == (
+        6,
+        (1, 2, 3),
+    )
+    assert Prior(("t1",), (1,)).scaled == (1, (1,))
+
+
+@pytest.mark.parametrize("weight", [0.5, "1/2", None])
+def test_prior_refuses_weights_that_are_not_int_or_fraction(weight):
+    with pytest.raises(TypeError, match="floating point"):
+        Prior(("t1", "t2"), (weight, weight))
+    with pytest.raises(TypeError, match="floating point"):
+        Prior(("t1", "t2"), (F(1, 2), weight))
+
+
+def test_prior_of_refuses_floats_as_parse_rational_does():
+    with pytest.raises(TypeError, match="floating point"):
+        Prior.of(["t1", "t2"], [0.5, 0.5])
+
+
+def test_integer_weight_gives_fractions():
+    m = validate_model(["t1"], ["a", "b"], [["1/3", "2/3"]])
+    report = evidence_report(ModelDataPair(m, 0), Prior(("t1",), (1,)))
+    assert repr(report.posterior) == "(Fraction(1, 1),)"
+    assert repr(report.rb) == "(Fraction(1, 1),)"
+    assert repr(report.prior_predictive_at_data) == "Fraction(1, 3)"
+
+
+def test_prior_refuses_duplicate_labels():
+    with pytest.raises(DuplicateLabel, match="duplicate parameter labels"):
+        Prior(("t1", "t1"), (F(1, 2), F(1, 2)))
+    with pytest.raises(DuplicateLabel, match="duplicate parameter labels"):
+        Prior.of(["t1", "t2", "t1"], ["1/3", "1/3", "1/3"])
+
+
+def test_prior_errors_keep_their_order():
+    # lengths, then labels, then weight types, then positivity
+    with pytest.raises(ParameterSpaceMismatch):
+        Prior(("t1", "t1"), (0.5,))
+    with pytest.raises(DuplicateLabel):
+        Prior(("t1", "t1"), (0.5, 0.5))
+    with pytest.raises(TypeError):
+        Prior(("t1", "t2"), (F(-1), 0.5))
+    with pytest.raises(LpLabError, match="strictly positive"):
+        Prior.of(["t1", "t2"], ["0", "1/2"])
 
 
 def test_prior_predictive_fix_b(fb, fe):

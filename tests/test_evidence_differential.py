@@ -1,7 +1,8 @@
 """The evidence calculus against the field-by-field reference.
 
 Inputs: every pair of two enumerated universes (two and three parameter
-values), under a uniform and a skewed prior, with every nonempty hypothesis.
+values), under a uniform and a skewed prior, with every nonempty hypothesis;
+the prior predictive and both MSS model checks over the same pairs.
 Values are compared by equality and by repr, so a Fraction turning into an
 int (which would render differently in --machine output) is caught too.
 """
@@ -92,6 +93,20 @@ def test_standalone_functions_match_reference(bounds):
                 )
 
 
+@pytest.mark.parametrize("bounds", UNIVERSES)
+def test_model_checks_match_reference(bounds):
+    for pair, prior in _cases(bounds):
+        _same(
+            evidence.prior_predictive(pair.model, prior),
+            ref.prior_predictive(pair.model, prior),
+        )
+        _same(
+            evidence.check_prior_conflict(pair, prior),
+            ref.check_prior_conflict(pair, prior),
+        )
+        _same(evidence.check_model_mss(pair), ref.check_model_mss(pair))
+
+
 def test_errors_match_reference():
     pairs = list(enumerate_pairs(2, 3, 3))[:8]
     for pair in pairs:
@@ -121,6 +136,14 @@ def test_errors_match_reference():
         _same(
             _outcome(evidence_report, pair, foreign, [whole]),
             _outcome(ref.reference_report, pair, foreign, [whole]),
+        )
+        _same(
+            _outcome(evidence.prior_predictive, pair.model, foreign),
+            _outcome(ref.prior_predictive, pair.model, foreign),
+        )
+        _same(
+            _outcome(evidence.check_prior_conflict, pair, foreign),
+            _outcome(ref.check_prior_conflict, pair, foreign),
         )
 
 
