@@ -113,6 +113,24 @@ class FiniteModel:
             rows = tuple(tuple(v // g for v in row) for row in self.rows)
             object.__setattr__(self, "rows", rows)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, computed once per instance.
+
+        Rows that do not hash (lists) raise TypeError on every call, and
+        nothing is cached.
+        """
+        return hash((self.theta_labels, self.sample_labels, self.den, self.rows))
+
+    def __getstate__(self) -> dict:
+        # a str hash differs between processes, so a pickle carries none
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @functools.cached_property
     def probs(self) -> tuple[tuple[Fraction, ...], ...]:
         """``probs[i][j]`` is f_theta_i(x_j), a ``Fraction``."""

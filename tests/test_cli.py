@@ -6,6 +6,7 @@ from lp_lab import ancillarity
 from lp_lab.cli import _KINDS, build_parser, run
 from lp_lab.model import FiniteModel, canonical_form, pair_at, validate_model
 from lp_lab.relations import birnbaumize
+from lp_lab.search import MAX_COMBINATIONS
 from lp_lab.serialization import save_pair, save_prior, save_model
 
 
@@ -421,6 +422,22 @@ def test_search_above_enumeration_bound_stops_at_first_find(capsys):
     # before it scans models that large
     assert run(["--machine", "search", "c-transitivity", "--max-space", "13"]) == 0
     assert json.loads(capsys.readouterr().out)["found"] is not None
+
+
+@pytest.mark.parametrize(
+    "bound, size, den",
+    # 5,200,287 and 1,166,803,093 row combinations
+    [("12", 10, 5), ("16", 8, 13)],
+)
+def test_oversized_search_fails_at_once(bound, size, den, capsys):
+    args = ["--max-space", bound, "--max-denominator", bound]
+    assert run(["search", "l-minus-sc", "--theta-size", "1"] + args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: search grid exceeds enumeration bound {MAX_COMBINATIONS} "
+        f"row combinations at |X| = {size}, denominator {den}\n"
+    )
 
 
 def test_ancillaries_above_the_bound_fails_at_once(tmp_path, monkeypatch, capsys):

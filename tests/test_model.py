@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from lp_lab.errors import (
     UnreachablePoint,
 )
 from lp_lab.model import (
+    FiniteModel,
     ModelDataPair,
     canonical_form,
     column_embedding,
@@ -24,6 +26,7 @@ from lp_lab.model import (
     format_rational,
     validate_model,
 )
+from lp_lab.search import enumerate_models
 from model_reference import column, likelihood_vector, proportional
 from random_models import random_pair
 
@@ -215,6 +218,52 @@ def test_canonical_form_is_built_once(fb, monkeypatch):
     assert built == [fb]
     # an equal pair built apart holds an equal canonical form of its own
     assert canonical_form(pair_at(fb, "y2")) == first
+
+
+def _fields_hash(model):
+    return hash((model.theta_labels, model.sample_labels, model.den, model.rows))
+
+
+def test_hash_is_the_fields_hash_computed_once():
+    models = list(enumerate_models(2, 3, 3))
+    for model in models:
+        assert "_hash" not in model.__dict__
+        assert hash(model) == _fields_hash(model)
+        assert model.__dict__["_hash"] == _fields_hash(model)
+        # equal models built apart, over a doubled denominator and from
+        # Fraction entries, hash equal
+        doubled = FiniteModel(
+            model.theta_labels,
+            model.sample_labels,
+            2 * model.den,
+            tuple(tuple(2 * v for v in row) for row in model.rows),
+        )
+        spelled = validate_model(
+            model.theta_labels, model.sample_labels, model.probs
+        )
+        for twin in (doubled, spelled):
+            assert twin == model and twin is not model
+            assert hash(twin) == hash(model)
+    assert len({hash(m) for m in models}) == len(models)
+
+
+def test_model_of_lists_never_hashes():
+    model = FiniteModel(["t1", "t2"], ["a", "b"], 2, [[1, 1], [2, 0]])
+    for _ in range(2):
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            hash(model)
+        assert "_hash" not in model.__dict__
+    with pytest.raises(TypeError):
+        hash(ModelDataPair(model, 0))
+
+
+def test_pickle_carries_no_hash(fb):
+    # a str hash differs between processes, so the cached one must not travel
+    hash(fb)
+    copy = pickle.loads(pickle.dumps(fb))
+    assert "_hash" not in copy.__dict__
+    assert copy == fb and hash(copy) == hash(fb) == _fields_hash(copy)
+    assert "_hash" in fb.__dict__
 
 
 def _permuted(pair, order):

@@ -8,7 +8,10 @@ reductions from their parent's integers; the exact factorization of each
 reduction is checked here. ``model_reference`` keeps the same functions
 written on ``Fraction`` values. Inputs: hypothesis-drawn model entries in
 many spellings, an enumerated universe with Birnbaum and EFM mixtures and
-their conditionals, and four grid bounds.
+their conditionals, and four grid bounds. Reductions are also checked on
+the Birnbaum and EFM mixtures of every L-related pair of the universe, and
+the pairs of one model must share its one reduced model, block map and
+factors.
 """
 
 import math
@@ -165,15 +168,31 @@ def universe():
 
 
 @pytest.fixture(scope="module")
-def mixed_l_pairs(universe):
-    """L-related pairs of the universe sampled for mixing."""
-    l_pairs = [
+def l_pairs(universe):
+    """Every L-related pair of distinct members of the universe."""
+    return [
         (a, b)
         for i, a in enumerate(universe)
         for b in universe[i + 1 :]
         if ref.l_class_key(a) == ref.l_class_key(b)
     ]
+
+
+@pytest.fixture(scope="module")
+def mixed_l_pairs(l_pairs):
+    """L-related pairs of the universe sampled for mixing."""
     return random.Random(1949).sample(l_pairs, MIXED_L_PAIRS)
+
+
+@pytest.fixture(scope="module")
+def grid_mixtures(l_pairs):
+    """Both observations of the Birnbaum mixture, and the EFM parent, of
+    every L-related pair of the universe."""
+    out = []
+    for a, b in l_pairs:
+        _, e1, e2 = birnbaumize(a, b)
+        out += [e1, e2, efm_parent(a, b).parent]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -249,16 +268,32 @@ def test_mixtures_match_reference(mixed_l_pairs):
         _same_model(efm_parent(a, b).parent.model, want)
 
 
-def test_mss_reductions_match_reference(pairs):
-    for pair in pairs:
-        got = reduce_to_mss(pair).reduced
-        partition = ref.likelihood_partition(pair.model)
-        want = ref.statistic_induced_model(pair.model, partition)
-        _same_pair(got, ModelDataPair(want, partition.labels[pair.observed]))
+def test_mss_reductions_match_reference(pairs, grid_mixtures):
+    # the pairs of one model are reduced in a row, so none of them finds
+    # the model's quotient evicted, and all share its one set of objects
+    groups: dict[FiniteModel, list[ModelDataPair]] = {}
+    for pair in pairs + grid_mixtures:
+        groups.setdefault(pair.model, []).append(pair)
+    shared = 0
+    for group in groups.values():
+        first = reduce_to_mss(group[0])
+        for pair in group:
+            reduction = reduce_to_mss(pair)
+            partition = ref.likelihood_partition(pair.model)
+            want = ref.statistic_induced_model(pair.model, partition)
+            _same_pair(
+                reduction.reduced,
+                ModelDataPair(want, partition.labels[pair.observed]),
+            )
+            assert reduction.reduced.model is first.reduced.model
+            assert reduction.block_map is first.block_map
+            assert reduction.theta_free_factor is first.theta_free_factor
+        shared += len({p.observed for p in group}) > 1
+    assert shared > len(grid_mixtures) // 4
 
 
-def test_mss_factorization_is_exact(pairs):
-    for pair in pairs:
+def test_mss_factorization_is_exact(pairs, grid_mixtures):
+    for pair in pairs + grid_mixtures:
         reduction = reduce_to_mss(pair)
         g, h = reduction.reduced.model.probs, reduction.theta_free_factor
         block_map = reduction.block_map

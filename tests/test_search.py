@@ -155,6 +155,57 @@ def test_search_bounds_reject_empty_grid(field):
         next(enumerate_models(**{field: 0}))
 
 
+def _strata(theta_size, max_space, max_denominator):
+    """(size, den, row combinations) of each stratum, in grid order, with
+    rows counted by brute force over all tuples of entries."""
+    out = []
+    for size in range(1, max_space + 1):
+        for den in range(1, max_denominator + 1):
+            rows = sum(
+                sum(entries) == den
+                for entries in itertools.product(range(den + 1), repeat=size)
+            )
+            out.append((size, den, rows**theta_size))
+    return out
+
+
+def test_default_grid_is_within_the_enumeration_bound():
+    total = sum(n for _, _, n in _strata(2, 6, 6))
+    assert total == 376_461 <= search.MAX_COMBINATIONS
+
+
+@pytest.mark.parametrize("bounds", [(2, 3, 3), (1, 4, 5), (3, 2, 4)])
+def test_enumeration_bound_refuses_the_stratum_past_it(monkeypatch, bounds):
+    strata = _strata(*bounds)
+    total = sum(n for _, _, n in strata)
+    models = list(enumerate_models(*bounds))
+    monkeypatch.setattr(search, "MAX_COMBINATIONS", total)
+    assert list(enumerate_models(*bounds)) == models
+    # one fewer refuses the last stratum before its rows are built, after
+    # every model of the strata before it
+    size, den, _ = strata[-1]
+    built = []
+    compositions = search._compositions
+
+    def spy(whole, parts):
+        built.append((parts, whole))
+        return compositions(whole, parts)
+
+    monkeypatch.setattr(search, "_compositions", spy)
+    monkeypatch.setattr(search, "MAX_COMBINATIONS", total - 1)
+    yielded = []
+    with pytest.raises(SpaceTooLarge) as refused:
+        yielded.extend(enumerate_models(*bounds))
+    assert str(refused.value) == (
+        f"search grid exceeds enumeration bound {total - 1} row combinations "
+        f"at |X| = {size}, denominator {den}"
+    )
+    assert (size, den) not in built
+    assert {(s, d) for s, d, _ in strata[:-1]} <= set(built)
+    assert yielded == [m for m in models if (m.n_points, m.den) != (size, den)]
+    assert len(yielded) < len(models)
+
+
 @pytest.mark.parametrize("bounds", [(2, 4, 4), (3, 3, 3)])
 def test_nested_balanced_blocks_give_c_related_conditionals(bounds):
     # the lemma the search decides C by: two conditionals of one pair are

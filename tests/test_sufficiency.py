@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lp_lab.errors import GroundSetMismatch, ParameterSpaceMismatch, UnreachablePoint
+from lp_lab import sufficiency
 from lp_lab.model import FiniteModel, ModelDataPair, pairs_isomorphic, validate_model
 from lp_lab.partition import Partition, all_partitions
 from lp_lab.sufficiency import (
@@ -148,12 +149,54 @@ def test_reduce_to_mss_cache_evicts():
     ]
     assert len(pairs) > MSS_CACHE_SIZE
     reduce_to_mss.cache_clear()
+    sufficiency._quotient.cache_clear()
     for pair in pairs:
         reduce_to_mss(pair)
     info = reduce_to_mss.cache_info()
     assert info.maxsize == info.currsize == MSS_CACHE_SIZE
     assert info.misses == len(pairs)
+    # each pair is of its own model, so the model cache is bounded alike
+    by_model = sufficiency._quotient.cache_info()
+    assert by_model.maxsize == by_model.currsize == MSS_CACHE_SIZE
+    assert (by_model.hits, by_model.misses) == (0, len(pairs))
     reduce_to_mss(pairs[0])  # evicted, so computed again
     assert reduce_to_mss.cache_info().misses == len(pairs) + 1
+    assert sufficiency._quotient.cache_info().misses == len(pairs) + 1
     reduce_to_mss(pairs[-1])  # still held
     assert reduce_to_mss.cache_info().hits == info.hits + 1
+    assert sufficiency._quotient.cache_info().misses == len(pairs) + 1
+
+
+def test_pairs_of_one_model_share_its_quotient(fd):
+    reductions = [reduce_to_mss(ModelDataPair(fd, x)) for x in range(4)]
+    assert [r.reduced.observed for r in reductions] == [0, 1, 0, 1]
+    first = reductions[0]
+    for reduction in reductions[1:]:
+        assert reduction.reduced.model is first.reduced.model
+        assert reduction.block_map is first.block_map
+        assert reduction.theta_free_factor is first.theta_free_factor
+
+
+def test_equal_models_built_apart_share_one_quotient():
+    def build():
+        return validate_model(
+            ["t1", "t2"],
+            ["a", "b", "c", "d"],
+            [["1/8", "1/8", "1/4", "1/2"], ["1/4", "1/4", "1/4", "1/4"]],
+        )
+
+    first, second = build(), build()
+    assert first == second and first is not second
+    reduce_to_mss.cache_clear()
+    sufficiency._quotient.cache_clear()
+    reductions = [
+        reduce_to_mss(ModelDataPair(model, x))
+        for model in (first, second)
+        for x in range(4)
+    ]
+    assert len({id(r.reduced.model) for r in reductions}) == 1
+    by_model = sufficiency._quotient.cache_info()
+    assert (by_model.misses, by_model.hits, by_model.currsize) == (1, 3, 1)
+    # a pair of the second model equals the first model's pair at x
+    by_pair = reduce_to_mss.cache_info()
+    assert (by_pair.misses, by_pair.hits, by_pair.currsize) == (4, 4, 4)
