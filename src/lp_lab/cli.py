@@ -23,6 +23,7 @@ from .evidence import (
     check_model_mss,
     check_prior_conflict,
     evidence_report,
+    rb_strength,
 )
 from .model import ModelDataPair, canonical_form, format_rational
 from .partition import Partition
@@ -343,7 +344,7 @@ def cmd_rb(args, printer) -> int:
             "relative belief estimate: " + ", ".join(report.estimate)
         )
     elif args.what == "strength":
-        value = report.strength(prior.index_of(args.theta))
+        value = rb_strength(pair, prior, args.theta)
         payload["strength"] = value
         lines.append(
             f"strength({args.theta}) = {printer.rational(value)}"

@@ -15,8 +15,8 @@ observed point's likelihood as ``(g, k)`` from ``FiniteModel.likelihoods``
   A, the prior and posterior probabilities are a_A / W and J_A / T, the
   Bayes factor is J_A * (W - a_A) / ((T - J_A) * a_A), and the evidence
   is for A iff J_A * W > a_A * T;
-- each strength or tail probability is one integer sum over one
-  denominator.
+- each strength or tail probability, the ancillary check's included, is
+  one integer sum over one denominator.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ancillarity import block_masses
 from .errors import (
     DegenerateHypothesis,
     DuplicateLabel,
@@ -46,7 +45,7 @@ from .model import (
     check_same_theta,
 )
 from .partition import Partition
-from .sufficiency import reduce_to_mss
+from .sufficiency import reduce_to_mss, statistic_induced_model
 
 
 @dataclass(frozen=True)
@@ -107,15 +106,6 @@ class Direction(enum.Enum):
     FOR = "for"
     AGAINST = "against"
     NEUTRAL = "neutral"
-
-
-def _tail(
-    probs: Sequence[Fraction], scores: Sequence[Fraction], cutoff: Fraction
-) -> Fraction:
-    """Total probability of the outcomes scoring no more than ``cutoff``."""
-    return sum(
-        (p for p, score in zip(probs, scores) if score <= cutoff), Fraction(0)
-    )
 
 
 def _hypothesis_indices(prior: Prior, hypothesis: Sequence[str]) -> list[int]:
@@ -192,10 +182,11 @@ def rb_strength(
     """Posterior probability of {theta : RB(theta|x) <= RB(theta0|x)}.
 
     Small values mean the evidence for theta0 is weak even when its
-    relative belief ratio exceeds 1.
+    relative belief ratio exceeds 1. The label is checked first; the value
+    is the strength of the hypothesis {theta0} in ``evidence_report``.
     """
-    index = prior.index_of(theta0)
-    return evidence_report(pair, prior).strength(index)
+    prior.index_of(theta0)
+    return evidence_report(pair, prior, [[theta0]]).hypotheses[0].strength
 
 
 def check_model_mss(pair: ModelDataPair) -> Fraction:
@@ -217,11 +208,18 @@ def check_model_mss(pair: ModelDataPair) -> Fraction:
 def check_model_ancillary(
     pair: ModelDataPair, ancillary: Partition
 ) -> Fraction:
-    """Exact tail probability of the ancillary at its observed value."""
-    masses = block_masses(pair.model, ancillary)
-    if masses is None:
+    """Exact tail probability of the ancillary at its observed value.
+
+    The partition is ancillary iff the rows of the model it induces,
+    ``statistic_induced_model``, are equal; the tail sums that row's
+    entries no larger than the observed block's, over the induced ``den``.
+    """
+    induced = statistic_induced_model(pair.model, ancillary)
+    row = induced.rows[0]
+    if any(other != row for other in induced.rows):
         raise NotAncillary("partition has parameter-dependent block masses")
-    return _tail(masses, masses, masses[ancillary.labels[pair.observed]])
+    cutoff = row[ancillary.labels[pair.observed]]
+    return Fraction(sum(v for v in row if v <= cutoff), induced.den)
 
 
 def check_prior_conflict(pair: ModelDataPair, prior: Prior) -> Fraction:
@@ -250,10 +248,6 @@ class EvidenceReport:
     rb: tuple[Fraction, ...]
     estimate: tuple[str, ...]
     hypotheses: tuple[HypothesisRecord, ...]
-
-    def strength(self, index: int) -> Fraction:
-        """rb_strength of the parameter value at ``index``."""
-        return _tail(self.posterior, self.rb, self.rb[index])
 
 
 def evidence_report(

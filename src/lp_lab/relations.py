@@ -201,7 +201,10 @@ def birnbaum_chain(p1: ModelDataPair, p2: ModelDataPair) -> WitnessChain:
     """The three-step chain p1 -C- (M*,(1,x1)) -S- (M*,(2,x2)) -C- p2.
 
     Requires proportional likelihoods; every step is verified by the
-    corresponding one-step oracle before the chain is returned.
+    corresponding one-step oracle before the chain is returned. The C
+    steps carry ``c_related``'s ancillaries, which the component indicator
+    need not be (at the last step for 58 of the 299 L-related pairs of the
+    (2,3,3) grid), though the indicator certifies both steps.
     """
     if l_related(p1, p2) is None:
         raise NotLRelated("inputs do not have proportional likelihoods")
@@ -265,7 +268,8 @@ class EfmResult:
     ``parent`` is the mixture observed at the embedded first observation;
     conditioning it on ``indicator`` recovers p1 and conditioning on
     ``swapped_indicator`` (the indicator pushed through the swap of the two
-    equal-probability observed points) recovers p2.
+    equal-probability observed points) recovers p2. Both certify, but the
+    steps of ``chain`` carry the ancillaries ``c_related`` finds.
     """
 
     parent: ModelDataPair
@@ -281,7 +285,9 @@ def efm_parent(p1: ModelDataPair, p2: ModelDataPair) -> EfmResult:
     points get exactly equal probability under every parameter, so swapping
     them is measure-preserving and carries the component indicator to a
     second ancillary whose conditional reproduces p2. Returns the verified
-    two-step C-only chain p1 - parent - p2.
+    two-step C-only chain p1 - parent - p2. Its witnesses are
+    ``c_related``'s first column matches: on the (2,3,3) grid the second
+    is not the swapped indicator for 65 of the 299 L-related pairs.
     """
     c = l_related(p1, p2)
     if c is None:

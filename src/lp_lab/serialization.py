@@ -292,10 +292,11 @@ def _render(value: Any, nl: str) -> str:
     """The JSON text of ``value`` as json.dumps(indent=2, sort_keys=True)
     writes it, with ``nl`` the newline and indent of the enclosing line.
 
-    Exact types come first, the most frequent first. Every other value is
-    tried by isinstance in a fixed order: subclasses of dict, list and
-    tuple; a Fraction as "p/q"; an enum as its value; models and pairs;
-    a prior as {"theta", "weights"}; a partition as its blocks; any other
+    Exact types come first, the most frequent first: str, int, list and
+    tuple, dict; then pairs and models, by isinstance; then None and bool.
+    Every other value is tried by isinstance in a fixed order: subclasses
+    of dict, list and tuple; a Fraction as "p/q"; an enum as its value; a
+    prior as {"theta", "weights"}; a partition as its blocks; any other
     dataclass field by field; a set sorted by repr; subclasses of str and
     int. Anything else, a float included, raises TypeError.
     """
@@ -315,9 +316,9 @@ def _render(value: Any, nl: str) -> str:
         items = sorted({str(k): v for k, v in value.items()}.items())
         parts = [f"{_encode(k)}: {_render(v, inner)}" for k, v in items]
         return _block(parts, nl, "{}")
-    if kind is ModelDataPair:
+    if isinstance(value, ModelDataPair):
         return _render_model(value.model, nl, value.observed_label)
-    if kind is FiniteModel:
+    if isinstance(value, FiniteModel):
         return _render_model(value, nl)
     if value is None:
         return "null"
@@ -331,10 +332,6 @@ def _render(value: Any, nl: str) -> str:
         return _encode(format_rational(value))
     if isinstance(value, enum.Enum):
         return _render(value.value, nl)
-    if isinstance(value, FiniteModel):
-        return _render_model(value, nl)
-    if isinstance(value, ModelDataPair):
-        return _render_model(value.model, nl, value.observed_label)
     if isinstance(value, Prior):
         weights = [format_rational(w) for w in value.weights]
         return _render({"theta": value.theta_labels, "weights": weights}, nl)

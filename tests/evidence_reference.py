@@ -3,8 +3,9 @@
 Each function recomputes the posterior from the prior predictive, and
 `reference_report` builds every field of an EvidenceReport by calling the
 standalone functions again for each hypothesis. The two model checks find
-the minimal sufficient blocks by cross-multiplying ``probs`` columns. All
-of it is ``Fraction`` arithmetic on ``probs``; the library computes in
+the minimal sufficient blocks by cross-multiplying ``probs`` columns, and
+the ancillary check reads ``model_reference.block_masses``. All of it is
+``Fraction`` arithmetic on ``probs``; the library computes in
 integers from ``likelihoods`` and ``Prior.scaled``, and differential
 tests compare the two. ``uniform_prior`` is the flat prior the tests use.
 """
@@ -17,6 +18,8 @@ from typing import Optional, Sequence
 from lp_lab.errors import (
     DegenerateHypothesis,
     EmptyHypothesis,
+    GroundSetMismatch,
+    NotAncillary,
     ParameterSpaceMismatch,
     UnknownTheta,
 )
@@ -27,6 +30,8 @@ from lp_lab.evidence import (
     Prior,
 )
 from lp_lab.model import FiniteModel, ModelDataPair
+from lp_lab.partition import Partition
+from model_reference import block_masses
 
 
 def uniform_prior(theta_labels: Sequence[str]) -> Prior:
@@ -193,6 +198,19 @@ def check_model_mss(pair: ModelDataPair) -> Fraction:
     conditional = [row[x] / mass for x in block]
     cutoff = row[observed] / mass
     return sum((q for q in conditional if q <= cutoff), Fraction(0))
+
+
+def check_model_ancillary(pair: ModelDataPair, ancillary: Partition) -> Fraction:
+    if ancillary.size != pair.model.n_points:
+        raise GroundSetMismatch(
+            f"partition of {ancillary.size} points, "
+            f"model has {pair.model.n_points}"
+        )
+    masses = block_masses(pair.model, ancillary)
+    if masses is None:
+        raise NotAncillary("partition has parameter-dependent block masses")
+    cutoff = masses[ancillary.labels[pair.observed]]
+    return sum((v for v in masses if v <= cutoff), Fraction(0))
 
 
 def check_prior_conflict(pair: ModelDataPair, prior: Prior) -> Fraction:

@@ -132,13 +132,6 @@ EQUIVALENT = {
         "_render: drop `if kind is int: return int.__repr__(value)`":
             "an int then reaches the isinstance(value, int) fallback, which "
             "prints the same bytes",
-        "_render: drop `if kind is ModelDataPair: "
-        "return _render_model(value.model, nl, value.observed_label)`":
-            "a pair then reaches the isinstance(value, ModelDataPair) "
-            "fallback, which prints the same bytes",
-        "_render: drop `if kind is FiniteModel: return _render_model(value, nl)`":
-            "a model then reaches the isinstance(value, FiniteModel) "
-            "fallback, which prints the same bytes",
     },
 }
 

@@ -525,11 +525,15 @@ def test_non_utf8_file_is_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def _request_argvs(files):
+def _request_argvs(files, pair_d):
     prior = ["--prior", files["prior"]]
+    b2_c1 = [files["pairB2"], files["pairC1"]]
     argvs = [["closure", "--kind", kind, "--dir", files["dir"]] for kind in _KINDS]
+    argvs += [["relate", "--kind", kind, *b2_c1] for kind in ("L", "C", "SC", "DURBIN")]
+    argvs += [["chain", "--kind", kind, *b2_c1] for kind in ("SC", "C")]
     argvs += [
-        ["relate", "--kind", "L", files["pairB2"], files["pairC1"]],
+        ["efm", *b2_c1],
+        ["birnbaumize", *b2_c1],
         ["relate", "--kind", "S", files["pairA1"], files["pairB1"]],
         ["rb", "analyze", files["pairB1"], *prior, "--hypothesis", "t1"],
         ["rb", "estimate", files["pairB1"], *prior],
@@ -539,21 +543,31 @@ def _request_argvs(files):
         ["validate", files["pairC1"]],
         ["check", "model", files["pairA1"]],
         ["check", "prior", files["pairB1"], *prior],
+        # FIX-D's {1,2} is ancillary (exit 0) and {1,3} is not (exit 2)
+        ["check", "model", pair_d, "--ancillary", "1,2|3,4"],
+        ["check", "model", pair_d, "--ancillary", "1,3|2,4"],
     ]
     return [prefix + argv for argv in argvs for prefix in ([], ["--machine"])]
 
 
-def test_request_path_builds_no_fraction_entries(files, monkeypatch, capsys):
-    # files and payloads render entries from den and rows; probs is for
-    # library callers and block_masses, so ancillaries still reach it
+def test_request_path_builds_no_fraction_entries(files, tmp_path, fd, monkeypatch, capsys):
+    # files and payloads render entries from den and rows, and every
+    # evidence answer, the ancillary check included, is computed from
+    # integer rows; probs is for library callers and the ancillary
+    # catalog's block_masses, so ancillaries still reach it
+    (tmp_path / "d").mkdir()  # outside the directory closure reads
+    pair_d = str(tmp_path / "d" / "d1.pair")
+    save_pair(pair_at(fd, "1"), pair_d)
+
     def outcomes():
         out = []
-        for argv in _request_argvs(files):
+        for argv in _request_argvs(files, pair_d):
             code = run(argv)
             out.append((argv, code, capsys.readouterr().out))
         return out
 
     expected = outcomes()
+    assert [code for _, code, _ in expected[-4:]] == [0, 0, 2, 2]
 
     def refuse(model):
         raise AssertionError("FiniteModel.probs read on the request path")

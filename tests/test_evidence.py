@@ -11,6 +11,7 @@ from lp_lab.errors import (
     NotAncillary,
     ParameterSpaceMismatch,
     UnknownTheta,
+    UnreachablePoint,
 )
 from lp_lab.evidence import (
     Direction,
@@ -27,7 +28,7 @@ from lp_lab.evidence import (
     rb_strength,
     relative_belief,
 )
-from lp_lab.model import ModelDataPair, validate_model
+from lp_lab.model import FiniteModel, ModelDataPair, validate_model
 from lp_lab.partition import Partition
 from evidence_reference import uniform_prior
 from model_reference import likelihood_vector
@@ -202,6 +203,18 @@ def test_check_model_ancillary_tail():
     )
     p = check_model_ancillary(ModelDataPair(m, 0), Partition.discrete(3))
     assert p == F(1, 6)
+
+
+@pytest.mark.parametrize("rows", [((1, 1, 0), (1, 1, 0)), ((1, 1, 0), (2, 0, 0))])
+def test_model_checks_refuse_an_unreachable_point(rows):
+    # a model built without validate_model may give a point zero mass under
+    # every parameter; both checks meet it in the model the statistic
+    # induces, before ancillarity is tested
+    m = FiniteModel(("t1", "t2"), ("a", "b", "c"), 2, rows)
+    with pytest.raises(UnreachablePoint):
+        check_model_mss(ModelDataPair(m, 0))
+    with pytest.raises(UnreachablePoint):
+        check_model_ancillary(ModelDataPair(m, 0), Partition.discrete(3))
 
 
 def test_check_prior_conflict(fb, fe, at):

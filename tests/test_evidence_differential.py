@@ -2,7 +2,9 @@
 
 Inputs: every pair of two enumerated universes (two and three parameter
 values), under a uniform and a skewed prior, with every nonempty hypothesis;
-the prior predictive and both MSS model checks over the same pairs.
+the prior predictive and both MSS model checks over the same pairs, and
+the ancillary check at every partition of each pair's sample space and
+at partitions of other sizes.
 Values are compared by equality and by repr, so a Fraction turning into an
 int (which would render differently in --machine output) is caught too.
 """
@@ -17,11 +19,14 @@ from lp_lab import evidence
 from lp_lab.errors import (
     DegenerateHypothesis,
     EmptyHypothesis,
+    GroundSetMismatch,
     LpLabError,
+    NotAncillary,
     ParameterSpaceMismatch,
     UnknownTheta,
 )
 from lp_lab.evidence import Prior, evidence_report
+from lp_lab.partition import Partition, all_partitions
 from lp_lab.search import enumerate_pairs
 
 # (theta_size, max_space, max_denominator) -> pairs in the universe
@@ -68,8 +73,6 @@ def test_report_matches_reference(bounds):
         hypotheses = _hypotheses(prior.theta_labels)
         report = evidence_report(pair, prior, hypotheses)
         _same(report, ref.reference_report(pair, prior, hypotheses))
-        for i, theta in enumerate(prior.theta_labels):
-            _same(report.strength(i), ref.rb_strength(pair, prior, theta))
 
 
 @pytest.mark.parametrize("bounds", UNIVERSES)
@@ -107,6 +110,21 @@ def test_model_checks_match_reference(bounds):
         _same(evidence.check_model_mss(pair), ref.check_model_mss(pair))
 
 
+@pytest.mark.parametrize("bounds", UNIVERSES)
+def test_ancillary_check_matches_reference(bounds):
+    # every partition of the sample space, and partitions of other sizes,
+    # which are refused before ancillarity is tested
+    outcomes = set()
+    for pair in enumerate_pairs(*bounds):
+        n = pair.model.n_points
+        others = [Partition.discrete(n - 1), Partition.trivial(n + 1)]
+        for partition in [*all_partitions(n), *others]:
+            got = _outcome(evidence.check_model_ancillary, pair, partition)
+            _same(got, _outcome(ref.check_model_ancillary, pair, partition))
+            outcomes.add(got[0] if isinstance(got, tuple) else Fraction)
+    assert outcomes == {Fraction, NotAncillary, GroundSetMismatch}
+
+
 def test_errors_match_reference():
     pairs = list(enumerate_pairs(2, 3, 3))[:8]
     for pair in pairs:
@@ -128,6 +146,12 @@ def test_errors_match_reference():
             _outcome(evidence.rb_strength, pair, prior, "zz"),
             _outcome(ref.rb_strength, pair, prior, "zz"),
         )
+        # an unknown label is refused before the parameter spaces are compared
+        _same(
+            _outcome(evidence.rb_strength, pair, foreign, "zz"),
+            _outcome(ref.rb_strength, pair, foreign, "zz"),
+        )
+        assert _outcome(evidence.rb_strength, pair, foreign, "zz")[0] is UnknownTheta
         for name in ("posterior", "relative_belief", "rb_estimate"):
             _same(
                 _outcome(getattr(evidence, name), pair, foreign),

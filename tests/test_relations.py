@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from lp_lab import relations
-from lp_lab.ancillarity import c_related, condition_on_block, is_ancillary
+from lp_lab.ancillarity import (
+    CWitness,
+    c_related,
+    condition_on_block,
+    is_ancillary,
+    verify_c_witness,
+)
 from lp_lab.errors import NotLRelated, ParameterSpaceMismatch
 from lp_lab.model import (
     FiniteModel,
@@ -235,6 +241,46 @@ def test_efm_conditional_matches_spec_values(fb, fc, at):
         (F(1, 3), F(1, 2)),
         (F(2, 3), F(1, 2)),
     }
+
+
+def _construction_witness(parent, ancillary, point):
+    """The CWitness that conditions ``parent`` on ``ancillary`` and carries
+    each point x of the observed block to ``point(x)`` in the child."""
+    block = ancillary.blocks[ancillary.labels[parent.observed]]
+    conditional = condition_on_block(parent, ancillary)
+    return CWitness("first", ancillary, conditional, tuple(map(point, block)))
+
+
+def test_constructions_own_ancillaries_certify_on_the_grid():
+    # Birnbaum's component indicator conditions each embedded pair to its
+    # own component, and EFM's indicator and swapped indicator condition the
+    # parent to p1 and to p2; the chains may carry another valid ancillary
+    grid = list(enumerate_pairs(2, 3, 3))
+    related = [
+        (p1, p2)
+        for i, p1 in enumerate(grid)
+        for p2 in grid[i + 1:]
+        if l_related(p1, p2) is not None
+    ]
+    assert len(related) == 299
+    for p1, p2 in related:
+        n1 = p1.model.n_points
+        _, e1, e2 = birnbaumize(p1, p2)
+        indicator = component_indicator(p1, p2)
+        first = _construction_witness(e1, indicator, lambda x: x)
+        last = _construction_witness(e2, indicator, lambda x: x - n1)
+        assert verify_c_witness(e1, p1, first)
+        assert verify_c_witness(e2, p2, last)
+        efm = efm_parent(p1, p2)
+        parent = efm.parent
+        to_p1 = _construction_witness(parent, efm.indicator, lambda x: x)
+        to_p2 = _construction_witness(
+            parent,
+            efm.swapped_indicator,
+            lambda x: p2.observed if x == parent.observed else x - n1,
+        )
+        assert verify_c_witness(parent, p1, to_p1)
+        assert verify_c_witness(parent, p2, to_p2)
 
 
 def test_durbin_breakage(fb, fc, at):
