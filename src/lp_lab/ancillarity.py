@@ -151,7 +151,7 @@ def ancillary_catalog(model: FiniteModel) -> AncillaryCatalog:
 
 def _conditional(pair: ModelDataPair, ancillary: Partition) -> ModelDataPair:
     """The pair given the ancillary block of its observed point, for a
-    partition its caller has already proved ancillary."""
+    partition its caller has proved ancillary or built to be one."""
     model = pair.model
     block = ancillary.blocks[ancillary.labels[pair.observed]]
     labels = tuple(model.sample_labels[x] for x in block)

@@ -213,6 +213,7 @@ def cmd_efm(args, printer) -> int:
     p1 = load_pair(args.first)
     p2 = load_pair(args.second)
     result = relations.efm_parent(p1, p2)
+    verified = relations.verify_chain(result.chain)
     labels = result.parent.model.sample_labels
     payload = {
         "command": "efm",
@@ -224,12 +225,13 @@ def cmd_efm(args, printer) -> int:
         "chain": result.chain,
     }
     lines = [
-        "EFM parent built; two-step C chain verified",
+        "EFM parent built; two-step C chain "
+        + ("verified" if verified else "FAILED VERIFICATION"),
         "indicator: " + _partition_text(result.indicator, labels),
         "swapped:   " + _partition_text(result.swapped_indicator, labels),
     ]
     printer.emit(payload, lines)
-    return EXIT_OK
+    return EXIT_OK if verified else EXIT_NEGATIVE
 
 
 def cmd_chain(args, printer) -> int:

@@ -11,9 +11,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .ancillarity import CWitness, c_related
+from .ancillarity import CWitness, _conditional, c_related
 from .certify import verify_c_witness, verify_l_witness, verify_s_witness
 from .errors import NotLRelated, ParameterSpaceMismatch
 from .model import (
@@ -197,29 +197,47 @@ def birnbaumize(
     return mixture, e1, e2
 
 
+def _own_witness(
+    parent: ModelDataPair,
+    ancillary: Partition,
+    which: str,
+    point: Callable[[int], int],
+) -> CWitness:
+    """The C step that conditions ``parent`` on an ancillary its
+    construction built, carrying each point x of the observed block to
+    ``point(x)`` in the child. No oracle is called: the caller checks the
+    chain with :func:`verify_chain`."""
+    block = ancillary.blocks[ancillary.labels[parent.observed]]
+    conditional = _conditional(parent, ancillary)
+    return CWitness(which, ancillary, conditional, tuple(map(point, block)))
+
+
 def birnbaum_chain(p1: ModelDataPair, p2: ModelDataPair) -> WitnessChain:
     """The three-step chain p1 -C- (M*,(1,x1)) -S- (M*,(2,x2)) -C- p2.
 
-    Requires proportional likelihoods; every step is verified by the
-    corresponding one-step oracle before the chain is returned. The C
-    steps carry ``c_related``'s ancillaries, which the component indicator
-    need not be (at the last step for 58 of the 299 L-related pairs of the
-    (2,3,3) grid), though the indicator certifies both steps.
+    Requires proportional likelihoods. Both C steps carry Birnbaum's own
+    ancillary, the component indicator: it conditions (M*,(1,x1)) to p1 by
+    the identity and (M*,(2,x2)) to p2 by x -> x - |X1|. The S step is
+    ``s_related``'s. Nothing here re-checks the chain; callers do, with
+    :func:`verify_chain`.
     """
     if l_related(p1, p2) is None:
         raise NotLRelated("inputs do not have proportional likelihoods")
     _, e1, e2 = birnbaumize(p1, p2)
-    w1 = c_related(p1, e1)
-    ws = s_related(e1, e2)
-    w2 = c_related(e2, p2)
-    if w1 is None or ws is None or w2 is None:
-        raise NotLRelated("mixture chain failed oracle verification")
+    indicator = component_indicator(p1, p2)
+    n1 = p1.model.n_points
     return WitnessChain(
         (p1, e1, e2, p2),
         (
-            ChainStep(RelationKind.C, w1),
-            ChainStep(RelationKind.S, ws),
-            ChainStep(RelationKind.C, w2),
+            ChainStep(
+                RelationKind.C,
+                _own_witness(e1, indicator, "second", lambda x: x),
+            ),
+            ChainStep(RelationKind.S, s_related(e1, e2)),
+            ChainStep(
+                RelationKind.C,
+                _own_witness(e2, indicator, "first", lambda x: x - n1),
+            ),
         ),
     )
 
@@ -265,17 +283,23 @@ def birnbaum_chain_durbin(
 class EfmResult:
     """Unequal-weight mixture relating two L-related pairs by C steps alone.
 
-    ``parent`` is the mixture observed at the embedded first observation;
-    conditioning it on ``indicator`` recovers p1 and conditioning on
-    ``swapped_indicator`` (the indicator pushed through the swap of the two
-    equal-probability observed points) recovers p2. Both certify, but the
-    steps of ``chain`` carry the ancillaries ``c_related`` finds.
+    ``parent`` is the mixture observed at the embedded first observation.
+    The steps of ``chain`` carry the construction's own ancillaries:
+    ``indicator``, the component indicator, conditions the parent to p1,
+    and ``swapped_indicator``, the indicator pushed through the swap of the
+    two equal-probability observed points, conditions it to p2.
     """
 
     parent: ModelDataPair
-    indicator: Partition
-    swapped_indicator: Partition
     chain: WitnessChain
+
+    @property
+    def indicator(self) -> Partition:
+        return self.chain.steps[0].witness.ancillary
+
+    @property
+    def swapped_indicator(self) -> Partition:
+        return self.chain.steps[1].witness.ancillary
 
 
 def efm_parent(p1: ModelDataPair, p2: ModelDataPair) -> EfmResult:
@@ -284,10 +308,11 @@ def efm_parent(p1: ModelDataPair, p2: ModelDataPair) -> EfmResult:
     With likelihood(p1) = c * likelihood(p2) the two embedded observed
     points get exactly equal probability under every parameter, so swapping
     them is measure-preserving and carries the component indicator to a
-    second ancillary whose conditional reproduces p2. Returns the verified
-    two-step C-only chain p1 - parent - p2. Its witnesses are
-    ``c_related``'s first column matches: on the (2,3,3) grid the second
-    is not the swapped indicator for 65 of the 299 L-related pairs.
+    second ancillary whose conditional reproduces p2. Returns the two-step
+    C-only chain p1 - parent - p2: the indicator's step maps the parent's
+    block to p1 by the identity, and the swapped indicator's maps it to p2
+    by x -> x - |X1|, its observed point to p2's. Nothing here re-checks
+    the chain; callers do, with :func:`verify_chain`.
     """
     c = l_related(p1, p2)
     if c is None:
@@ -306,15 +331,18 @@ def efm_parent(p1: ModelDataPair, p2: ModelDataPair) -> EfmResult:
     swapped = Partition.from_labels(
         [indicator.labels[swap.get(x, x)] for x in range(mixture.n_points)]
     )
-    step1 = c_related(p1, parent)
-    step2 = c_related(parent, p2)
-    if step1 is None or step2 is None:
-        raise NotLRelated("EFM chain failed oracle verification")
+    to_p1 = _own_witness(parent, indicator, "second", lambda x: x)
+    to_p2 = _own_witness(
+        parent,
+        swapped,
+        "first",
+        lambda x: p2.observed if x == i_obs1 else x - n1,
+    )
     chain = WitnessChain(
         (p1, parent, p2),
-        (ChainStep(RelationKind.C, step1), ChainStep(RelationKind.C, step2)),
+        (ChainStep(RelationKind.C, to_p1), ChainStep(RelationKind.C, to_p2)),
     )
-    return EfmResult(parent, indicator, swapped, chain)
+    return EfmResult(parent, chain)
 
 
 # ---------------------------------------------------------------------------

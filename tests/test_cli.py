@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from lp_lab import ancillarity
+from lp_lab import ancillarity, relations
 from lp_lab.cli import _KINDS, build_parser, run
 from lp_lab.model import FiniteModel, canonical_form, pair_at, validate_model
 from lp_lab.relations import birnbaumize
 from lp_lab.search import MAX_COMBINATIONS
 from lp_lab.serialization import save_pair, save_prior, save_model
+from test_relations import _wrong_indicator
 
 
 @pytest.fixture
@@ -87,6 +88,17 @@ def test_chain_sc_and_c(files, capsys):
     assert run(["chain", "--kind", "SC", files["pairB2"], files["pairC1"]]) == 0
     assert "verified" in capsys.readouterr().out
     assert run(["chain", "--kind", "C", files["pairB2"], files["pairC1"]]) == 0
+
+
+def test_chain_and_efm_with_a_wrong_indicator_exit_1(files, monkeypatch, capsys):
+    # each wrong C step reaches the chain and is caught by verify_chain
+    monkeypatch.setattr(relations, "component_indicator", _wrong_indicator)
+    b2_c1 = [files["pairB2"], files["pairC1"]]
+    for argv in (["chain", "--kind", "SC"], ["chain", "--kind", "C"], ["efm"]):
+        assert run([*argv, *b2_c1]) == 1
+        assert "FAILED VERIFICATION" in capsys.readouterr().out
+        assert run(["--machine", *argv, *b2_c1]) == 1
+        capsys.readouterr()
 
 
 def test_chain_requires_l(files, capsys):

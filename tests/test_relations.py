@@ -10,7 +10,6 @@ from lp_lab.ancillarity import (
     c_related,
     condition_on_block,
     is_ancillary,
-    verify_c_witness,
 )
 from lp_lab.errors import NotLRelated, ParameterSpaceMismatch
 from lp_lab.model import (
@@ -40,7 +39,7 @@ from lp_lab.relations import (
 from lp_lab.search import enumerate_pairs
 from lp_lab.sufficiency import s_related
 from model_reference import column, columns
-from random_models import random_pair
+from random_models import random_l_related_pair, random_pair
 
 F = Fraction
 
@@ -190,17 +189,28 @@ def test_birnbaum_chain_requires_l(fb, fc, at):
         birnbaum_chain(at(fb, "y1"), at(fc, "z1"))
 
 
-def test_mixture_chains_refuse_a_failed_oracle_step(fb, fc, at, monkeypatch):
-    # only the step out of p1 fails; the other steps still hold
+def _wrong_indicator(p1, p2):
+    """The component indicator with the last point of p1's space and the
+    first of p2's traded between the blocks: two blocks of the right sizes."""
+    n1, n2 = p1.model.n_points, p2.model.n_points
+    return Partition((0,) * (n1 - 1) + (1, 0) + (1,) * (n2 - 1))
+
+
+def test_mixture_chains_with_a_wrong_indicator_fail_verification(
+    fb, fc, at, monkeypatch
+):
+    # the constructions take their C steps from the indicator unchecked,
+    # so a wrong one reaches the chain and verify_chain must refuse it
     p1, p2 = at(fb, "y2"), at(fc, "z1")
-
-    def c_related_failing_at_p1(a, b, durbin=False):
-        return None if a is p1 else c_related(a, b, durbin=durbin)
-
-    monkeypatch.setattr(relations, "c_related", c_related_failing_at_p1)
-    for construct in (birnbaum_chain, efm_parent):
-        with pytest.raises(NotLRelated, match="failed oracle verification"):
-            construct(p1, p2)
+    assert verify_chain(birnbaum_chain(p1, p2))
+    assert verify_chain(efm_parent(p1, p2).chain)
+    monkeypatch.setattr(relations, "component_indicator", _wrong_indicator)
+    birnbaum = birnbaum_chain(p1, p2)
+    efm = efm_parent(p1, p2)
+    assert birnbaum.steps[0].witness.ancillary == _wrong_indicator(p1, p2)
+    assert efm.indicator == _wrong_indicator(p1, p2)
+    assert not verify_chain(birnbaum)
+    assert not verify_chain(efm.chain)
 
 
 def test_efm_fixture(fb, fc, at):
@@ -243,18 +253,55 @@ def test_efm_conditional_matches_spec_values(fb, fc, at):
     }
 
 
-def _construction_witness(parent, ancillary, point):
-    """The CWitness that conditions ``parent`` on ``ancillary`` and carries
-    each point x of the observed block to ``point(x)`` in the child."""
-    block = ancillary.blocks[ancillary.labels[parent.observed]]
-    conditional = condition_on_block(parent, ancillary)
-    return CWitness("first", ancillary, conditional, tuple(map(point, block)))
+def _assert_own_witnesses(p1, p2):
+    """The chains carry the constructions' own ancillaries, with the
+    bijections that embed each component, and verify; returns whether
+    ``c_related``'s first column match at Birnbaum's last step and at EFM's
+    second step differs from them."""
+    n1, n2 = p1.model.n_points, p2.model.n_points
+    indicator = component_indicator(p1, p2)
+    _, e1, e2 = birnbaumize(p1, p2)
+    chain = birnbaum_chain(p1, p2)
+    assert chain.nodes == (p1, e1, e2, p2)
+    first, last = chain.steps[0].witness, chain.steps[2].witness
+    assert first == CWitness(
+        "second", indicator, condition_on_block(e1, indicator), tuple(range(n1))
+    )
+    assert last == CWitness(
+        "first", indicator, condition_on_block(e2, indicator), tuple(range(n2))
+    )
+    assert verify_chain(chain)
+
+    efm = efm_parent(p1, p2)
+    parent = efm.parent
+    obs1, obs2 = parent.observed, n1 + p2.observed
+    swap = {obs1: obs2, obs2: obs1}
+    swapped = Partition.from_labels(
+        [indicator.labels[swap.get(x, x)] for x in range(n1 + n2)]
+    )
+    assert efm.indicator == indicator and efm.swapped_indicator == swapped
+    to_p1, to_p2 = (step.witness for step in efm.chain.steps)
+    assert to_p1 == CWitness(
+        "second", indicator, condition_on_block(parent, indicator), tuple(range(n1))
+    )
+    block = swapped.blocks[swapped.labels[obs1]]
+    assert to_p2 == CWitness(
+        "first",
+        swapped,
+        condition_on_block(parent, swapped),
+        tuple(p2.observed if x == obs1 else x - n1 for x in block),
+    )
+    assert efm.chain.nodes == (p1, parent, p2)
+    assert verify_chain(efm.chain)
+    return (
+        c_related(e2, p2).ancillary != indicator,
+        c_related(parent, p2).ancillary != swapped,
+    )
 
 
 def test_constructions_own_ancillaries_certify_on_the_grid():
-    # Birnbaum's component indicator conditions each embedded pair to its
-    # own component, and EFM's indicator and swapped indicator condition the
-    # parent to p1 and to p2; the chains may carry another valid ancillary
+    # on 58 and 65 of the 299 pairs c_related's first column match is
+    # another ancillary than the construction's own
     grid = list(enumerate_pairs(2, 3, 3))
     related = [
         (p1, p2)
@@ -263,24 +310,17 @@ def test_constructions_own_ancillaries_certify_on_the_grid():
         if l_related(p1, p2) is not None
     ]
     assert len(related) == 299
-    for p1, p2 in related:
-        n1 = p1.model.n_points
-        _, e1, e2 = birnbaumize(p1, p2)
-        indicator = component_indicator(p1, p2)
-        first = _construction_witness(e1, indicator, lambda x: x)
-        last = _construction_witness(e2, indicator, lambda x: x - n1)
-        assert verify_c_witness(e1, p1, first)
-        assert verify_c_witness(e2, p2, last)
-        efm = efm_parent(p1, p2)
-        parent = efm.parent
-        to_p1 = _construction_witness(parent, efm.indicator, lambda x: x)
-        to_p2 = _construction_witness(
-            parent,
-            efm.swapped_indicator,
-            lambda x: p2.observed if x == parent.observed else x - n1,
-        )
-        assert verify_c_witness(parent, p1, to_p1)
-        assert verify_c_witness(parent, p2, to_p2)
+    other = [_assert_own_witnesses(p1, p2) for p1, p2 in related]
+    assert [sum(column) for column in zip(*other)] == [58, 65]
+
+
+def test_constructions_own_ancillaries_certify_on_random_pairs():
+    rng = random.Random(11)
+    pairs = [
+        random_l_related_pair(rng, rng.randint(2, 3), 4) for _ in range(60)
+    ]
+    other = [_assert_own_witnesses(p1, p2) for p1, p2 in pairs]
+    assert all(any(column) for column in zip(*other))
 
 
 def test_durbin_breakage(fb, fc, at):
