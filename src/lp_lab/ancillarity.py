@@ -9,7 +9,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .certify import verify_c_witness  # the C certificate check, bound here too
 from .errors import NotAncillary, SpaceTooLarge
@@ -164,6 +164,21 @@ def _conditional(pair: ModelDataPair, ancillary: Partition) -> ModelDataPair:
     )
 
 
+def _c_step(
+    parent: ModelDataPair,
+    ancillary: Partition,
+    which: str,
+    point: Callable[[int], int],
+) -> CWitness:
+    """The C step that conditions ``parent`` on ``ancillary``, carrying
+    each point x of the observed block to ``point(x)`` in the child, for a
+    partition its caller has proved ancillary or built to be one. It calls
+    no oracle and checks nothing: the one C-step builder."""
+    block = ancillary.blocks[ancillary.labels[parent.observed]]
+    conditional = _conditional(parent, ancillary)
+    return CWitness(which, ancillary, conditional, tuple(map(point, block)))
+
+
 def condition_on_block(
     pair: ModelDataPair, ancillary: Partition
 ) -> ModelDataPair:
@@ -211,10 +226,7 @@ def _conditioning_witness(
     ancillary = Partition.from_labels([x in image for x in range(source.n_points)])
     if durbin and not is_function_of(ancillary, likelihood_partition(source)):
         return None
-    block = ancillary.blocks[ancillary.labels[parent.observed]]
-    conditional = _conditional(parent, ancillary)
-    bijection = tuple(image[x] for x in block)
-    return CWitness(which, ancillary, conditional, bijection)
+    return _c_step(parent, ancillary, which, image.__getitem__)
 
 
 def c_related(

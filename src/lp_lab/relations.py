@@ -11,9 +11,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .ancillarity import CWitness, _conditional, c_related
+from .ancillarity import CWitness, _c_step, c_related
 from .certify import verify_c_witness, verify_l_witness, verify_s_witness
 from .errors import NotLRelated, ParameterSpaceMismatch
 from .model import (
@@ -197,29 +197,14 @@ def birnbaumize(
     return mixture, e1, e2
 
 
-def _own_witness(
-    parent: ModelDataPair,
-    ancillary: Partition,
-    which: str,
-    point: Callable[[int], int],
-) -> CWitness:
-    """The C step that conditions ``parent`` on an ancillary its
-    construction built, carrying each point x of the observed block to
-    ``point(x)`` in the child. No oracle is called: the caller checks the
-    chain with :func:`verify_chain`."""
-    block = ancillary.blocks[ancillary.labels[parent.observed]]
-    conditional = _conditional(parent, ancillary)
-    return CWitness(which, ancillary, conditional, tuple(map(point, block)))
-
-
 def birnbaum_chain(p1: ModelDataPair, p2: ModelDataPair) -> WitnessChain:
     """The three-step chain p1 -C- (M*,(1,x1)) -S- (M*,(2,x2)) -C- p2.
 
     Requires proportional likelihoods. Both C steps carry Birnbaum's own
     ancillary, the component indicator: it conditions (M*,(1,x1)) to p1 by
-    the identity and (M*,(2,x2)) to p2 by x -> x - |X1|. The S step is
-    ``s_related``'s. Nothing here re-checks the chain; callers do, with
-    :func:`verify_chain`.
+    the identity and (M*,(2,x2)) to p2 by x -> x - |X1|, by ``_c_step``
+    with no oracle call. The S step is ``s_related``'s. Nothing here
+    re-checks the chain; callers do, with :func:`verify_chain`.
     """
     if l_related(p1, p2) is None:
         raise NotLRelated("inputs do not have proportional likelihoods")
@@ -231,12 +216,12 @@ def birnbaum_chain(p1: ModelDataPair, p2: ModelDataPair) -> WitnessChain:
         (
             ChainStep(
                 RelationKind.C,
-                _own_witness(e1, indicator, "second", lambda x: x),
+                _c_step(e1, indicator, "second", lambda x: x),
             ),
             ChainStep(RelationKind.S, s_related(e1, e2)),
             ChainStep(
                 RelationKind.C,
-                _own_witness(e2, indicator, "first", lambda x: x - n1),
+                _c_step(e2, indicator, "first", lambda x: x - n1),
             ),
         ),
     )
@@ -311,8 +296,8 @@ def efm_parent(p1: ModelDataPair, p2: ModelDataPair) -> EfmResult:
     second ancillary whose conditional reproduces p2. Returns the two-step
     C-only chain p1 - parent - p2: the indicator's step maps the parent's
     block to p1 by the identity, and the swapped indicator's maps it to p2
-    by x -> x - |X1|, its observed point to p2's. Nothing here re-checks
-    the chain; callers do, with :func:`verify_chain`.
+    by x -> x - |X1|, its observed point to p2's, both by ``_c_step`` with
+    no oracle call. Callers check the chain with :func:`verify_chain`.
     """
     c = l_related(p1, p2)
     if c is None:
@@ -331,8 +316,8 @@ def efm_parent(p1: ModelDataPair, p2: ModelDataPair) -> EfmResult:
     swapped = Partition.from_labels(
         [indicator.labels[swap.get(x, x)] for x in range(mixture.n_points)]
     )
-    to_p1 = _own_witness(parent, indicator, "second", lambda x: x)
-    to_p2 = _own_witness(
+    to_p1 = _c_step(parent, indicator, "second", lambda x: x)
+    to_p2 = _c_step(
         parent,
         swapped,
         "first",
@@ -503,10 +488,12 @@ class RelationPropertiesReport:
         )
 
 
+# failures relation_properties_report lists for each law
+MAX_COUNTEREXAMPLES = 5
+
+
 def relation_properties_report(
-    universe: Universe,
-    kind: RelationKind,
-    max_counterexamples: int = 5,
+    universe: Universe, kind: RelationKind
 ) -> RelationPropertiesReport:
     """Audit reflexivity, symmetry and transitivity of the one-step relation.
 
@@ -536,11 +523,11 @@ def relation_properties_report(
         for k in sorted(neighbors[j] - neighbors[i])
     )
     # one failure beyond the cap decides the law even when none is listed
-    trans = list(itertools.islice(failures, max_counterexamples + 1))
+    trans = list(itertools.islice(failures, MAX_COUNTEREXAMPLES + 1))
     return RelationPropertiesReport(
         kind,
         n,
-        LawReport(not refl, tuple(refl[:max_counterexamples])),
-        LawReport(not sym, tuple(sym[:max_counterexamples])),
-        LawReport(not trans, tuple(trans[:max_counterexamples])),
+        LawReport(not refl, tuple(refl[:MAX_COUNTEREXAMPLES])),
+        LawReport(not sym, tuple(sym[:MAX_COUNTEREXAMPLES])),
+        LawReport(not trans, tuple(trans[:MAX_COUNTEREXAMPLES])),
     )

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .ancillarity import CWitness, _balanced_splits, _conditional, c_related
+from .ancillarity import CWitness, _balanced_splits, _c_step, c_related
 from .errors import LpLabError, SpaceTooLarge
 from .model import FiniteModel, ModelDataPair
-from .relations import RelationKind, l_related, related
+from .relations import RelationKind, l_class_peers, l_related, related
 
 
 @dataclass(frozen=True)
@@ -32,22 +32,32 @@ class SearchBounds:
                 )
 
 
-# Row combinations enumerate_models may examine before it refuses a grid.
-# The default (2, 6, 6) grid examines 376,461 combinations, in 0.9 s; a
-# combination costs 2-6.5 us (2-vCPU x86_64, Python 3.11), so a refused
-# grid fails within about 3 s instead of running for minutes.
+# Row combinations a grid holds up to each (size, den) stratum, an upper
+# bound on its canonical models. The default (2, 6, 6) grid holds 376,461
+# combinations for 1,208 models; past this bound enumerate_models refuses
+# the grid at once, so the grids that search accepts stay fixed.
 MAX_COMBINATIONS = 500_000
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`,
-    in lexicographic order."""
+def _sorted_columns(
+    remaining: tuple[int, ...], parts: int, least: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Non-decreasing sequences of `parts` integer columns, none below
+    `least`, whose entries sum to `remaining` row by row. With `least` the
+    least nonzero column, (0, ..., 0, 1), no column is zero."""
     if parts == 1:
-        yield (total,)
+        if remaining >= least:
+            yield (remaining,)
         return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    # every later first entry is at least head, so parts * head fits
+    for head in range(least[0], remaining[0] // parts + 1):
+        for rest in itertools.product(*(range(r + 1) for r in remaining[1:])):
+            column = (head, *rest)
+            if column < least:
+                continue
+            left = tuple(r - c for r, c in zip(remaining, column))
+            for tail in _sorted_columns(left, parts - 1, column):
+                yield (column, *tail)
 
 
 def enumerate_models(
@@ -55,45 +65,40 @@ def enumerate_models(
     max_space: int = 6,
     max_denominator: int = 6,
 ) -> Iterator[FiniteModel]:
-    """All validated canonical models on the rational grid, deduplicated.
+    """All validated canonical models on the rational grid, each once.
 
     Order is deterministic: by sample-space size, then by the least common
     denominator of the entries, then lexicographically by row matrix. Each
     model appears exactly once, at the minimal denominator expressing it.
-    Rows are integer compositions of the denominator, so they are
-    nonnegative and stochastic by construction; a combination is kept iff
-    the gcd of the denominator and its entries is 1 and every point is
-    reachable. Its sorted columns are its canonical model's columns, so a
-    model is built only for the first combination of each class. Bounds
-    below 1 raise LpLabError, as in SearchBounds. Before a (size, den)
-    stratum is entered, its combinations are added to those of the strata
-    before it; past MAX_COMBINATIONS it raises SpaceTooLarge, so a search
-    that finds its answer early still returns it.
+    A canonical model's columns are nonzero and sorted, so each (size,
+    den) stratum generates the non-decreasing sequences of nonzero integer
+    columns whose rows sum to den; a sequence is kept iff the gcd of den
+    and its entries is 1. Bounds below 1 raise LpLabError, as in
+    SearchBounds. Before a stratum is generated, its row combinations,
+    C(den + size - 1, size - 1) ** theta_size, are added to those of the
+    strata before it; past MAX_COMBINATIONS it raises SpaceTooLarge, so a
+    search that finds its answer early still returns it.
     """
     SearchBounds(theta_size, max_space, max_denominator)
     thetas = tuple(f"t{i + 1}" for i in range(theta_size))
-    examined = 0
+    unit = (0,) * (theta_size - 1) + (1,)
+    combinations = 0
     for size in range(1, max_space + 1):
         points = tuple(f"x{i + 1}" for i in range(size))
         for den in range(1, max_denominator + 1):
-            # the stratum's rows are the math.comb(den + size - 1, size - 1)
-            # compositions of den into size parts; count before building them
-            examined += math.comb(den + size - 1, size - 1) ** theta_size
-            if examined > MAX_COMBINATIONS:
+            combinations += math.comb(den + size - 1, size - 1) ** theta_size
+            if combinations > MAX_COMBINATIONS:
                 raise SpaceTooLarge(
                     f"search grid exceeds enumeration bound {MAX_COMBINATIONS} "
                     f"row combinations at |X| = {size}, denominator {den}"
                 )
-            rows = list(_compositions(den, size))
-            seen: set[tuple[tuple[int, ...], ...]] = set()
-            for combo in itertools.product(rows, repeat=theta_size):
-                if math.gcd(den, *itertools.chain(*combo)) != 1:
-                    continue
-                columns = tuple(sorted(zip(*combo)))
-                if columns in seen or not all(map(any, columns)):
-                    continue
-                seen.add(columns)
-                yield FiniteModel(thetas, points, den, tuple(zip(*columns)))
+            stratum = sorted(
+                tuple(zip(*columns))
+                for columns in _sorted_columns((den,) * theta_size, size, unit)
+                if math.gcd(den, *itertools.chain(*columns)) == 1
+            )
+            for rows in stratum:
+                yield FiniteModel(thetas, points, den, rows)
 
 
 def enumerate_pairs(
@@ -132,7 +137,7 @@ def search_c_transitivity_counterexample(
 
     p1 and p3 are taken among the conditionals of a scanned pair p2 = (M, x),
     one per balanced block holding x, so the two positive claims hold by
-    construction (and are re-verified by the oracle). The negative claim is
+    construction, and _c_step builds their witnesses. The negative claim is
     decided by a lemma. For a block B let cols(B) be the multiset of M's
     integer columns ``scaled_columns`` over B, and m_B their common sum.
     For balanced blocks A and B holding x, the pairs given A and given B
@@ -157,9 +162,7 @@ def search_c_transitivity_counterexample(
     caps |X| of the scanned models; the split table refuses models above
     MAX_SPACE points.
     """
-    for model in enumerate_models(
-        bounds.theta_size, bounds.max_space, bounds.max_denominator
-    ):
+    for model in enumerate_models(*dataclasses.astuple(bounds)):
         splits = _balanced_splits(model)
         if len(splits) < 3:
             continue
@@ -174,11 +177,10 @@ def search_c_transitivity_counterexample(
                 if a <= b or b <= a:
                     continue
                 p2 = ModelDataPair(model, x)
-                pa, pb = _conditional(p2, sa), _conditional(p2, sb)
+                w12 = _c_step(p2, sa, "second", sa.blocks[sa.labels[x]].index)
+                w23 = _c_step(p2, sb, "first", sb.blocks[sb.labels[x]].index)
+                pa, pb = w12.conditional, w23.conditional
                 assert c_related(pa, pb) is None
-                w12 = c_related(pa, p2)
-                w23 = c_related(p2, pb)
-                assert w12 is not None and w23 is not None
                 return TransitivityCounterexample(pa, p2, pb, w12, w23)
     return None
 
@@ -210,14 +212,11 @@ def search_l_minus_sc(
     Negatives are decided exactly by the S and C oracles, so a returned
     witness is fully verified.
     """
-    pairs = list(
-        enumerate_pairs(
-            bounds.theta_size, bounds.max_space, bounds.max_denominator
-        )
-    )
-    for i, p1 in enumerate(pairs):
-        for p2 in pairs[i + 1 :]:
-            witness = check_l_minus_sc(p1, p2)
+    pairs = list(enumerate_pairs(*dataclasses.astuple(bounds)))
+    # only the later pairs of a pair's own L class can be L-related to it
+    for i, peers in enumerate(l_class_peers(pairs)):
+        for j in peers[peers.index(i) + 1 :]:
+            witness = check_l_minus_sc(pairs[i], pairs[j])
             if witness is not None:
                 return witness
     return None

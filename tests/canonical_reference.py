@@ -3,13 +3,14 @@ only.
 
 ``canonical_model`` and ``canonical_form`` sort the sample-point indices
 by their integer columns and build the permuted model from the rows;
-``enumerate_models`` builds a model for every grid combination and then
-its canonical model, deduplicating on that, and ``enumerate_pairs`` takes
-the canonical form of every pair of those models, deduplicating again. The
-library builds a canonical model from the sorted columns themselves, finds
-the observed index by bisection, deduplicates the grid on the sorted
-columns before it builds a model, and observes each model at the first
-point of each run of equal columns.
+``enumerate_models`` walks every combination of composition rows, builds
+a model for each and then its canonical model, deduplicating on that, and
+``enumerate_pairs`` takes the canonical form of every pair of those
+models, deduplicating again. The library builds a canonical model from the
+sorted columns themselves, finds the observed index by bisection,
+generates each grid model's sorted columns once instead of walking the row
+combinations, and observes each model at the first point of each run of
+equal columns.
 ``search_c_transitivity_counterexample`` is the search over this
 enumeration and these canonical forms. The differential tests in
 ``test_canonical_differential.py`` compare the two.
@@ -24,11 +25,18 @@ from typing import Iterator, Optional
 from ancillary_reference import conditional_pairs
 from lp_lab.ancillarity import c_related
 from lp_lab.model import FiniteModel, ModelDataPair
-from lp_lab.search import (
-    SearchBounds,
-    TransitivityCounterexample,
-    _compositions,
-)
+from lp_lab.search import SearchBounds, TransitivityCounterexample
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of `parts` nonnegative integers summing to `total`,
+    in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
 
 
 def _permuted(model: FiniteModel, order: list[int]) -> FiniteModel:

@@ -120,10 +120,6 @@ EQUIVALENT = {
         "search_c_transitivity_counterexample: `b <= a`: <= to <":
             "a == b is caught by `a <= b`, so proper containment on one side "
             "decides the same pairs",
-        "search_c_transitivity_counterexample: "
-        "`w12 is not None and w23 is not None`: and to or":
-            "both witnesses exist by construction, so the weaker assert "
-            "holds wherever the original does",
     },
     "serialization.py": {
         "_render: drop `if kind is str: return _encode(value)`":

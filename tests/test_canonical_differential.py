@@ -2,15 +2,16 @@
 their first integer versions.
 
 The library builds a canonical model from its sorted integer columns,
-finds the observed index by bisection, deduplicates each grid stratum on
-the sorted columns before it builds a model, and lists a model's pairs
-without canonical forms; ``canonical_reference`` keeps the versions that
-permuted the rows by a sorted index order, built two models per grid
-combination and deduplicated the canonical forms of all pairs. Inputs: an
+finds the observed index by bisection, generates each grid model's sorted
+columns once, and lists a model's pairs without canonical forms;
+``canonical_reference`` keeps the versions that permuted the rows by a
+sorted index order, walked every grid combination building two models for
+each, and deduplicated the canonical forms of all pairs. Inputs: an
 enumerated universe and seeded random pairs, each also as a permuted copy
-and with the observed point's column repeated, three grid bounds for the
-model enumeration, four for the pair enumeration and nine for the search:
-four of them exhausted and the default bounds among them.
+and with the observed point's column repeated, eight grid bounds for the
+model enumeration, the default bounds among them, four for the pair
+enumeration and nine for the search: four of them exhausted and the
+default bounds among them.
 """
 
 import random
@@ -84,7 +85,13 @@ def test_canonical_forms_match_reference():
     assert len(pairs) > 1000 and repeated > len(pairs) // 4
 
 
-@pytest.mark.parametrize("bounds", [(2, 4, 4), (3, 3, 3), (2, 3, 6)])
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (2, 4, 4), (3, 3, 3), (2, 3, 6), (1, 5, 5), (4, 3, 2), (2, 5, 5),
+        (3, 4, 4), (2, 6, 6),
+    ],
+)
 def test_enumerate_models_matches_reference(bounds):
     got = list(enumerate_models(*bounds))
     assert got == list(ref.enumerate_models(*bounds))

@@ -84,7 +84,8 @@ def test_closure_matches_all_pairs(kind, which, request):
     assert result.edges == edges
 
 
-# the default cap of 5 keeps the plain universe name as its id
+# the library's cap, MAX_COUNTEREXAMPLES = 5, keeps the plain universe
+# name as its id
 UNIVERSE_CAPS = [
     pytest.param(which, cap, id=which if cap == 5 else f"{which}-cap{cap}")
     for which in ("grid", "augmented")
@@ -94,16 +95,20 @@ UNIVERSE_CAPS = [
 
 @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("which, cap", UNIVERSE_CAPS)
-def test_properties_report_matches_all_pairs(kind, which, cap, request):
+def test_properties_report_matches_all_pairs(
+    kind, which, cap, request, monkeypatch
+):
     universe = request.getfixturevalue(which)
-    report = relation_properties_report(universe, kind, cap)
+    monkeypatch.setattr(relations, "MAX_COUNTEREXAMPLES", cap)
+    report = relation_properties_report(universe, kind)
     assert report == all_pairs_properties_report(universe, kind, cap)
 
 
-def test_c_is_not_transitive_at_any_cap(grid):
+def test_c_is_not_transitive_at_any_cap(grid, monkeypatch):
     # the law's verdict does not depend on how many failures are listed
     for cap, listed in [(0, ()), (1, ((7, 0, 14),))]:
-        report = relation_properties_report(grid, RelationKind.C, cap)
+        monkeypatch.setattr(relations, "MAX_COUNTEREXAMPLES", cap)
+        report = relation_properties_report(grid, RelationKind.C)
         assert not report.transitive.holds
         assert report.transitive.counterexamples == listed
 

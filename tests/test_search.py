@@ -145,6 +145,24 @@ def test_search_l_minus_sc_returns_verified_witness():
     assert c_related(witness.p1, witness.p2) is None
 
 
+def _all_pairs_l_minus_sc(bounds):
+    pairs = list(enumerate_pairs(*bounds))
+    for p1, p2 in itertools.combinations(pairs, 2):
+        witness = check_l_minus_sc(p1, p2)
+        if witness is not None:
+            return witness
+    return None
+
+
+@pytest.mark.parametrize("bounds", [(2, 2, 4), (2, 2, 1), (2, 3, 2), (1, 6, 6)])
+def test_search_l_minus_sc_matches_all_pairs_scan(bounds):
+    # the search checks L-class peers only; a pair across classes is not in
+    # L, so the first witness of the scan of every pair stays the first
+    want = _all_pairs_l_minus_sc(bounds)
+    assert search_l_minus_sc(SearchBounds(*bounds)) == want
+    assert (want is None) is (bounds in {(2, 2, 1), (1, 6, 6)})
+
+
 @pytest.mark.parametrize("field", ["theta_size", "max_space", "max_denominator"])
 def test_search_bounds_reject_empty_grid(field):
     assert SearchBounds(**{field: 1}) is not None
@@ -181,17 +199,19 @@ def test_enumeration_bound_refuses_the_stratum_past_it(monkeypatch, bounds):
     models = list(enumerate_models(*bounds))
     monkeypatch.setattr(search, "MAX_COMBINATIONS", total)
     assert list(enumerate_models(*bounds)) == models
-    # one fewer refuses the last stratum before its rows are built, after
-    # every model of the strata before it
+    # one fewer refuses the last stratum before its columns are generated,
+    # after every model of the strata before it
     size, den, _ = strata[-1]
     built = []
-    compositions = search._compositions
+    sorted_columns = search._sorted_columns
 
-    def spy(whole, parts):
-        built.append((parts, whole))
-        return compositions(whole, parts)
+    def spy(remaining, parts, least):
+        # the recursion's calls have fewer parts than their stratum's size,
+        # so only a stratum's own first call records (size, den)
+        built.append((parts, remaining[0]))
+        return sorted_columns(remaining, parts, least)
 
-    monkeypatch.setattr(search, "_compositions", spy)
+    monkeypatch.setattr(search, "_sorted_columns", spy)
     monkeypatch.setattr(search, "MAX_COMBINATIONS", total - 1)
     yielded = []
     with pytest.raises(SpaceTooLarge) as refused:
@@ -250,9 +270,28 @@ def test_c_transitivity_search_skips_only_related_pairs(monkeypatch):
     def unexpected(*args):
         raise AssertionError("conditional built for comparable blocks")
 
-    monkeypatch.setattr(search, "_conditional", unexpected)
+    monkeypatch.setattr(search, "_c_step", unexpected)
     monkeypatch.setattr(search, "c_related", unexpected)
     assert search_c_transitivity_counterexample() is None
+
+
+@pytest.mark.parametrize("bounds", [SearchBounds(2, 3, 4), SearchBounds()])
+def test_c_transitivity_search_builds_its_positive_steps(monkeypatch, bounds):
+    # both positive steps are built from the splits whose column multisets
+    # the scan compared; the oracle is asked for the negative only
+    calls = []
+    oracle = search.c_related
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(search, "c_related", counted)
+    found = search_c_transitivity_counterexample(bounds)
+    assert found is not None
+    assert calls == [(found.p1, found.p3)]
+    assert verify_c_witness(found.p1, found.p2, found.witness_12)
+    assert verify_c_witness(found.p2, found.p3, found.witness_23)
 
 
 class _SizeOnly:
