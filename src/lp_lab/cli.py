@@ -12,6 +12,7 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,7 +70,9 @@ class Printer:
             text += f" (~{_decimal_annotation(value, self.decimals)})"
         return text
 
-    def emit(self, payload: dict, lines: list[str]) -> None:
+    def emit(self, payload: dict, lines: Iterable[str]) -> None:
+        """``payload`` as JSON with --machine, else each of ``lines``: any
+        iterable, read only without --machine, so it may be a generator."""
         if self.machine:
             print(render_machine(payload))
         else:
@@ -280,13 +283,15 @@ def cmd_closure(args, printer) -> int:
         "classes": result.classes,
         "edges": [{"i": e.i, "j": e.j, "kind": e.kind} for e in result.edges],
     }
-    lines = [
-        f"universe of {len(universe.members)} canonical pairs, "
-        f"{len(result.classes)} classes under {args.kind}-closure"
-    ]
-    for cls in result.classes:
-        lines.append("  class: " + ", ".join(str(i) for i in cls))
-    printer.emit(payload, lines)
+
+    def lines():
+        yield (
+            f"universe of {len(universe.members)} canonical pairs, "
+            f"{len(result.classes)} classes under {args.kind}-closure"
+        )
+        for cls in result.classes:
+            yield "  class: " + ", ".join(str(i) for i in cls)
+    printer.emit(payload, lines())
     return EXIT_OK
 
 

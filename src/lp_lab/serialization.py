@@ -7,7 +7,7 @@ canonical rational string, so parse(serialize(v)) == v exactly.
 witnesses, chains, Fractions, ...) both go through it. It writes the bytes
 ``json.dumps(indent=2, sort_keys=True)`` gives for the value's JSON form,
 with no intermediate dictionary: models and pairs from ``den`` and
-``rows``, arrays of strings escaped in C. That JSON form, built as
+``rows``, arrays of strings or exact ints in C. That JSON form, built as
 dictionaries, is the test reference ``tests/render_reference.py``.
 ``FiniteModel.probs`` is for library callers and block masses. Each
 distinct (model, indent, observed label) is rendered once per process and
@@ -180,9 +180,10 @@ def _value(text: str, kind: str) -> FiniteModel | ModelDataPair | Prior:
 
 def _load(path: str | Path, parse, *args):
     """``parse(text, *args)`` of the file's text; every error names the
-    file."""
+    file. The read is unbuffered: the ``FileIO`` under any buffer raises
+    every open error, and a buffer adds an isatty and a second fstat."""
     try:
-        with open(path, "rb") as file:
+        with open(path, "rb", buffering=0) as file:
             text = file.read().decode("utf-8")
     except OSError as exc:
         raise LpLabError(f"cannot read {path}: {exc}")
@@ -292,13 +293,15 @@ def _render(value: Any, nl: str) -> str:
     """The JSON text of ``value`` as json.dumps(indent=2, sort_keys=True)
     writes it, with ``nl`` the newline and indent of the enclosing line.
 
-    Exact types come first, the most frequent first: str, int, list and
-    tuple, dict; then pairs and models, by isinstance; then None and bool.
-    Every other value is tried by isinstance in a fixed order: subclasses
-    of dict, list and tuple; a Fraction as "p/q"; an enum as its value; a
-    prior as {"theta", "weights"}; a partition as its blocks; any other
-    dataclass field by field; a set sorted by repr; subclasses of str and
-    int. Anything else, a float included, raises TypeError.
+    Exact types come first, the most frequent first: str; int; a list or
+    tuple, joined in C if its elements are all exact ints or all strings
+    (the first element picks which is tried), else rendered one by one;
+    dict; a Fraction as "p/q"; then an enum as its value, pairs and models
+    by isinstance; then None and bool. Every other value is tried by
+    isinstance in a fixed order: subclasses of dict, list, tuple and
+    Fraction; a prior as {"theta", "weights"}; a partition as its blocks;
+    any other dataclass field by field; a set sorted by repr; subclasses
+    of str and int. Anything else, a float included, raises TypeError.
     """
     kind = type(value)
     if kind is str:
@@ -306,16 +309,25 @@ def _render(value: Any, nl: str) -> str:
     if kind is int:
         return int.__repr__(value)
     if kind is list or kind is tuple:
+        head = type(value[0]) if value else str
+        if head is int and set(map(type, value)) == {int}:
+            return _block(list(map(int.__repr__, value)), nl, "[]")
+        if head is str:
+            try:  # an array of strings, such as labels
+                return _block(list(map(_encode, value)), nl, "[]")
+            except TypeError:
+                pass
         inner = nl + "  "
-        try:  # an array of strings, such as labels, is escaped in C
-            return _block(list(map(_encode, value)), nl, "[]")
-        except TypeError:
-            return _block([_render(v, inner) for v in value], nl, "[]")
+        return _block([_render(v, inner) for v in value], nl, "[]")
     if kind is dict:
         inner = nl + "  "
         items = sorted({str(k): v for k, v in value.items()}.items())
         parts = [f"{_encode(k)}: {_render(v, inner)}" for k, v in items]
         return _block(parts, nl, "{}")
+    if kind is Fraction:
+        return _encode(format_rational(value))
+    if isinstance(value, enum.Enum):
+        return _render(value.value, nl)
     if isinstance(value, ModelDataPair):
         return _render_model(value.model, nl, value.observed_label)
     if isinstance(value, FiniteModel):
@@ -330,8 +342,6 @@ def _render(value: Any, nl: str) -> str:
         return _render(list(value), nl)
     if isinstance(value, Fraction):
         return _encode(format_rational(value))
-    if isinstance(value, enum.Enum):
-        return _render(value.value, nl)
     if isinstance(value, Prior):
         weights = [format_rational(w) for w in value.weights]
         return _render({"theta": value.theta_labels, "weights": weights}, nl)

@@ -128,6 +128,9 @@ EQUIVALENT = {
         "_render: drop `if kind is int: return int.__repr__(value)`":
             "an int then reaches the isinstance(value, int) fallback, which "
             "prints the same bytes",
+        "_render: drop `if kind is Fraction: return _encode(format_rational(value))`":
+            "an exact Fraction then reaches the isinstance(value, Fraction) "
+            "check, which prints the same bytes",
     },
 }
 

@@ -1,9 +1,11 @@
+import errno
 import json
+import os
 
 import pytest
 
 from lp_lab import ancillarity, relations
-from lp_lab.cli import _KINDS, build_parser, run
+from lp_lab.cli import _KINDS, Printer, build_parser, run
 from lp_lab.model import FiniteModel, canonical_form, pair_at, validate_model
 from lp_lab.relations import birnbaumize
 from lp_lab.search import MAX_COMBINATIONS
@@ -117,6 +119,40 @@ def test_closure_with_augmentation(tmp_path, fb, fc, capsys):
         == 0
     )
     assert "1 classes" in capsys.readouterr().out
+
+
+def test_machine_output_reads_no_human_lines(capsys):
+    def lines():
+        raise AssertionError("human text read under --machine")
+        yield
+
+    Printer(True, None).emit({"a": 1}, lines())
+    assert capsys.readouterr().out == '{\n  "a": 1\n}\n'
+    Printer(False, None).emit({"a": 1}, iter(["x", "y"]))
+    assert capsys.readouterr().out == "x\ny\n"
+
+
+def test_closure_human_text_is_lazy(tmp_path, fb, fc, monkeypatch, capsys):
+    d = tmp_path / "universe"
+    d.mkdir()
+    save_pair(pair_at(fb, "y2"), d / "b.pair")
+    save_pair(pair_at(fc, "z1"), d / "c.pair")
+    seen = []
+    emit = Printer.emit
+
+    def spy(self, payload, lines):
+        seen.append(iter(lines) is lines)
+        emit(self, payload, lines)
+
+    monkeypatch.setattr(Printer, "emit", spy)
+    assert run(["--machine", "closure", "--kind", "L", "--dir", str(d)]) == 0
+    assert run(["closure", "--kind", "L", "--dir", str(d)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(
+        "universe of 2 canonical pairs, 1 classes under L-closure\n"
+        "  class: 0, 1\n"
+    )
+    assert seen == [True, True]
 
 
 def test_search_l_minus_sc(capsys):
@@ -632,3 +668,38 @@ def test_closure_without_pair_files_is_usage_error(tmp_path, fb, name, capsys):
     path = tmp_path / name
     assert run(["closure", "--kind", "L", "--dir", str(path)]) == 2
     assert capsys.readouterr().err == f"error: no .pair files in {path}\n"
+
+
+def _unreadable(tmp_path, what):
+    """A path ``validate`` and ``relate`` cannot read, and the exact text
+    after ``error: `` that names it."""
+    path = tmp_path / f"{what}.pair"
+    if what == "missing":
+        code = errno.ENOENT
+        return path, f"cannot read {path}: [Errno {code}] {os.strerror(code)}: {str(path)!r}"
+    if what == "directory":
+        path.mkdir()
+        code = errno.EISDIR
+        return path, f"cannot read {path}: [Errno {code}] {os.strerror(code)}: {str(path)!r}"
+    if what == "latin1":
+        path.write_bytes(b'{"theta": ["t1"], "space": ["\xff"]}')
+        return path, (
+            f"{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+            "in position 29: invalid start byte"
+        )
+    path.write_bytes(b"")
+    return path, f"{path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"
+
+
+@pytest.mark.parametrize("what", ["missing", "directory", "latin1", "empty"])
+@pytest.mark.parametrize("command", ["validate", "relate"])
+def test_unreadable_file_error_line(files, tmp_path, command, what, capsys):
+    path, message = _unreadable(tmp_path, what)
+    if command == "validate":
+        argv = ["--machine", "validate", str(path)]
+    else:  # the second file, so the first was read without error
+        argv = ["--machine", "relate", "--kind", "L", files["pairB1"], str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -9,6 +9,12 @@ booleans beside integers, a one-point model, subclasses of the types that
 have an exact-type fast path, one value of each other type it takes, and
 a model built from lists, which does not hash.
 
+Arrays whose elements are all exact ints, and arrays of strings, are
+joined in C without one render per element; every other array, one that
+holds a bool, an IntEnum member or another int subclass among ints
+included, goes element by element, so true and false never print as 1
+and 0.
+
 render_machine caches the text of each model whose labels are all exactly
 str. Models whose labels differ only in numeric type are equal, yet each
 must still print its own labels, and a float label must still be refused,
@@ -16,6 +22,7 @@ whatever was rendered before.
 """
 
 import dataclasses
+import enum
 import json
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
@@ -62,6 +69,10 @@ class _Count(int):
     pass
 
 
+class _Rational(Fraction):
+    pass
+
+
 @dataclasses.dataclass(frozen=True)
 class _Record:
     name: str
@@ -70,6 +81,11 @@ class _Record:
 
 
 _Point = namedtuple("_Point", "label mass")
+
+
+class _Size(enum.IntEnum):
+    ONE = 1
+    TWO = 2
 
 
 def _escaped_model():
@@ -116,12 +132,70 @@ CASES = [
         _Record("r", Fraction(-7, 3), RelationKind.S_OR_C),
         _Record("", Fraction(0), RelationKind.L),
     ],
+    # arrays of exact ints
+    [0, 1, -2, 2**80],
+    (3,),
+    # arrays of bools, and bools beside ints in either order
+    [True, False],
+    (False,),
+    [1, True, 0, False],
+    [True, 1],
+    (0, False),
+    # IntEnum members and int subclasses among ints
+    [_Size.ONE, 2],
+    (2, _Size.TWO),
+    [_Count(4), 5],
+    (5, _Count(-4)),
+    # tuples of Fractions, and a Fraction subclass
+    (Fraction(1, 2), Fraction(-3), Fraction(0)),
+    (_Rational(-2, 6), Fraction(1, 3), {"mass": _Rational(4)}),
+    [(Fraction(5, 7),), (Fraction(2), 1)],
+    # str subclasses beside str
+    ["a", _Label("b")],
+    (_Label('c"'), "d"),
+    # empty lists and tuples
+    [[], ()],
+    ((), []),
+    {"list": [], "tuple": ()},
+    # nested int tuples, as closure classes hold them
+    ((0, 2, 5), (1,), (3, 4)),
+    {"classes": ((0,), (1, 2)), "edges": [{"i": 0, "j": 2, "kind": RelationKind.C}]},
 ]
 
 
 @pytest.mark.parametrize("value", CASES, ids=range(len(CASES)))
 def test_render_machine_matches_json_dumps(value):
     assert render_machine(value) == _reference(value)
+
+
+def _render_calls(monkeypatch, value):
+    """The values ``_render`` is called on while rendering ``value``."""
+    calls = []
+    render = serialization._render
+
+    def counted(v, nl):
+        calls.append(v)
+        return render(v, nl)
+
+    monkeypatch.setattr(serialization, "_render", counted)
+    assert render_machine(value) == _reference(value)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "value", [[0, 1, -2], (2**80,), ["a", _Label("b")], ("é", "\u2028"), [], ()]
+)
+def test_flat_array_renders_in_one_call(monkeypatch, value):
+    assert _render_calls(monkeypatch, value) == [value]
+
+
+@pytest.mark.parametrize(
+    "value", [[1, True], [True, 1], [_Size.ONE, 2], [2, _Count(3)], ["a", 1]]
+)
+def test_mixed_array_renders_element_by_element(monkeypatch, value):
+    calls = _render_calls(monkeypatch, value)
+    assert calls[0] is value
+    assert all(any(call is v for call in calls[1:]) for v in value)
 
 
 @pytest.mark.parametrize("value", [1.5, [1, 2.0], {"p": 0.5}, (0.0,)])
