@@ -4,6 +4,12 @@ Exit codes: 0 = success / relation holds, 1 = relation does not hold or a
 search came back empty, 2 = input or usage error. `--machine` switches to
 deterministic JSON output; `--decimal K` annotates rationals with a K-digit
 decimal rendering (annotation only, the exact value is always printed).
+
+Each ``cmd_*`` handler takes the parsed ``args`` alone, prints nothing and
+returns ``(exit code, payload, lines)``. `run` is the only writer: it prints
+the payload as JSON under --machine, else each of ``lines``, which it reads
+only then, so a handler may return them as a generator. It writes inside
+the handler's error guard, so an error raised while writing exits 2 too.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import argparse
 import functools
 import os
 import sys
-from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,41 +48,18 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
-def _decimal_annotation(value: Fraction, digits: int) -> str:
-    """Exact long division to `digits` places; no floating point."""
-    sign = "-" if value < 0 else ""
-    num = abs(value.numerator)
-    den = value.denominator
-    whole, rem = divmod(num, den)
-    out = [sign, str(whole)]
-    if digits > 0:
-        out.append(".")
-        for _ in range(digits):
-            rem *= 10
-            digit, rem = divmod(rem, den)
-            out.append(str(digit))
-    return "".join(out)
-
-
-class Printer:
-    def __init__(self, machine: bool, decimals: int | None):
-        self.machine = machine
-        self.decimals = decimals
-
-    def rational(self, value: Fraction) -> str:
-        text = format_rational(value)
-        if self.decimals is not None:
-            text += f" (~{_decimal_annotation(value, self.decimals)})"
+def _rational(value: Fraction, digits: int | None) -> str:
+    """``value`` exactly; with --decimal K, then its first K decimal places
+    by exact long division, with no floating point."""
+    text = format_rational(value)
+    if digits is None:
         return text
-
-    def emit(self, payload: dict, lines: Iterable[str]) -> None:
-        """``payload`` as JSON with --machine, else each of ``lines``: any
-        iterable, read only without --machine, so it may be a generator."""
-        if self.machine:
-            print(render_machine(payload))
-        else:
-            for line in lines:
-                print(line)
+    whole, rem = divmod(abs(value.numerator), value.denominator)
+    out = [" (~-" if value < 0 else " (~", str(whole), "." if digits else ""]
+    for _ in range(digits):
+        digit, rem = divmod(rem * 10, value.denominator)
+        out.append(str(digit))
+    return text + "".join(out) + ")"
 
 
 def _parse_partition(spec: str, pair_or_model) -> Partition:
@@ -103,7 +85,7 @@ def _partition_text(partition: Partition, labels) -> str:
 _KINDS = sorted(kind.value for kind in RelationKind)
 
 
-def cmd_validate(args, printer) -> int:
+def cmd_validate(args) -> tuple:
     value = load_pair_or_model(args.file)
     payload = {"command": "validate", "input": value, "valid": True}
     if isinstance(value, ModelDataPair):
@@ -117,11 +99,10 @@ def cmd_validate(args, printer) -> int:
         lines = [
             f"valid model: |Theta| = {value.n_theta}, |X| = {value.n_points}"
         ]
-    printer.emit(payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_reduce(args, printer) -> int:
+def cmd_reduce(args) -> tuple:
     from .sufficiency import reduce_to_mss
 
     pair = load_pair(args.file)
@@ -137,16 +118,12 @@ def cmd_reduce(args, printer) -> int:
     for label, h in zip(
         pair.model.sample_labels, reduction.theta_free_factor
     ):
-        lines.append(f"  h({label}) = {printer.rational(h)}")
-    lines.append(
-        "reduced observed: "
-        + reduction.reduced.observed_label
-    )
-    printer.emit(payload, lines)
-    return EXIT_OK
+        lines.append(f"  h({label}) = {_rational(h, args.decimal)}")
+    lines.append("reduced observed: " + reduction.reduced.observed_label)
+    return EXIT_OK, payload, lines
 
 
-def cmd_relate(args, printer) -> int:
+def cmd_relate(args) -> tuple:
     kind = RelationKind(args.kind)
     p1 = load_pair(args.first)
     p2 = load_pair(args.second)
@@ -160,17 +137,15 @@ def cmd_relate(args, printer) -> int:
         "witness": witness,
     }
     if witness is None:
-        printer.emit(payload, [f"{args.kind}: not related"])
-        return EXIT_NEGATIVE
+        return EXIT_NEGATIVE, payload, [f"{args.kind}: not related"]
     if isinstance(witness, Fraction):
-        lines = [f"L: related with c = {printer.rational(witness)}"]
-    else:
-        lines = [f"{args.kind}: related"]
-    printer.emit(payload, lines)
-    return EXIT_OK
+        return EXIT_OK, payload, [
+            f"L: related with c = {_rational(witness, args.decimal)}"
+        ]
+    return EXIT_OK, payload, [f"{args.kind}: related"]
 
 
-def cmd_ancillaries(args, printer) -> int:
+def cmd_ancillaries(args) -> tuple:
     model = load_model(args.file)
     labels = model.sample_labels
     catalog = ancillary_catalog(model)
@@ -190,11 +165,10 @@ def cmd_ancillaries(args, printer) -> int:
         header = "maximal ancillaries" if args.maximal else "ancillaries"
         lines = [f"{header} ({len(shown)}):"]
         lines.extend("  " + _partition_text(a, labels) for a in shown)
-    printer.emit(payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_birnbaumize(args, printer) -> int:
+def cmd_birnbaumize(args) -> tuple:
     p1 = load_pair(args.first)
     p2 = load_pair(args.second)
     mixture, e1, e2 = relations.birnbaumize(p1, p2)
@@ -204,15 +178,13 @@ def cmd_birnbaumize(args, printer) -> int:
         "embedded_first": e1,
         "embedded_second": e2,
     }
-    lines = [
+    return EXIT_OK, payload, [
         f"mixture on {mixture.n_points} points; "
         f"embedded observations {e1.observed_label}, {e2.observed_label}"
     ]
-    printer.emit(payload, lines)
-    return EXIT_OK
 
 
-def cmd_efm(args, printer) -> int:
+def cmd_efm(args) -> tuple:
     p1 = load_pair(args.first)
     p2 = load_pair(args.second)
     result = relations.efm_parent(p1, p2)
@@ -226,18 +198,17 @@ def cmd_efm(args, printer) -> int:
             result.swapped_indicator, labels
         ),
         "chain": result.chain,
+        "verified": verified,
     }
-    lines = [
+    return EXIT_OK if verified else EXIT_NEGATIVE, payload, [
         "EFM parent built; two-step C chain "
         + ("verified" if verified else "FAILED VERIFICATION"),
         "indicator: " + _partition_text(result.indicator, labels),
         "swapped:   " + _partition_text(result.swapped_indicator, labels),
     ]
-    printer.emit(payload, lines)
-    return EXIT_OK if verified else EXIT_NEGATIVE
 
 
-def cmd_chain(args, printer) -> int:
+def cmd_chain(args) -> tuple:
     p1 = load_pair(args.first)
     p2 = load_pair(args.second)
     if args.kind == "SC":
@@ -252,15 +223,13 @@ def cmd_chain(args, printer) -> int:
         "verified": verified,
     }
     steps = " - ".join(step.kind.value for step in chain.steps)
-    lines = [
+    return EXIT_OK if verified else EXIT_NEGATIVE, payload, [
         f"chain with {len(chain.steps)} steps ({steps}); "
         + ("verified" if verified else "FAILED VERIFICATION")
     ]
-    printer.emit(payload, lines)
-    return EXIT_OK if verified else EXIT_NEGATIVE
 
 
-def cmd_closure(args, printer) -> int:
+def cmd_closure(args) -> tuple:
     # every name ending in .pair, hidden ones too, as Path.glob lists them
     directory = Path(args.dir)
     try:
@@ -291,11 +260,10 @@ def cmd_closure(args, printer) -> int:
         )
         for cls in result.classes:
             yield "  class: " + ", ".join(str(i) for i in cls)
-    printer.emit(payload, lines())
-    return EXIT_OK
+    return EXIT_OK, payload, lines()
 
 
-def cmd_search(args, printer) -> int:
+def cmd_search(args) -> tuple:
     bounds = search.SearchBounds(
         args.theta_size, args.max_space, args.max_denominator
     )
@@ -312,25 +280,21 @@ def cmd_search(args, printer) -> int:
     }
     if found is None:
         missing = "counterexample" if transitivity else "witness"
-        printer.emit(payload, [f"no {missing} within bounds"])
-        return EXIT_NEGATIVE
+        return EXIT_NEGATIVE, payload, [f"no {missing} within bounds"]
     if transitivity:
-        lines = [
+        return EXIT_OK, payload, [
             "C is not transitive; verified triple found",
             "p1: " + render_machine(found.p1),
             "p2: " + render_machine(found.p2),
             "p3: " + render_machine(found.p3),
         ]
-    else:
-        lines = [
-            "pair in L but in neither S nor C; "
-            f"c = {printer.rational(found.likelihood_ratio)}"
-        ]
-    printer.emit(payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, [
+        "pair in L but in neither S nor C; "
+        f"c = {_rational(found.likelihood_ratio, args.decimal)}"
+    ]
 
 
-def cmd_rb(args, printer) -> int:
+def cmd_rb(args) -> tuple:
     if args.what == "strength" and not args.theta:
         raise LpLabError("rb strength requires --theta")
     pair = load_pair(args.file)
@@ -354,23 +318,23 @@ def cmd_rb(args, printer) -> int:
         value = rb_strength(pair, prior, args.theta)
         payload["strength"] = value
         lines.append(
-            f"strength({args.theta}) = {printer.rational(value)}"
+            f"strength({args.theta}) = {_rational(value, args.decimal)}"
         )
     else:
         lines.append(
             "posterior: ("
-            + ", ".join(printer.rational(v) for v in report.posterior)
+            + ", ".join(_rational(v, args.decimal) for v in report.posterior)
             + ")"
         )
         lines.append(
             "RB:        ("
-            + ", ".join(printer.rational(v) for v in report.rb)
+            + ", ".join(_rational(v, args.decimal) for v in report.rb)
             + ")"
         )
         lines.append("estimate:  " + ", ".join(report.estimate))
         for record in report.hypotheses:
             if record.bayes_factor is not None:
-                bf = printer.rational(record.bayes_factor)
+                bf = _rational(record.bayes_factor, args.decimal)
             elif len(record.hypothesis) == len(prior.theta_labels):
                 bf = "undefined"
             else:
@@ -379,11 +343,10 @@ def cmd_rb(args, printer) -> int:
                 f"A = {{{', '.join(record.hypothesis)}}}: "
                 f"BF = {bf}, evidence {record.direction.value}"
             )
-    printer.emit(payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_check(args, printer) -> int:
+def cmd_check(args) -> tuple:
     # options first, so a bad command line is reported before any file
     if args.what == "model" and args.prior is not None:
         raise LpLabError("check model does not take --prior")
@@ -410,8 +373,9 @@ def cmd_check(args, printer) -> int:
         "method": method,
         "p_value": p_value,
     }
-    printer.emit(payload, [f"p-value ({method}): {printer.rational(p_value)}"])
-    return EXIT_OK
+    return EXIT_OK, payload, [
+        f"p-value ({method}): {_rational(p_value, args.decimal)}"
+    ]
 
 
 def _digits(text: str) -> int:
@@ -516,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Run one lp-lab command line and return its exit code.
+    """Run one lp-lab command line, print its answer, return its exit code.
 
     The parser is built once per process, on the first call, and holds no
     per-call state: every call parses into a fresh Namespace.
@@ -525,9 +489,14 @@ def run(argv: list[str]) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    printer = Printer(args.machine, args.decimal)
     try:
-        return args.handler(args, printer)
+        code, payload, lines = args.handler(args)
+        if args.machine:
+            print(render_machine(payload))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (LpLabError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

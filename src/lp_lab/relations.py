@@ -11,7 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .ancillarity import CWitness, _c_step, c_related
 from .certify import verify_c_witness, verify_l_witness, verify_s_witness
@@ -64,13 +64,16 @@ def l_class_key(pair: ModelDataPair) -> tuple[int, ...]:
     return pair.model.likelihoods[pair.observed][1]
 
 
-def l_class_peers(pairs: Sequence[ModelDataPair]) -> list[tuple[int, ...]]:
-    """For each pair, the ascending indices of the pairs with its l_class_key.
+def l_class_pairs(pairs: Sequence[ModelDataPair]) -> Iterator[tuple[int, int]]:
+    """Every (i, j) with i < j whose pairs share an l_class_key, in the
+    order of i, then j.
 
-    Every relation kind implies L, so only peers can be related in one step.
+    Every relation kind implies L, so only these can be related in one step.
     """
     classes = Partition.from_labels([l_class_key(p) for p in pairs])
-    return [classes.blocks[b] for b in classes.labels]
+    for i, b in enumerate(classes.labels):
+        block = classes.blocks[b]
+        yield from ((i, j) for j in block[block.index(i) + 1 :])
 
 
 def related(
@@ -366,14 +369,12 @@ def augment(pairs: Sequence[ModelDataPair], how: str) -> list[ModelDataPair]:
     if how not in ("birnbaum", "efm"):
         raise ValueError(f"unknown augmentation {how!r}")
     members = list(pairs)
-    peers = l_class_peers(pairs)
-    for i, a in enumerate(pairs):
-        for b in (pairs[j] for j in peers[i] if j > i):
-            if how == "birnbaum":
-                _, e1, e2 = birnbaumize(a, b)
-                members += (e1, e2)
-            else:
-                members.append(efm_parent(a, b).parent)
+    for i, j in l_class_pairs(pairs):
+        if how == "birnbaum":
+            _, e1, e2 = birnbaumize(pairs[i], pairs[j])
+            members += (e1, e2)
+        else:
+            members.append(efm_parent(pairs[i], pairs[j]).parent)
     return members
 
 
@@ -446,22 +447,17 @@ def closure(universe: Universe, kind: RelationKind) -> ClosureResult:
     then j; no other pair can hold a one-step edge.
     """
     members = universe.members
-    n = len(members)
-    peers = l_class_peers(members)
     edges = []
-    for i in range(n):
-        for j in peers[i]:
-            if j <= i:
-                continue
-            witness = related(members[i], members[j], kind)
-            if witness is None:
-                continue
-            step_kind = kind
-            if kind is RelationKind.S_OR_C:
-                is_s = isinstance(witness, SWitness)
-                step_kind = RelationKind.S if is_s else RelationKind.C
-            edges.append(ClosureEdge(i, j, step_kind, witness))
-    classes = components(n, [(e.i, e.j) for e in edges]).blocks
+    for i, j in l_class_pairs(members):
+        witness = related(members[i], members[j], kind)
+        if witness is None:
+            continue
+        step_kind = kind
+        if kind is RelationKind.S_OR_C:
+            is_s = isinstance(witness, SWitness)
+            step_kind = RelationKind.S if is_s else RelationKind.C
+        edges.append(ClosureEdge(i, j, step_kind, witness))
+    classes = components(len(members), [(e.i, e.j) for e in edges]).blocks
     return ClosureResult(universe, kind, classes, tuple(edges))
 
 
@@ -503,12 +499,13 @@ def relation_properties_report(
     """
     members = universe.members
     n = len(members)
-    peers = l_class_peers(members)
+    asked = [(i, i) for i in range(n)]
+    for i, j in l_class_pairs(members):
+        asked += ((i, j), (j, i))
     neighbors: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in peers[i]:
-            if related(members[i], members[j], kind) is not None:
-                neighbors[i].add(j)
+    for i, j in asked:
+        if related(members[i], members[j], kind) is not None:
+            neighbors[i].add(j)
     refl = [(i,) for i in range(n) if i not in neighbors[i]]
     sym = [
         (i, j)

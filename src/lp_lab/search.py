@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 from .ancillarity import CWitness, _balanced_splits, _c_step, c_related
 from .errors import LpLabError, SpaceTooLarge
 from .model import FiniteModel, ModelDataPair
-from .relations import RelationKind, l_class_peers, l_related, related
+from .relations import RelationKind, l_class_pairs, l_related, related
 
 
 @dataclass(frozen=True)
@@ -213,10 +213,8 @@ def search_l_minus_sc(
     witness is fully verified.
     """
     pairs = list(enumerate_pairs(*dataclasses.astuple(bounds)))
-    # only the later pairs of a pair's own L class can be L-related to it
-    for i, peers in enumerate(l_class_peers(pairs)):
-        for j in peers[peers.index(i) + 1 :]:
-            witness = check_l_minus_sc(pairs[i], pairs[j])
-            if witness is not None:
-                return witness
+    for i, j in l_class_pairs(pairs):
+        witness = check_l_minus_sc(pairs[i], pairs[j])
+        if witness is not None:
+            return witness
     return None

@@ -1,11 +1,13 @@
 import errno
+import io
 import json
 import os
+import sys
 
 import pytest
 
-from lp_lab import ancillarity, relations
-from lp_lab.cli import _KINDS, Printer, build_parser, run
+from lp_lab import ancillarity, cli, relations
+from lp_lab.cli import _KINDS, build_parser, run
 from lp_lab.model import FiniteModel, canonical_form, pair_at, validate_model
 from lp_lab.relations import birnbaumize
 from lp_lab.search import MAX_COMBINATIONS
@@ -121,14 +123,30 @@ def test_closure_with_augmentation(tmp_path, fb, fc, capsys):
     assert "1 classes" in capsys.readouterr().out
 
 
-def test_machine_output_reads_no_human_lines(capsys):
+def _wrap_handlers(monkeypatch, wrap):
+    """Make ``run`` call ``wrap(handler, args)`` where it calls a handler."""
+    parser = build_parser()
+
+    class Parser:
+        def parse_args(self, argv):
+            args = parser.parse_args(argv)
+            handler = args.handler
+            args.handler = lambda a: wrap(handler, a)
+            return args
+
+    monkeypatch.setattr(cli, "build_parser", Parser)
+
+
+def test_machine_output_reads_no_human_lines(monkeypatch, capsys):
     def lines():
         raise AssertionError("human text read under --machine")
         yield
 
-    Printer(True, None).emit({"a": 1}, lines())
+    answers = iter([(1, {"a": 1}, lines()), (0, {"a": 1}, iter(["x", "y"]))])
+    _wrap_handlers(monkeypatch, lambda handler, args: next(answers))
+    assert run(["--machine", "validate", "unread.pair"]) == 1
     assert capsys.readouterr().out == '{\n  "a": 1\n}\n'
-    Printer(False, None).emit({"a": 1}, iter(["x", "y"]))
+    assert run(["validate", "unread.pair"]) == 0
     assert capsys.readouterr().out == "x\ny\n"
 
 
@@ -138,13 +156,13 @@ def test_closure_human_text_is_lazy(tmp_path, fb, fc, monkeypatch, capsys):
     save_pair(pair_at(fb, "y2"), d / "b.pair")
     save_pair(pair_at(fc, "z1"), d / "c.pair")
     seen = []
-    emit = Printer.emit
 
-    def spy(self, payload, lines):
+    def spy(handler, args):
+        code, payload, lines = handler(args)
         seen.append(iter(lines) is lines)
-        emit(self, payload, lines)
+        return code, payload, lines
 
-    monkeypatch.setattr(Printer, "emit", spy)
+    _wrap_handlers(monkeypatch, spy)
     assert run(["--machine", "closure", "--kind", "L", "--dir", str(d)]) == 0
     assert run(["closure", "--kind", "L", "--dir", str(d)]) == 0
     out = capsys.readouterr().out
@@ -153,6 +171,26 @@ def test_closure_human_text_is_lazy(tmp_path, fb, fc, monkeypatch, capsys):
         "  class: 0, 1\n"
     )
     assert seen == [True, True]
+
+
+def test_an_error_while_writing_is_a_usage_error(tmp_path, monkeypatch):
+    # run writes inside the handler's error guard: a label the stdout
+    # encoding cannot hold gives exit 2, one error line and no output
+    model = validate_model(["t1", "t2"], ["\u00e9", "b"], [["1/2", "1/2"], ["1/4", "3/4"]])
+    path = str(tmp_path / "accent.pair")
+    save_pair(pair_at(model, "\u00e9"), path)
+    out, err = io.BytesIO(), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="ascii"))
+    monkeypatch.setattr(sys, "stderr", err)
+    assert run(["validate", path]) == 2
+    sys.stdout.flush()
+    assert out.getvalue() == b""
+    assert err.getvalue().startswith("error: 'ascii' codec can't encode")
+    assert err.getvalue().count("\n") == 1
+    # --machine output escapes every non-ASCII character
+    assert run(["--machine", "validate", path]) == 0
+    sys.stdout.flush()
+    assert out.getvalue().startswith(b"{")
 
 
 def test_search_l_minus_sc(capsys):

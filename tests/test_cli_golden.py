@@ -89,7 +89,7 @@ GOLDEN = {
     ('ancillaries-laminal', 'decimal'): (0, '934262ea125c50e72ada0c3083b8aa848ee15db3f1635c85f9905ad8ae2bcca0'),
     ('birnbaumize', 'machine'): (0, '6c74ceb61954964236394c8043fb26f840a20933d6de0043a6751081a113ae99'),
     ('birnbaumize', 'decimal'): (0, '5963b6a592bc40b9cb6bb1196b9e7a906a101cf4b59512f50dcf1c677e09d7a5'),
-    ('efm', 'machine'): (0, 'db516455ea7fe319c19bf234a81a9fbffefb1deb22eb484a3667e8b2ebb3adf4'),
+    ('efm', 'machine'): (0, 'ebf79183ce7c92fec07140389732caf6dcfc6f28c18cb561dae812eb31660dc4'),
     ('efm', 'decimal'): (0, '3b2728e882f6e34cf44dd1fde72d98e8bc8a95e6e81623fbf939769d4dc45a39'),
     ('chain-SC', 'machine'): (0, '0b1b08f06485b3b6a5ab837b8e821b50283edb46330b9666de689a54ae32da26'),
     ('chain-SC', 'decimal'): (0, 'a80126e10d94ee60b270d359454efced0fb1140b61a58b34621811c53de70c18'),

@@ -26,6 +26,7 @@ from lp_lab.relations import (
     closure,
     efm_parent,
     l_class_key,
+    l_class_pairs,
     l_related,
     relation_properties_report,
 )
@@ -69,6 +70,17 @@ def test_l_class_key_decides_l(grid):
                 likelihood_vector(a), likelihood_vector(b)
             )
             assert same == (reference is not None), (a, b)
+
+
+@pytest.mark.parametrize("which", ["grid", "augmented"])
+def test_l_class_pairs_are_the_l_related_index_pairs(which, request):
+    members = request.getfixturevalue(which).members
+    assert list(l_class_pairs(members)) == [
+        (i, j)
+        for i, a in enumerate(members)
+        for j in range(i + 1, len(members))
+        if l_related(a, members[j]) is not None
+    ]
 
 
 @pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)

@@ -30,6 +30,8 @@ from lp_lab.evidence import (
 )
 from lp_lab.model import FiniteModel, ModelDataPair, validate_model
 from lp_lab.partition import Partition
+from lp_lab.relations import RelationKind, Universe, l_class_pairs, related
+from lp_lab.search import enumerate_pairs
 from evidence_reference import uniform_prior
 from model_reference import likelihood_vector
 from random_models import random_pair, random_prior
@@ -254,3 +256,47 @@ def test_evidence_report_round_up(fb, fe, at):
     assert record.bayes_factor == 2
     assert record.direction is Direction.FOR
     assert record.strength == 1
+
+
+def test_which_checks_respect_which_relation_on_the_2_3_3_grid():
+    """Two lemmas, and how far each check follows S, C, Durbin-C and L.
+
+    - ``check_prior_conflict`` reads only the prior predictive of the
+      minimal sufficient statistic. S-related pairs have isomorphic
+      reductions, with the observed classes matched, so the check is
+      S-invariant.
+    - ``check_model_mss`` reads the conditional of the data given the MSS.
+      A Durbin block is a union of likelihood classes, and conditioning on
+      it leaves that conditional unchanged, so the check is
+      Durbin-C-invariant.
+
+    Over the 56 members of the (2,3,3) grid, with the prior (1/3, 2/3),
+    each row counts the related pairs i < j of one L class and in how many
+    the two p-values are equal. The prior-conflict check follows S and
+    breaks C; the MSS model check follows Durbin-C and breaks S; neither
+    follows L. The lemmas hold on any universe; the counts are facts of
+    this grid only.
+    """
+    grid = Universe.of(enumerate_pairs(2, 3, 3)).members
+    assert len(grid) == 56
+    prior = Prior.of(["t1", "t2"], ["1/3", "2/3"])
+    conflict = [check_prior_conflict(p, prior) for p in grid]
+    model = [check_model_mss(p) for p in grid]
+    table = {}
+    for kind in (RelationKind.S, RelationKind.C, RelationKind.DURBIN_C, RelationKind.L):
+        pairs = [
+            (i, j)
+            for i, j in l_class_pairs(grid)
+            if related(grid[i], grid[j], kind) is not None
+        ]
+        table[kind.value] = (
+            len(pairs),
+            sum(conflict[i] == conflict[j] for i, j in pairs),
+            sum(model[i] == model[j] for i, j in pairs),
+        )
+    assert table == {
+        "S": (44, 44, 30),
+        "C": (20, 10, 19),
+        "DURBIN": (15, 5, 15),
+        "L": (299, 91, 260),
+    }
