@@ -111,31 +111,36 @@ def verify_c_witness(
     return _carries(conditional, child, witness.bijection)
 
 
-def _reduction_holds(pair: ModelDataPair, result) -> bool:
-    """Check a ``sufficiency.ReductionResult`` of ``pair`` on four counts.
+def _claimed_quotient(model: FiniteModel, result) -> tuple:
+    """What a ``sufficiency.ReductionResult`` claims of ``model`` as a
+    whole: the reduced model, ``block_map`` and theta-free factors, with
+    the model they belong to. The observed block is the pair's own."""
+    reduced = result.reduced.model
+    return (model, reduced, result.block_map, result.theta_free_factor)
 
-    With d and D the ``den`` of the model and of the reduced model, v an
-    entry of point x and g the entry of its block in the same row:
+
+def _quotient_holds(
+    model: FiniteModel, target: FiniteModel, block_map, factors
+) -> bool:
+    """Check a claimed quotient of ``model`` on three counts.
+
+    With d and D the ``den`` of the model and of the reduced model
+    ``target``, v an entry of point x and g the entry of its block in the
+    same row:
     - factorization: v / d = (g / D) * h(x) with h(x) > 0, that is
       v * D * h.den == g * d * h.num;
     - block sums: D * (sum of v over the block) == d * g;
-    - minimality: the reduced columns are pairwise non-proportional;
-    - the observed point's block is the reduced observed point.
+    - minimality: the reduced columns are pairwise non-proportional.
     Factorization puts only proportional columns in one block, and
     minimality puts no proportional columns in two, so the blocks are the
     likelihood classes: the minimal sufficient partition.
     """
-    model, reduced = pair.model, result.reduced
-    target = reduced.model
-    block_map, factors = result.block_map, result.theta_free_factor
     n, r = model.n_points, target.n_points
     if target.theta_labels != model.theta_labels:
         return False
     if len(block_map) != n or len(factors) != n:
         return False
     if sorted(set(block_map)) != list(range(r)):
-        return False
-    if reduced.observed != block_map[pair.observed]:
         return False
     if any(h.numerator <= 0 for h in factors):  # a denominator is positive
         return False
@@ -164,13 +169,24 @@ def verify_s_witness(p1: ModelDataPair, p2: ModelDataPair, witness) -> bool:
     """Re-check a sufficiency certificate, a ``sufficiency.SWitness``.
 
     ``left`` and ``right`` must be the reductions of p1 and p2 to their
-    minimal sufficient statistics, and ``bijection`` must carry the left
-    reduced pair onto the right one.
+    minimal sufficient statistics: each quotient must hold of its model,
+    and each reduced observed point must be the block of its pair's
+    observed point. ``bijection`` must carry the left reduced pair onto
+    the right one. When both sides claim one quotient, the same model
+    with an equal reduced model, ``block_map`` and theta-free factors (as
+    the two observations of one mixture do), that quotient is checked
+    once; each observed block is still checked on its own side.
     """
+    left, right = witness.left, witness.right
+    q1 = _claimed_quotient(p1.model, left)
+    q2 = _claimed_quotient(p2.model, right)
+    # the quotient checks come first: they bound block_map to the model
     return (
-        _reduction_holds(p1, witness.left)
-        and _reduction_holds(p2, witness.right)
-        and _carries(witness.left.reduced, witness.right.reduced, witness.bijection)
+        _quotient_holds(*q1)
+        and (q1 == q2 or _quotient_holds(*q2))
+        and left.reduced.observed == left.block_map[p1.observed]
+        and right.reduced.observed == right.block_map[p2.observed]
+        and _carries(left.reduced, right.reduced, witness.bijection)
     )
 
 

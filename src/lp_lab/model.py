@@ -157,6 +157,14 @@ class FiniteModel:
             out.append((g, tuple(v // g for v in column) if g > 1 else column))
         return tuple(out)
 
+    @functools.cached_property
+    def labels_are_str(self) -> bool:
+        """True iff every parameter and sample label is exactly a ``str``,
+        decided once per instance. Equal models can differ here: the
+        labels 1, True and Fraction(1) are equal, and none is a str."""
+        labels = itertools.chain(self.theta_labels, self.sample_labels)
+        return all(type(label) is str for label in labels)
+
     @property
     def n_theta(self) -> int:
         return len(self.theta_labels)

@@ -23,7 +23,12 @@ from .model import (
     check_same_theta,
 )
 from .partition import Partition, components, is_function_of
-from .sufficiency import SWitness, likelihood_partition, s_related
+from .sufficiency import (
+    SWitness,
+    likelihood_partition,
+    reduce_to_mss,
+    s_related,
+)
 
 
 class RelationKind(enum.Enum):
@@ -203,17 +208,23 @@ def birnbaumize(
 def birnbaum_chain(p1: ModelDataPair, p2: ModelDataPair) -> WitnessChain:
     """The three-step chain p1 -C- (M*,(1,x1)) -S- (M*,(2,x2)) -C- p2.
 
-    Requires proportional likelihoods. Both C steps carry Birnbaum's own
-    ancillary, the component indicator: it conditions (M*,(1,x1)) to p1 by
-    the identity and (M*,(2,x2)) to p2 by x -> x - |X1|, by ``_c_step``
-    with no oracle call. The S step is ``s_related``'s. Nothing here
-    re-checks the chain; callers do, with :func:`verify_chain`.
+    Requires proportional likelihoods. Every step comes from what the
+    construction holds, with no oracle call. Both C steps carry Birnbaum's
+    own ancillary, the component indicator: it conditions (M*,(1,x1)) to
+    p1 by the identity and (M*,(2,x2)) to p2 by x -> x - |X1|, by
+    ``_c_step``. The S step reduces the one mixture twice, and both
+    reductions share its one quotient: the two observations fall in one
+    likelihood class of M*, so the reduced pairs are equal and the
+    identity carries one onto the other. Nothing here re-checks the
+    chain; callers do, with :func:`verify_chain`.
     """
     if l_related(p1, p2) is None:
         raise NotLRelated("inputs do not have proportional likelihoods")
     _, e1, e2 = birnbaumize(p1, p2)
     indicator = component_indicator(p1, p2)
     n1 = p1.model.n_points
+    r1, r2 = reduce_to_mss(e1), reduce_to_mss(e2)
+    identity = tuple(range(r1.reduced.model.n_points))
     return WitnessChain(
         (p1, e1, e2, p2),
         (
@@ -221,7 +232,7 @@ def birnbaum_chain(p1: ModelDataPair, p2: ModelDataPair) -> WitnessChain:
                 RelationKind.C,
                 _c_step(e1, indicator, "second", lambda x: x),
             ),
-            ChainStep(RelationKind.S, s_related(e1, e2)),
+            ChainStep(RelationKind.S, SWitness(r1, r2, identity)),
             ChainStep(
                 RelationKind.C,
                 _c_step(e2, indicator, "first", lambda x: x - n1),

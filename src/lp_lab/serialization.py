@@ -22,9 +22,11 @@ of other types, such as 1, True and Fraction(1), print differently.
 held for that text and kind in one ``functools.lru_cache`` of
 LOAD_CACHE_SIZE entries. Text not seen before is parsed, shape-checked and
 validated; errors are never cached, so a bad file fails the same way on
-every load. Repeated commands in one process (``cli.run`` called from
-Python) share one value per distinct file, and with it its canonical form
-and likelihoods.
+every load. ``validate``'s kind is decoded once per distinct text and held
+in a cache of its own, so a text seen before is not decoded again.
+Repeated commands in one process (``cli.run`` called from Python) share
+one value per distinct file, and with it its canonical form and
+likelihoods.
 """
 
 from __future__ import annotations
@@ -164,11 +166,12 @@ def _decode(text: str) -> dict:
 
 _FROM_DICT = {"model": model_from_dict, "pair": pair_from_dict, "prior": prior_from_dict}
 
-# Entries kept by the load cache, one per distinct (file text, kind), and by
-# the render cache, one per distinct (model, indent, observed label). One
-# closure pass of the benchmark peaks at 296 texts (the distinct texts of its
-# 311 files) and 241 renderings, one evidence pass at 195 texts (of 200) and
-# 280 renderings, and one catalog pass at 103 of each, so no workload evicts.
+# Entries kept by the load cache, one per distinct (file text, kind), by
+# validate's kind cache, one per distinct text, and by the render cache, one
+# per distinct (model, indent, observed label). One closure pass of the
+# benchmark peaks at 296 texts (the distinct texts of its 311 files) and 241
+# renderings, one evidence pass at 195 texts (of 200) and 280 renderings,
+# and one catalog pass at 103 of each, so no workload evicts.
 LOAD_CACHE_SIZE = 1024
 
 
@@ -195,9 +198,14 @@ def _load(path: str | Path, parse, *args):
         raise LpLabError(f"{path} {exc}") from None
 
 
+@functools.lru_cache(maxsize=LOAD_CACHE_SIZE)
+def _kind(text: str) -> str:
+    """"pair" if the text's object has an "observed" field, else "model"."""
+    return "pair" if "observed" in _decode(text) else "model"
+
+
 def _pair_or_model(text: str) -> ModelDataPair | FiniteModel:
-    kind = "pair" if "observed" in _decode(text) else "model"
-    return _value(text, kind)
+    return _value(text, _kind(text))
 
 
 def load_pair_or_model(path: str | Path) -> ModelDataPair | FiniteModel:
@@ -278,14 +286,15 @@ def _render_model(model: FiniteModel, nl: str, observed: Any = None) -> str:
     are equal, yet print as 1, true and "1", and a float label raises
     TypeError. A cache keyed by such a model would print whichever came
     first, so every other model is rendered afresh, as is one built from
-    lists, which does not hash. Entries print through integer division,
-    so equal rows print alike.
+    lists, which does not hash. Whether the labels are all str is decided
+    once per model instance, never by model equality. Entries print
+    through integer division, so equal rows print alike.
     """
-    try:
-        if set(map(type, model.theta_labels + model.sample_labels)) == {str}:
+    if model.labels_are_str:
+        try:
             return _model_text(model, nl, observed)
-    except TypeError:  # a model built from lists
-        pass
+        except TypeError:  # a model built from lists
+            pass
     return _model_text.__wrapped__(model, nl, observed)
 
 
@@ -321,8 +330,9 @@ def _render(value: Any, nl: str) -> str:
         return _block([_render(v, inner) for v in value], nl, "[]")
     if kind is dict:
         inner = nl + "  "
-        items = sorted({str(k): v for k, v in value.items()}.items())
-        parts = [f"{_encode(k)}: {_render(v, inner)}" for k, v in items]
+        if set(map(type, value)) != {str}:  # keys print as their str
+            value = {str(k): v for k, v in value.items()}
+        parts = [f"{_encode(k)}: {_render(value[k], inner)}" for k in sorted(value)]
         return _block(parts, nl, "{}")
     if kind is Fraction:
         return _encode(format_rational(value))

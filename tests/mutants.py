@@ -14,12 +14,15 @@ Each mutant changes one site of a module of ``src/lp_lab``:
 
 The mutated module is written into a fresh copy of ``src/``, and the
 module's tests in COVERED run against it with ``-x``: a mutant is killed
-when they fail or time out. The timeout is TIMEOUT_FACTOR times the run of
-the same tests on the unmutated copy, at most TIMEOUT_S seconds, so a
-mutant that loops forever costs seconds, not minutes. The
-script exits 1 if a mutant survives that EQUIVALENT does not list with
-its reason, or if a listed one is killed or no longer exists, and 2 if
-the copy fails its tests before any mutation.
+when they fail or time out. The timeout is TIMEOUT_FACTOR times the run
+of the same tests on the unmutated copy, at most TIMEOUT_S seconds, so a
+mutant that loops forever costs seconds, not minutes. Each module has its
+own copy, so the modules' mutant loops run concurrently, at most
+``os.cpu_count()`` at a time; their progress lines interleave, and the
+complaints are printed in COVERED order. The script exits 1 if a mutant
+survives that EQUIVALENT does not list with its reason, or if a listed one
+is killed or no longer exists, and 2 if the copy fails its tests before
+any mutation.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -205,9 +210,13 @@ def mutants(tree: ast.AST) -> list[tuple[str, object]]:
 
 def run_tests(src: Path, tests: list[str], timeout: float) -> bool:
     """True iff the tests pass against the package under ``src`` within
-    ``timeout`` seconds."""
+    ``timeout`` seconds. Their temporary files go beside ``src``, apart
+    from those of the other modules' runs."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    command = [
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        f"--basetemp={src.parent / 'pytest'}", *tests,
+    ]
     try:
         proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -215,8 +224,11 @@ def run_tests(src: Path, tests: list[str], timeout: float) -> bool:
     return proc.returncode == 0
 
 
-def check(module: str) -> list[str]:
-    """Run every mutant of one module; return the gate's complaints."""
+def check(module: str, stop: threading.Event) -> list[str]:
+    """Run every mutant of one module; return the gate's complaints.
+
+    If the module's tests fail before any mutation, set ``stop`` and exit
+    with 2; stop before the next mutant once ``stop`` is set."""
     source = (PACKAGE / module).read_text(encoding="utf-8")
     names = [name for name, _ in mutants(ast.parse(source))]
     equivalent = EQUIVALENT.get(module, {})
@@ -228,11 +240,14 @@ def check(module: str) -> list[str]:
         start = time.perf_counter()
         if not run_tests(src, COVERED[module], TIMEOUT_S):
             print(f"{module}: the tests fail before any mutation", file=sys.stderr)
+            stop.set()
             raise SystemExit(2)
         elapsed = time.perf_counter() - start
         timeout = min(TIMEOUT_S, TIMEOUT_FACTOR * elapsed)
         print(f"unmutated  {elapsed:6.1f}s  {module}  (timeout {timeout:.1f}s)", flush=True)
         for k, name in enumerate(names):
+            if stop.is_set():
+                break
             tree = ast.parse(source)
             mutants(tree)[k][1]()
             target.write_text(ast.unparse(tree), encoding="utf-8")
@@ -248,7 +263,12 @@ def check(module: str) -> list[str]:
 
 
 def main() -> int:
-    problems = [p for module in COVERED for p in check(module)]
+    # the threads only wait on pytest, which runs in processes of its own;
+    # result() raises a module's SystemExit(2) in this thread
+    stop = threading.Event()
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+        results = [pool.submit(check, module, stop) for module in COVERED]
+    problems = [p for result in results for p in result.result()]
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

@@ -16,6 +16,7 @@ import pytest
 import lp_lab
 from ancillary_reference import conditional_pairs
 from lp_lab.ancillarity import CWitness, c_related
+from lp_lab import certify
 from lp_lab.certify import verify_c_witness, verify_l_witness, verify_s_witness
 from lp_lab.errors import LpLabError
 from lp_lab.model import FiniteModel, ModelDataPair, validate_model
@@ -215,6 +216,101 @@ def test_s_rejects_pairs_on_other_parameter_labels(fb, at):
     q = _relabeled_theta(p)
     witness = SWitness(reduce_to_mss(p), reduce_to_mss(q), (0, 1))
     assert not verify_s_witness(p, q, witness)
+
+
+@pytest.fixture
+def quotient_checks(monkeypatch):
+    """The number of quotient checks verify_s_witness has made so far."""
+    calls = []
+    check = certify._quotient_holds
+
+    def counted(*quotient):
+        calls.append(quotient)
+        return check(*quotient)
+
+    monkeypatch.setattr(certify, "_quotient_holds", counted)
+    return calls
+
+
+def test_s_checks_a_shared_quotient_once(mixture_pairs, quotient_checks):
+    # the two observations of one mixture share its one quotient
+    p1, p2, e1, e2 = mixture_pairs
+    assert verify_s_witness(e1, e2, s_related(e1, e2))
+    assert len(quotient_checks) == 1
+    assert verify_chain(birnbaum_chain(p1, p2))
+    assert len(quotient_checks) == 2
+
+
+def test_s_checks_both_quotients_of_two_models(fa, at, quotient_checks):
+    # FIX-A at x1, and a copy of it with its sample points renamed: two
+    # models whose reduced models differ in their labels only
+    p = at(fa, "x1")
+    renamed = tuple(label + "'" for label in fa.sample_labels)
+    q = ModelDataPair(dataclasses.replace(fa, sample_labels=renamed), p.observed)
+    witness = s_related(p, q)
+    assert witness.left.block_map == witness.right.block_map
+    assert witness.left.theta_free_factor == witness.right.theta_free_factor
+    assert verify_s_witness(p, q, witness)
+    assert len(quotient_checks) == 2
+    # so a wrong quotient on the right is found though the left one holds
+    factors = witness.right.theta_free_factor
+    forged = dataclasses.replace(
+        witness.right, theta_free_factor=factors[1::-1] + factors[2:]
+    )
+    assert factors[0] != factors[1]
+    assert not verify_s_witness(p, q, dataclasses.replace(witness, right=forged))
+
+
+@pytest.fixture
+def shared_witness(mixture_pairs):
+    """The S certificate of the mixture's two observations, whose sides
+    claim one quotient; block 1 holds both observations."""
+    _, _, e1, e2 = mixture_pairs
+    witness = s_related(e1, e2)
+    assert witness.left == witness.right
+    assert witness.bijection == (0, 1, 2)
+    return e1, e2, witness
+
+
+def _with_right(witness, **changes):
+    right = dataclasses.replace(witness.right, **changes)
+    return dataclasses.replace(witness, right=right)
+
+
+def test_s_shared_quotient_rejects_a_wrong_right_observed_block(shared_witness):
+    # the right side still names block 1, where the pair's point is block 0
+    e1, e2, witness = shared_witness
+    other = ModelDataPair(e2.model, 0)
+    assert reduce_to_mss(other).reduced.observed == 0
+    assert verify_s_witness(e1, e2, witness)
+    assert not verify_s_witness(e1, other, witness)
+
+
+def test_s_shared_quotient_rejects_a_wrong_right_block_map(shared_witness):
+    e1, e2, witness = shared_witness
+    assert not verify_s_witness(e1, e2, _with_right(witness, block_map=(2, 1, 1, 0)))
+
+
+def test_s_shared_quotient_rejects_wrong_right_factors(shared_witness):
+    # the two factors of the merged block swapped: block sums still hold
+    e1, e2, witness = shared_witness
+    factors = (1, F(2, 5), F(3, 5), 1)
+    assert not verify_s_witness(e1, e2, _with_right(witness, theta_free_factor=factors))
+
+
+def test_s_shared_quotient_rejects_a_wrong_right_reduced_model(shared_witness):
+    # the right reduced model is the left one with blocks 0 and 2 traded:
+    # the bijection that trades them carries one onto the other, but the
+    # right block sums fail
+    e1, e2, witness = shared_witness
+    model = witness.right.reduced.model
+    rows = tuple((row[2], row[1], row[0]) for row in model.rows)
+    reduced = ModelDataPair(dataclasses.replace(model, rows=rows), 1)
+    forged = dataclasses.replace(
+        _with_right(witness, reduced=reduced), bijection=(2, 1, 0)
+    )
+    assert certify._carries(witness.left.reduced, reduced, (2, 1, 0))
+    assert not verify_s_witness(e1, e2, forged)
 
 
 # ---------------------------------------------------------------------------

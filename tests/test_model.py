@@ -266,6 +266,28 @@ def test_pickle_carries_no_hash(fb):
     assert "_hash" in fb.__dict__
 
 
+class _Label(str):
+    """A str subclass: equal to its str, but not exactly a str."""
+
+
+@pytest.mark.parametrize(
+    "theta, space, expected",
+    [
+        (("t1",), ("a", "b"), True),
+        ((1,), ("a", "b"), False),
+        (("t1",), ("a", True), False),
+        (("t1",), (Fraction(1), "b"), False),
+        (("t1",), ("a", _Label("b")), False),
+        ([_Label("t1")], ["a", "b"], False),
+    ],
+)
+def test_labels_are_str_is_exact_and_per_instance(theta, space, expected):
+    model = FiniteModel(theta, space, 2, ((1, 1),))
+    assert "labels_are_str" not in model.__dict__
+    assert model.labels_are_str is expected
+    assert model.__dict__["labels_are_str"] is expected
+
+
 def _permuted(pair, order):
     model = pair.model
     rows = tuple(tuple(row[x] for x in order) for row in model.probs)

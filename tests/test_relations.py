@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lp_lab import relations
+from lp_lab import model, relations, sufficiency
 from lp_lab.ancillarity import (
     CWitness,
     c_related,
@@ -184,6 +184,33 @@ def test_verify_chain_checks_l_steps_by_their_constant(fb, fc, at):
     assert verify_chain(result.chain(j, i))
 
 
+def test_birnbaum_chain_calls_no_s_oracle(fb, fc, at, monkeypatch):
+    # the S step is built from the mixture's one quotient, not searched for
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for module, name in (
+        (relations, "s_related"),
+        (sufficiency, "s_related"),
+        (sufficiency, "pairs_isomorphic"),
+        (model, "pairs_isomorphic"),
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    p1, p2 = at(fb, "y2"), at(fc, "z1")
+    chain = birnbaum_chain(p1, p2)
+    assert calls == []
+    _, e1, e2, _ = chain.nodes
+    assert chain.steps[1].witness == sufficiency.s_related(e1, e2)
+    assert calls == ["s_related", "pairs_isomorphic"]
+    assert verify_chain(chain)
+
+
 def test_birnbaum_chain_requires_l(fb, fc, at):
     with pytest.raises(NotLRelated):
         birnbaum_chain(at(fb, "y1"), at(fc, "z1"))
@@ -263,6 +290,7 @@ def _assert_own_witnesses(p1, p2):
     _, e1, e2 = birnbaumize(p1, p2)
     chain = birnbaum_chain(p1, p2)
     assert chain.nodes == (p1, e1, e2, p2)
+    assert chain.steps[1].witness == s_related(e1, e2)
     first, last = chain.steps[0].witness, chain.steps[2].witness
     assert first == CWitness(
         "second", indicator, condition_on_block(e1, indicator), tuple(range(n1))

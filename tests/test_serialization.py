@@ -208,6 +208,30 @@ def test_validate_shares_the_load_cache(fa, fd, tmp_path, validations, capsys):
     assert len(validations) == 2
 
 
+def test_validate_decodes_each_text_once(fa, fd, tmp_path, validations, monkeypatch):
+    decodes = []
+    decode = serialization._decode
+
+    def counting(text):
+        decodes.append(text)
+        return decode(text)
+
+    serialization._kind.cache_clear()
+    monkeypatch.setattr(serialization, "_decode", counting)
+    pair, model = tmp_path / "p.pair", tmp_path / "m.model"
+    save_pair(pair_at(fa, "x2"), pair)
+    save_model(fd, model)
+    for path, load in ((pair, load_pair), (model, load_model)):
+        decodes.clear()
+        value = load_pair_or_model(path)
+        assert len(decodes) == 2  # its kind, then its value
+        for _ in range(2):
+            assert load_pair_or_model(path) is value
+        assert load(path) is value
+        assert len(decodes) == 2
+    assert len(validations) == 2
+
+
 def test_rewritten_file_gives_its_new_value(fa, fb, tmp_path, validations):
     path = tmp_path / "p.pair"
     save_pair(pair_at(fa, "x2"), path)
