@@ -122,11 +122,13 @@ def _claimed_quotient(model: FiniteModel, result) -> tuple:
 def _quotient_holds(
     model: FiniteModel, target: FiniteModel, block_map, factors
 ) -> bool:
-    """Check a claimed quotient of ``model`` on three counts.
+    """Check a claimed quotient of ``model`` on four counts.
 
     With d and D the ``den`` of the model and of the reduced model
     ``target``, v an entry of point x and g the entry of its block in the
     same row:
+    - labels: each reduced point is labeled by its block's points, as
+      "{a,b}", the points in the model's order;
     - factorization: v / d = (g / D) * h(x) with h(x) > 0, that is
       v * D * h.den == g * d * h.num;
     - block sums: D * (sum of v over the block) == d * g;
@@ -141,6 +143,11 @@ def _quotient_holds(
     if len(block_map) != n or len(factors) != n:
         return False
     if sorted(set(block_map)) != list(range(r)):
+        return False
+    blocks = [[] for _ in range(r)]
+    for label, b in zip(model.sample_labels, block_map):
+        blocks[b].append(label)
+    if target.sample_labels != tuple("{" + ",".join(b) + "}" for b in blocks):
         return False
     if any(h.numerator <= 0 for h in factors):  # a denominator is positive
         return False

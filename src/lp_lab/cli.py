@@ -5,6 +5,12 @@ search came back empty, 2 = input or usage error. `--machine` switches to
 deterministic JSON output; `--decimal K` annotates rationals with a K-digit
 decimal rendering (annotation only, the exact value is always printed).
 
+Global options go before the command. A command line of the form
+``COMMAND ...`` or ``--machine COMMAND ...`` is parsed by that command's
+own parser alone; every other one, and any line that parser leaves
+arguments over from or that holds an "=", by the whole lp-lab parser, so
+usage, help and error text is the same either way.
+
 Each ``cmd_*`` handler takes the parsed ``args`` alone, prints nothing and
 returns ``(exit code, payload, lines)``. `run` is the only writer: it prints
 the payload as JSON under --machine, else each of ``lines``, which it reads
@@ -15,6 +21,7 @@ the handler's error guard, so an error raised while writing exits 2 too.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -29,7 +36,6 @@ from .evidence import (
     check_model_mss,
     check_prior_conflict,
     evidence_report,
-    rb_strength,
 )
 from .model import ModelDataPair, canonical_form, format_rational
 from .partition import Partition
@@ -295,14 +301,23 @@ def cmd_search(args) -> tuple:
 
 
 def cmd_rb(args) -> tuple:
-    if args.what == "strength" and not args.theta:
+    strength = args.what == "strength"
+    if strength and not args.theta:
         raise LpLabError("rb strength requires --theta")
     pair = load_pair(args.file)
     prior = load_prior(args.prior)
     hypotheses = []
     if args.hypothesis is not None:
         hypotheses.append([h.strip() for h in args.hypothesis.split(",")])
+    if strength:
+        # {theta} goes last, so a bad --hypothesis is still reported first;
+        # its record gives the strength and is left out of the payload
+        hypotheses.append([args.theta])
     report = evidence_report(pair, prior, hypotheses)
+    if strength:
+        *records, record = report.hypotheses
+        value = record.strength
+        report = dataclasses.replace(report, hypotheses=tuple(records))
     payload = {
         "command": f"rb {args.what}",
         "pair": pair,
@@ -314,8 +329,7 @@ def cmd_rb(args) -> tuple:
         lines.append(
             "relative belief estimate: " + ", ".join(report.estimate)
         )
-    elif args.what == "strength":
-        value = rb_strength(pair, prior, args.theta)
+    elif strength:
         payload["strength"] = value
         lines.append(
             f"strength({args.theta}) = {_rational(value, args.decimal)}"
@@ -476,17 +490,50 @@ def build_parser() -> argparse.ArgumentParser:
         help='ancillary partition as blocks, e.g. "x1,x2|x3"',
     )
     p.set_defaults(handler=cmd_check)
+    # name -> that command's parser, for _parse_args
+    parser.commands = sub.choices
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line as ``build_parser().parse_args`` does.
+
+    The whole parser reads only the global options before the command,
+    hands every later argument to the command's parser and then refuses
+    what that parser leaves over. So ``COMMAND ...`` and ``--machine
+    COMMAND ...`` go to the command's parser alone, and the global options
+    are set as the whole parser sets them. Anything else goes to the
+    whole parser: other global options, a missing or unknown command,
+    leftovers (for the whole parser's "unrecognized arguments" line) and
+    any line with an "=" in it, since the whole parser can read an option
+    written with "=" differently (it finds "--=x" ambiguous among its own
+    options).
+    """
+    parser = build_parser()
+    machine = argv[:1] == ["--machine"]
+    words = argv[machine:]
+    command = parser.commands.get(words[0]) if words else None
+    if command is not None and "=" not in "".join(words):
+        args, extra = command.parse_known_args(words[1:])
+        if not extra:
+            args.machine, args.decimal = machine, None
+            args.subcommand = words[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv: list[str]) -> int:
     """Run one lp-lab command line, print its answer, return its exit code.
 
-    The parser is built once per process, on the first call, and holds no
-    per-call state: every call parses into a fresh Namespace.
+    Global options go before the command: ``COMMAND ...`` and ``--machine
+    COMMAND ...`` are parsed by the command's own parser, every other
+    line by the whole parser (``_parse_args``), with the same result and
+    the same usage and error text. The parsers are built once per
+    process, on the first call, and hold no per-call state: every call
+    parses into a fresh Namespace.
     """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -77,6 +77,21 @@ def _self_certificate(pair, result):
     return verify_s_witness(pair, pair, SWitness(result, result, phi))
 
 
+def _block_labels(model, block_map):
+    """The reduced labels a block_map gives: "{a,b}" per block, in order."""
+    blocks = {}
+    for label, b in zip(model.sample_labels, block_map):
+        blocks.setdefault(b, []).append(label)
+    return tuple("{" + ",".join(blocks[b]) + "}" for b in sorted(blocks))
+
+
+def _with_block_map(pair, result, block_map):
+    """``result`` with ``block_map``, its reduced points relabeled to match,
+    so that only the factorization and block sums can refuse it."""
+    forged = _forged_reduced(result, labels=_block_labels(pair.model, block_map))
+    return dataclasses.replace(forged, block_map=block_map)
+
+
 def _forged_reduced(result, rows=None, theta=None, labels=None, observed=None):
     model = result.reduced.model
     forged = FiniteModel(
@@ -103,8 +118,7 @@ def test_s_accepts_true_certificates(mixture_pairs, self_reduction):
 @pytest.mark.parametrize("block_map", [(2, 1, 1, 0), (0, 1, 2, 2), (0, 0, 1, 2)])
 def test_s_rejects_wrong_block_map(self_reduction, block_map):
     pair, result = self_reduction
-    forged = dataclasses.replace(result, block_map=block_map)
-    assert not _self_certificate(pair, forged)
+    assert not _self_certificate(pair, _with_block_map(pair, result, block_map))
 
 
 def test_s_rejects_block_map_that_misses_a_block(self_reduction):
@@ -148,13 +162,12 @@ def test_s_rejects_non_positive_factor(self_reduction):
     # a point no parameter reaches, put in a block with factor 0: every
     # product and block sum holds, but its column is proportional to none
     pair, result = self_reduction
-    model = _with_zero_point(pair.model)
+    zero_pair = ModelDataPair(_with_zero_point(pair.model), pair.observed)
     zero_in_block = dataclasses.replace(
-        result,
-        block_map=result.block_map + (2,),
+        _with_block_map(zero_pair, result, result.block_map + (2,)),
         theta_free_factor=result.theta_free_factor + (0,),
     )
-    assert not _self_certificate(ModelDataPair(model, pair.observed), zero_in_block)
+    assert not _self_certificate(zero_pair, zero_in_block)
 
 
 def test_s_rejects_reduced_rows_that_are_not_block_sums(self_reduction):
@@ -174,10 +187,13 @@ def test_s_rejects_non_minimal_reduction(self_reduction):
     # likelihood class {1:y2, 2:z1}
     pair, _ = self_reduction
     n = pair.model.n_points
+    block_map = tuple(range(n))
+    labels = _block_labels(pair.model, block_map)
+    model = dataclasses.replace(pair.model, sample_labels=labels)
     discrete = dataclasses.replace(
         reduce_to_mss(pair),
-        reduced=pair,
-        block_map=tuple(range(n)),
+        reduced=ModelDataPair(model, pair.observed),
+        block_map=block_map,
         theta_free_factor=(1,) * n,
     )
     assert not _self_certificate(pair, discrete)
@@ -193,6 +209,29 @@ def test_s_rejects_reduction_with_other_parameter_labels(self_reduction):
     pair, result = self_reduction
     theta = tuple(t + "'" for t in pair.model.theta_labels)
     assert not _self_certificate(pair, _forged_reduced(result, theta=theta))
+
+
+def test_s_rejects_renamed_blocks(mixture_pairs):
+    # the Birnbaum S step of FIX-B y2 and FIX-C z1, with its reduced
+    # points renamed p, q and r on both sides: every entry still holds
+    p1, p2, e1, e2 = mixture_pairs
+    witness = birnbaum_chain(p1, p2).steps[1].witness
+    reduced = witness.left.reduced.model
+    assert reduced.sample_labels == ("{1:y1}", "{1:y2,2:z1}", "{2:z2}")
+    assert verify_s_witness(e1, e2, witness)
+    renamed = _forged_reduced(witness.left, labels=("p", "q", "r"))
+    forged = dataclasses.replace(witness, left=renamed, right=renamed)
+    assert not verify_s_witness(e1, e2, forged)
+
+
+def test_s_rejects_blocks_named_out_of_order(self_reduction):
+    # the merged block {1:y2,2:z1} named with its points swapped
+    pair, result = self_reduction
+    labels = result.reduced.model.sample_labels
+    assert labels[1] == "{1:y2,2:z1}"
+    swapped = (labels[0], "{2:z1,1:y2}", labels[2])
+    assert _self_certificate(pair, result)
+    assert not _self_certificate(pair, _forged_reduced(result, labels=swapped))
 
 
 def test_s_rejects_wrong_bijection(mixture_pairs):
@@ -288,7 +327,8 @@ def test_s_shared_quotient_rejects_a_wrong_right_observed_block(shared_witness):
 
 def test_s_shared_quotient_rejects_a_wrong_right_block_map(shared_witness):
     e1, e2, witness = shared_witness
-    assert not verify_s_witness(e1, e2, _with_right(witness, block_map=(2, 1, 1, 0)))
+    right = _with_block_map(e2, witness.right, (2, 1, 1, 0))
+    assert not verify_s_witness(e1, e2, dataclasses.replace(witness, right=right))
 
 
 def test_s_shared_quotient_rejects_wrong_right_factors(shared_witness):
@@ -508,6 +548,47 @@ def test_every_mixture_chain_on_the_universe_verifies(universe):
             assert verify_chain(efm_parent(p1, p2).chain), (p1, p2)
             chains += 2
     assert chains > 100
+
+
+def _renamed_blocks(witness):
+    """Each S witness that renames one reduced point of ``witness``: on the
+    left, on the right, and on both sides when they claim one quotient."""
+    sides = [("left",), ("right",)]
+    if witness.left == witness.right:
+        sides.append(("left", "right"))
+    for names in sides:
+        result = getattr(witness, names[0])
+        labels = result.reduced.model.sample_labels
+        for i, label in enumerate(labels):
+            renamed = labels[:i] + (label + "'",) + labels[i + 1 :]
+            forged = _forged_reduced(result, labels=renamed)
+            yield dataclasses.replace(witness, **dict.fromkeys(names, forged))
+
+
+def test_certify_rejects_every_renamed_block(universe):
+    # the Birnbaum S step of every L-related pair and, where S holds, the
+    # pair's own S witness: each verifies, and no rename of one block does
+    pairs = renames = 0
+    for i, p1 in enumerate(universe):
+        for p2 in universe[i + 1 :]:
+            if l_related(p1, p2) is None:
+                continue
+            pairs += 1
+            chain = birnbaum_chain(p1, p2)
+            _, e1, e2, _ = chain.nodes
+            certificates = [(e1, e2, chain.steps[1].witness)]
+            witness = s_related(p1, p2)
+            if witness is not None:
+                certificates.append((p1, p2, witness))
+            for q1, q2, witness in certificates:
+                assert verify_s_witness(q1, q2, witness)
+                for forged in _renamed_blocks(witness):
+                    assert not verify_s_witness(q1, q2, forged), (p1, p2)
+                    renames += 1
+    # 939 Birnbaum reduced points, renamed on each side and on both, and
+    # 161 renames of the S witnesses that s_related returns
+    assert pairs == 299
+    assert renames == 3 * 939 + 161
 
 
 def test_certify_rejects_s_certificates_of_unrelated_pairs(universe):

@@ -6,12 +6,13 @@ import sys
 
 import pytest
 
-from lp_lab import ancillarity, cli, relations
+from lp_lab import ancillarity, cli, evidence, relations
 from lp_lab.cli import _KINDS, build_parser, run
 from lp_lab.model import FiniteModel, canonical_form, pair_at, validate_model
 from lp_lab.relations import birnbaumize
 from lp_lab.search import MAX_COMBINATIONS
 from lp_lab.serialization import save_pair, save_prior, save_model
+from test_cli_golden import COMMANDS, FORMS, write_files
 from test_relations import _wrong_indicator
 
 
@@ -125,16 +126,15 @@ def test_closure_with_augmentation(tmp_path, fb, fc, capsys):
 
 def _wrap_handlers(monkeypatch, wrap):
     """Make ``run`` call ``wrap(handler, args)`` where it calls a handler."""
-    parser = build_parser()
+    parse = cli._parse_args
 
-    class Parser:
-        def parse_args(self, argv):
-            args = parser.parse_args(argv)
-            handler = args.handler
-            args.handler = lambda a: wrap(handler, a)
-            return args
+    def parse_and_wrap(argv):
+        args = parse(argv)
+        handler = args.handler
+        args.handler = lambda a: wrap(handler, a)
+        return args
 
-    monkeypatch.setattr(cli, "build_parser", Parser)
+    monkeypatch.setattr(cli, "_parse_args", parse_and_wrap)
 
 
 def test_machine_output_reads_no_human_lines(monkeypatch, capsys):
@@ -460,6 +460,149 @@ def test_cached_parser_keeps_no_state_between_calls(files, capsys):
     assert relate == (0, "L: related with c = 3/2\n", "")
 
 
+def _parser_corpus(files, golden, pair_d):
+    """Command lines for the parser tests: every golden and request line,
+    and for each command help, missing and unknown options and an extra
+    positional, abbreviations, global options in every place, "--" and
+    options written with "="."""
+    lines = [[arg.format(**golden) for arg in line] for line in COMMANDS.values()]
+    argvs = [FORMS[form] + line for line in lines for form in FORMS]
+    argvs += _request_argvs(files, pair_d)
+    valid = {}
+    for line in lines:
+        valid.setdefault(line[0], line)
+    assert valid.keys() == build_parser().commands.keys()
+    b1, b2, c1 = files["pairB1"], files["pairB2"], files["pairC1"]
+    for name, argv in valid.items():
+        argvs += [
+            [name, "-h"],
+            [name],
+            [name, "--bogus", *argv[1:]],
+            [*argv, "extra"],
+            [*argv, "--machine"],
+            [*argv, "--decimal", "3"],
+            ["--machine", *argv, "-h"],
+        ]
+    relate = ["relate", "--kind", "L", b2, c1]
+    prior = ["--prior", files["prior"]]
+    argvs += [
+        ["relate", b2, c1],  # --kind missing
+        ["chain", b2, c1],
+        ["closure", "--kind", "S"],  # --dir missing
+        ["rb", "analyze", b1],  # --prior missing
+        ["relate", "--kind=S", files["pairA1"], b1],
+        ["relate", "--ki", "L", b2, c1],
+        ["rb", "analyze", b1, "--pri", files["prior"]],
+        ["--mach", *relate],
+        ["--machine=1", *relate],
+        ["--dec", "2", *relate],
+        ["--decimal", "3", *relate],
+        ["--decimal=3", *relate],
+        ["--decimal", "x", *relate],
+        ["--machine", "--decimal", "3", *relate],
+        ["--decimal", "3", "--machine", *relate],
+        ["--machine", "--machine", *relate],
+        ["relate", "--kind", "L", "--", b2, c1],
+        ["--", *relate],
+        ["--machine", "--", *relate],
+        ["validate", "--", b1],
+        ["validate", "--=x"],
+        ["validate", "-=x"],
+        ["relate", "--=x", "--kind", "L", b2, c1],
+        ["validate", b1, "--machine=1"],
+        ["rb", "estimate", b1, *prior, "--theta=t1"],
+        ["validate", "-"],
+        [],
+        ["--machine"],
+        ["-h"],
+        ["--help"],
+        ["--machine", "-h"],
+        ["bogus"],
+        ["--machine", "bogus"],
+        ["Validate", b1],
+    ]
+    return argvs
+
+
+def test_command_parser_agrees_with_the_whole_parser(files, tmp_path, fd, monkeypatch, capsys):
+    # each line's Namespace, exit code, stdout and stderr are those of the
+    # whole parser, build_parser().parse_args, which is still built once
+    (tmp_path / "golden").mkdir()
+    golden = write_files(tmp_path / "golden")
+    (tmp_path / "d").mkdir()
+    pair_d = str(tmp_path / "d" / "d1.pair")
+    save_pair(pair_at(fd, "1"), pair_d)
+    corpus = _parser_corpus(files, golden, pair_d)
+    build_parser.cache_clear()
+
+    def outcomes():
+        out = []
+        for argv in corpus:
+            code = run(argv)
+            captured = capsys.readouterr()
+            out.append((argv, code, captured.out, captured.err))
+        return out
+
+    parsed = 0
+    for argv in corpus:
+        try:
+            expected = build_parser().parse_args(argv)
+        except SystemExit:
+            capsys.readouterr()
+            continue
+        assert cli._parse_args(argv) == expected, argv
+        parsed += 1
+    assert parsed > len(corpus) // 2
+    commands = outcomes()
+    monkeypatch.setattr(cli, "_parse_args", build_parser().parse_args)
+    assert commands == outcomes()
+    assert {code for _, code, _, _ in commands} == {0, 1, 2}
+    assert build_parser.cache_info().misses == 1
+
+
+def test_command_lines_go_to_their_command_parser(files, monkeypatch, capsys):
+    parser = build_parser()
+    whole = []
+    parse_args = parser.parse_args
+
+    def spy(argv):
+        whole.append(argv)
+        return parse_args(argv)
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    b1, b2, c1 = files["pairB1"], files["pairB2"], files["pairC1"]
+    relate = ["relate", "--kind", "L", b2, c1]
+    rb = ["rb", "analyze", b1, "--prior", files["prior"], "--hypothesis", "t1"]
+    for argv in (
+        ["validate", b1],
+        ["--machine", "validate", b1],
+        relate,
+        ["--machine", *relate],
+        rb,
+        ["--machine", *rb],
+        ["relate", "--ki", "L", b2, c1],
+        ["relate", "--kind", "L", "--", b2, c1],
+        ["relate", b2, c1],  # the command's parser reports --kind missing
+        ["validate", "-h"],
+    ):
+        run(argv)
+        assert whole == [], argv
+    for argv in (
+        ["--decimal", "3", *relate],
+        ["--mach", *relate],
+        ["--machine", "--machine", *relate],
+        [*relate, "--machine"],
+        ["relate", "--kind=L", b2, c1],
+        ["validate", "-=x"],
+        ["--help"],
+        ["bogus"],
+        [],
+    ):
+        run(argv)
+        assert whole[-1] == argv
+    capsys.readouterr()
+
+
 def test_rb_strength_needs_theta_before_reading_files(capsys):
     argv = ["rb", "strength", "missing.pair", "--prior", "missing.prior"]
     assert run(argv) == 2
@@ -470,6 +613,62 @@ def test_rb_strength_unknown_theta_is_usage_error(files, capsys):
     argv = ["rb", "strength", files["pairB1"], "--prior", files["prior"]]
     assert run(argv + ["--theta", "t9"]) == 2
     assert capsys.readouterr().err == "error: unknown parameter label 't9'\n"
+
+
+# a --hypothesis naming a label the prior lacks -> that label
+BAD_HYPOTHESES = {"hh": "hh", ",": "", "t1,hh": "hh"}
+
+
+@pytest.mark.parametrize("hypothesis", [None, "t1", *BAD_HYPOTHESES])
+@pytest.mark.parametrize("theta", [None, "", "t2", "tt"])
+def test_rb_strength_reports_hypothesis_before_theta(files, hypothesis, theta, capsys):
+    # --theta is required before any file is read; then a bad --hypothesis
+    # is reported before a bad --theta
+    argv = ["rb", "strength", files["pairB1"], "--prior", files["prior"]]
+    if hypothesis is not None:
+        argv += ["--hypothesis", hypothesis]
+    if theta is not None:
+        argv += ["--theta", theta]
+    if not theta:
+        expected = (2, "", "error: rb strength requires --theta\n")
+    elif hypothesis in BAD_HYPOTHESES:
+        label = BAD_HYPOTHESES[hypothesis]
+        expected = (2, "", f"error: unknown parameter label {label!r}\n")
+    elif theta == "tt":
+        expected = (2, "", "error: unknown parameter label 'tt'\n")
+    else:
+        expected = (0, "strength(t2) = 1/3\n", "")
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+
+
+def test_rb_builds_one_evidence_report(files, monkeypatch, capsys):
+    calls = []
+    report = evidence.evidence_report
+
+    def counted(*args):
+        calls.append(args)
+        return report(*args)
+
+    monkeypatch.setattr(evidence, "evidence_report", counted)
+    monkeypatch.setattr(cli, "evidence_report", counted)
+    rb = [files["pairB1"], "--prior", files["prior"]]
+    argvs = [
+        ["rb", "analyze", *rb, "--hypothesis", "t1"],
+        ["rb", "estimate", *rb],
+        ["rb", "strength", *rb, "--theta", "t2"],
+        ["rb", "strength", *rb, "--theta", "t2", "--hypothesis", "t1,t2"],
+    ]
+    for argv in argvs:
+        for form in ([], ["--machine"]):
+            calls.clear()
+            assert run(form + argv) == 0
+            assert len(calls) == 1, argv
+            out = capsys.readouterr().out
+    # the last payload's report holds the user's hypothesis alone
+    hypotheses = json.loads(out)["report"]["hypotheses"]
+    assert [h["hypothesis"] for h in hypotheses] == [["t1", "t2"]]
 
 
 def test_relate_c_ignores_enumeration_bound(files, monkeypatch, capsys):
