@@ -9,16 +9,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .certify import verify_c_witness  # the C certificate check, bound here too
 from .errors import NotAncillary, SpaceTooLarge
-from .model import (
-    FiniteModel,
-    ModelDataPair,
-    check_same_theta,
-    column_embedding,
-)
+from .model import FiniteModel, ModelDataPair, check_same_theta
 from .partition import Partition, all_partitions, is_function_of
 from .sufficiency import check_ground_set, likelihood_partition
 
@@ -192,6 +187,31 @@ def condition_on_block(
     return _conditional(pair, ancillary)
 
 
+def _column_embedding(
+    columns: Sequence[tuple],
+    observed: int,
+    into: Sequence[tuple],
+    into_observed: int,
+) -> Optional[list[int]]:
+    """The C oracle's column match, an embedding and not an isomorphism
+    test: injective phi with columns[x] == into[phi[x]] and phi[observed]
+    == into_observed, or None; equal columns of ``into`` go in index order."""
+    if columns[observed] != into[into_observed]:
+        return None
+    free: dict[tuple, list[int]] = {}
+    for x, column in enumerate(into):
+        if x != into_observed:
+            free.setdefault(column, []).append(x)
+    phi = [into_observed] * len(columns)
+    for x, column in enumerate(columns):
+        if x != observed:
+            bucket = free.get(column)
+            if not bucket:
+                return None
+            phi[x] = bucket.pop(0)
+    return phi
+
+
 def _conditioning_witness(
     parent: ModelDataPair,
     child: ModelDataPair,
@@ -211,7 +231,7 @@ def _conditioning_witness(
     # Over each model's D a column is g * k, so into[phi(y)] == (p/q) *
     # columns[y] reads (g_x, k_x) == (p * g_y / q, k_y). If the observed
     # columns are proportional, p/q is the ratio of their g; if they are
-    # not, their k differ and column_embedding fails on them.
+    # not, their k differ and _column_embedding fails on them.
     ga = into[parent.observed][0] or 1
     gb = columns[child.observed][0] or 1
     g = math.gcd(ga, gb)
@@ -219,7 +239,7 @@ def _conditioning_witness(
     if any(gy % q for gy, _ in columns):
         return None
     scaled = [(p * gy // q, k) for gy, k in columns]
-    phi = column_embedding(scaled, child.observed, into, parent.observed)
+    phi = _column_embedding(scaled, child.observed, into, parent.observed)
     if phi is None:
         return None
     image = {x: y for y, x in enumerate(phi)}

@@ -131,14 +131,15 @@ def cmd_reduce(args) -> tuple:
 
 def cmd_relate(args) -> tuple:
     kind = RelationKind(args.kind)
-    p1 = load_pair(args.first)
-    p2 = load_pair(args.second)
+    # the witness refers to the pairs the payload prints
+    p1 = canonical_form(load_pair(args.first))
+    p2 = canonical_form(load_pair(args.second))
     witness = relations.related(p1, p2, kind)
     payload = {
         "command": "relate",
         "kind": args.kind,
-        "first": canonical_form(p1),
-        "second": canonical_form(p2),
+        "first": p1,
+        "second": p2,
         "related": witness is not None,
         "witness": witness,
     }

@@ -3,8 +3,10 @@
 Probabilities are exact rationals; no floating point is used anywhere. A
 model is ``(theta_labels, sample_labels, den, rows)``: its probabilities
 held once, as integer rows over their least common denominator ``den``.
-Parsing, equality, hashing, canonical forms and isomorphism tests work on
-those integers, and every derived model is built from its parent's.
+Parsing, equality, hashing and canonical forms work on those integers, and
+every derived model is built from its parent's. Isomorphism has one
+decision: two pairs are isomorphic iff their canonical forms are equal, and
+the bijection is read from the permutation that builds each form.
 ``FiniteModel.likelihoods`` splits each column into ``(g, k)``, its gcd and
 primitive vector: the one likelihood decomposition that L, the minimal
 sufficient partition and factorization, the C column match and the
@@ -18,7 +20,6 @@ freely.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -269,15 +270,27 @@ class ModelDataPair:
         return self.model.sample_labels[self.observed]
 
     @functools.cached_property
-    def canonical(self) -> "ModelDataPair":
-        """Isomorphism-invariant representative of the pair, built once.
+    def canonical_order(self) -> tuple[int, ...]:
+        """``canonical_order[k]`` is the original index of canonical point
+        k: columns ascending and, among equal columns, which are
+        interchangeable, the observed point first, the others in index order."""
+        columns = self.model.scaled_columns
+        order = sorted(range(len(columns)), key=columns.__getitem__)
+        start = at = order.index(self.observed)
+        while start and columns[order[start - 1]] == columns[self.observed]:
+            start -= 1
+        order.insert(start, order.pop(at))
+        return tuple(order)
 
-        Among equal columns the observed index is normalized to the first
-        position of its run, since such points are interchangeable.
-        """
-        model = canonical_model(self.model)
-        observed = self.model.scaled_columns[self.observed]
-        return ModelDataPair(model, bisect.bisect_left(model.scaled_columns, observed))
+    @functools.cached_property
+    def canonical(self) -> "ModelDataPair":
+        """Isomorphism-invariant representative of the pair, built once:
+        the columns in ``canonical_order``, relabelled generically."""
+        model, order = self.model, self.canonical_order
+        rows = tuple(zip(*map(model.scaled_columns.__getitem__, order)))
+        labels = _generic_labels(model.n_points)
+        canonical = FiniteModel(model.theta_labels, labels, model.den, rows)
+        return ModelDataPair(canonical, order.index(self.observed))
 
 
 def pair_at(model: FiniteModel, label: str) -> ModelDataPair:
@@ -296,47 +309,20 @@ def pairs_isomorphic(
 ) -> Optional[tuple[int, ...]]:
     """Sample-space bijection phi with matching probabilities and data.
 
-    Requires identical parameter label lists. Returns phi as a tuple
-    (phi[x] is the image index) with f1[theta][x] = f2[theta][phi[x]] for
-    all theta, x and phi(observed1) = observed2; None if no such map exists.
-    Isomorphic models have the same entries, so models with different
-    common denominators are rejected at once.
+    Returns phi as a tuple (phi[x] is the image index) with
+    f1[theta][x] = f2[theta][phi[x]] for all theta, x and phi(observed1) =
+    observed2, or None if no such map exists: the pairs are isomorphic iff
+    their canonical forms are equal, and phi matches their canonical
+    indices. Different sizes or common denominators are rejected first.
     """
-    m1, m2 = p1.model, p2.model
-    if (
-        m1.theta_labels != m2.theta_labels
-        or m1.n_points != m2.n_points
-        or m1.den != m2.den
-    ):
+    if p1.model.n_points != p2.model.n_points or p1.model.den != p2.model.den:
         return None
-    phi = column_embedding(
-        m1.scaled_columns, p1.observed, m2.scaled_columns, p2.observed
-    )
-    return None if phi is None else tuple(phi)
-
-
-def column_embedding(
-    columns: Sequence[tuple],
-    observed: int,
-    into: Sequence[tuple],
-    into_observed: int,
-) -> Optional[list[int]]:
-    """Injective phi with columns[x] == into[phi[x]] and phi[observed] ==
-    into_observed, or None; equal columns of ``into`` go in index order."""
-    if columns[observed] != into[into_observed]:
+    if p1.canonical != p2.canonical:
         return None
-    free: dict[tuple, list[int]] = {}
-    for x, column in enumerate(into):
-        if x != into_observed:
-            free.setdefault(column, []).append(x)
-    phi = [into_observed] * len(columns)
-    for x, column in enumerate(columns):
-        if x != observed:
-            bucket = free.get(column)
-            if not bucket:
-                return None
-            phi[x] = bucket.pop(0)
-    return phi
+    phi = [0] * p1.model.n_points
+    for x, y in zip(p1.canonical_order, p2.canonical_order):
+        phi[x] = y
+    return tuple(phi)
 
 
 @functools.cache
@@ -344,24 +330,11 @@ def _generic_labels(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(n))
 
 
-def canonical_model(model: FiniteModel) -> FiniteModel:
-    """Isomorphism-invariant representative of a model (data ignored).
-
-    Columns are sorted lexicographically by their exact probability vectors
-    (the integer columns, over the model's one common denominator, sort the
-    same way) and sample points are relabeled generically, so relabeled or
-    permuted copies collapse to an identical value.
-    """
-    rows = tuple(zip(*sorted(model.scaled_columns)))
-    labels = _generic_labels(model.n_points)
-    return FiniteModel(model.theta_labels, labels, model.den, rows)
-
-
 def canonical_form(pair: ModelDataPair) -> ModelDataPair:
     """Isomorphism-invariant representative of a model-data pair, its
     ``canonical`` property: built on the first call, then shared.
 
     canonical_form(p1) == canonical_form(p2) iff pairs_isomorphic(p1, p2)
-    is present.
+    is present: the one isomorphism decision, which reads this form.
     """
     return pair.canonical

@@ -262,11 +262,14 @@ def birnbaum_chain_durbin(
     For every L-related pair, isomorphic ones and a pair with itself
     included, the mixture's minimal sufficient partition merges the two
     embedded observations into one block, so the component indicator is
-    inadmissible. Neither outer C step holds either. The step to p1 can
-    only condition the mixture, which has more points than p1. A Durbin
-    block is a union of the mixture's likelihood classes, so it holds both
-    embedded observations, and its conditional has more columns
-    proportional to the observed one than p1 has. The same holds at p2.
+    inadmissible. That is one case of a lemma the tests check: every C
+    step of ``birnbaum_chain`` and ``efm_parent`` conditions on an
+    ancillary that cuts a likelihood class of its parent. Neither outer C
+    step holds either. The step to p1 can only condition the mixture,
+    which has more points than p1. A Durbin block is a union of the
+    mixture's likelihood classes, so it holds both embedded observations,
+    and its conditional has more columns proportional to the observed one
+    than p1 has. The same holds at p2.
     """
     if l_related(p1, p2) is None:
         raise NotLRelated("inputs do not have proportional likelihoods")

@@ -134,7 +134,8 @@ def reduce_to_mss(pair: ModelDataPair) -> ReductionResult:
 
 
 def s_related(p1: ModelDataPair, p2: ModelDataPair) -> Optional[SWitness]:
-    """Present iff the canonical MSS reductions are isomorphic pairs."""
+    """Present iff the MSS reductions have equal canonical forms; the
+    witness's bijection is ``pairs_isomorphic``'s on the reductions."""
     check_same_theta(p1.model.theta_labels, p2.model.theta_labels)
     r1 = reduce_to_mss(p1)
     r2 = reduce_to_mss(p2)

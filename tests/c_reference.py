@@ -2,9 +2,9 @@
 
 It decides C straight from the definition: scan every ancillary partition
 of the parent, condition on the block of the observed point and test the
-result for isomorphism with the child. The library's oracle decides the
-same relation by a multiset-inclusion test; differential tests compare
-the two.
+result for isomorphism with the child, by ``model_reference``'s
+``Fraction`` column match. The library's oracle decides the same relation
+by a multiset-inclusion test; differential tests compare the two.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 from typing import Optional
 
 from lp_lab.ancillarity import CWitness, condition_on_block, enumerate_ancillaries
-from lp_lab.model import ModelDataPair, pairs_isomorphic
+from lp_lab.model import ModelDataPair
 from lp_lab.partition import is_function_of
 from lp_lab.sufficiency import likelihood_partition
+from model_reference import pairs_isomorphic
 
 
 def _exhaustive_witness(

@@ -6,11 +6,11 @@ by their integer columns and build the permuted model from the rows;
 ``enumerate_models`` walks every combination of composition rows, builds
 a model for each and then its canonical model, deduplicating on that, and
 ``enumerate_pairs`` takes the canonical form of every pair of those
-models, deduplicating again. The library builds a canonical model from the
-sorted columns themselves, finds the observed index by bisection,
-generates each grid model's sorted columns once instead of walking the row
-combinations, and observes each model at the first point of each run of
-equal columns.
+models, deduplicating again. The library builds a canonical form from one
+sorting permutation that puts the observed point first among equal
+columns, generates each grid model's sorted columns once instead of
+walking the row combinations, and observes each model at the first point
+of each run of equal columns.
 ``search_c_transitivity_counterexample`` is the search over this
 enumeration and these canonical forms. The differential tests in
 ``test_canonical_differential.py`` compare the two.

@@ -141,6 +141,23 @@ def _permuted_copy(rng, p1):
     return ModelDataPair(model, order.index(p1.observed))
 
 
+def relabelled_copy(
+    rng: random.Random, pair: ModelDataPair, prefix: str = ""
+) -> ModelDataPair:
+    """An isomorphic copy: the sample points, each label behind ``prefix``,
+    in a random order."""
+    model = pair.model
+    order = list(range(model.n_points))
+    rng.shuffle(order)
+    copy = FiniteModel(
+        model.theta_labels,
+        tuple(prefix + model.sample_labels[x] for x in order),
+        model.den,
+        tuple(tuple(row[x] for x in order) for row in model.rows),
+    )
+    return ModelDataPair(copy, order.index(pair.observed))
+
+
 def _split_observed(rng, p1):
     """Split the observed point into two with a theta-free ratio."""
     s = Fraction(rng.randint(1, 3), 4)

@@ -30,6 +30,17 @@ from random_models import random_pair
 F = Fraction
 
 
+def test_column_embedding_maps_observed_to_observed():
+    embed = ancillarity._column_embedding
+    into = [(1, 0), (0, 1), (1, 1)]
+    assert embed([(1, 1), (1, 0)], 0, into, 2) == [2, 0]
+    # (1, 0) is a column of ``into``, but not its observed one
+    assert embed([(1, 0)], 0, into, 2) is None
+    assert embed([(1, 0)], 0, into, 0) == [0]
+    # an injection: a column of ``into`` is used once
+    assert embed([(1, 1), (1, 0), (1, 0)], 0, into, 2) is None
+
+
 def test_is_ancillary_fixtures(fd):
     assert is_ancillary(fd, Partition.of(4, [[0, 1], [2, 3]]))
     assert not is_ancillary(fd, Partition.of(4, [[0, 2], [1, 3]]))

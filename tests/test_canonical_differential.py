@@ -1,12 +1,13 @@
 """Canonical forms, grid enumeration and the C-transitivity search against
 their first integer versions.
 
-The library builds a canonical model from its sorted integer columns,
-finds the observed index by bisection, generates each grid model's sorted
-columns once, and lists a model's pairs without canonical forms;
-``canonical_reference`` keeps the versions that permuted the rows by a
-sorted index order, walked every grid combination building two models for
-each, and deduplicated the canonical forms of all pairs. Inputs: an
+The library builds a canonical form from its sorting permutation
+``canonical_order``, generates each grid model's sorted columns once, and
+lists a model's pairs without canonical forms; ``canonical_reference``
+keeps the versions that permuted the rows by a sorted index order and
+then looked up the observed index, walked every grid combination
+building two models for each, and deduplicated the canonical forms of
+all pairs. Inputs: an
 enumerated universe and seeded random pairs, each also as a permuted copy
 and with the observed point's column repeated, eight grid bounds for the
 model enumeration, the default bounds among them, four for the pair
@@ -19,28 +20,14 @@ import random
 import pytest
 
 import canonical_reference as ref
-from lp_lab.model import FiniteModel, ModelDataPair, canonical_form, canonical_model
+from lp_lab.model import FiniteModel, ModelDataPair, canonical_form
 from lp_lab.search import (
     SearchBounds,
     enumerate_models,
     enumerate_pairs,
     search_c_transitivity_counterexample,
 )
-from random_models import random_pair
-
-
-def _permuted_copy(rng: random.Random, pair: ModelDataPair) -> ModelDataPair:
-    """The pair with its sample points, labels included, in a random order."""
-    model = pair.model
-    order = list(range(model.n_points))
-    rng.shuffle(order)
-    copy = FiniteModel(
-        model.theta_labels,
-        tuple(model.sample_labels[x] for x in order),
-        model.den,
-        tuple(tuple(row[x] for x in order) for row in model.rows),
-    )
-    return ModelDataPair(copy, order.index(pair.observed))
+from random_models import random_pair, relabelled_copy
 
 
 def _repeated(pair: ModelDataPair, x: int) -> ModelDataPair:
@@ -59,9 +46,9 @@ def _repeated(pair: ModelDataPair, x: int) -> ModelDataPair:
 def _variants(rng: random.Random, pair: ModelDataPair) -> list[ModelDataPair]:
     return [
         pair,
-        _permuted_copy(rng, pair),
+        relabelled_copy(rng, pair),
         _repeated(pair, pair.observed),
-        _permuted_copy(rng, _repeated(pair, 0)),
+        relabelled_copy(rng, _repeated(pair, 0)),
     ]
 
 
@@ -79,7 +66,7 @@ def test_canonical_forms_match_reference():
         got, want = canonical_form(pair), ref.canonical_form(pair)
         assert got == want
         assert got.model.sample_labels == want.model.sample_labels
-        assert canonical_model(pair.model) == ref.canonical_model(pair.model)
+        assert got.model == ref.canonical_model(pair.model)
         columns = got.model.scaled_columns
         repeated += columns.count(columns[got.observed]) > 1
     assert len(pairs) > 1000 and repeated > len(pairs) // 4

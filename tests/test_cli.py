@@ -2,17 +2,26 @@ import errno
 import io
 import json
 import os
+import random
 import sys
 
 import pytest
 
-from lp_lab import ancillarity, cli, evidence, relations
+from lp_lab import ancillarity, certify, cli, evidence, relations
 from lp_lab.cli import _KINDS, build_parser, run
 from lp_lab.model import FiniteModel, canonical_form, pair_at, validate_model
 from lp_lab.relations import birnbaumize
 from lp_lab.search import MAX_COMBINATIONS
-from lp_lab.serialization import save_pair, save_prior, save_model
-from test_cli_golden import COMMANDS, FORMS, write_files
+from lp_lab.serialization import (
+    pair_from_dict,
+    render_machine,
+    save_model,
+    save_pair,
+    save_prior,
+)
+from lp_lab.sufficiency import SWitness
+from random_models import relabelled_copy
+from test_cli_golden import COMMANDS, FORMS, golden_pairs, write_files
 from test_relations import _wrong_indicator
 
 
@@ -48,6 +57,43 @@ def test_relate_c_fails(files, capsys):
 
 def test_relate_s_holds(files):
     assert run(["relate", "--kind", "S", files["pairA1"], files["pairB1"]]) == 0
+
+
+def test_relate_witness_holds_of_the_pairs_it_prints(tmp_path):
+    # every kind's witness re-checks against the payload's own first and
+    # second, the canonical pairs --machine prints, on the golden inputs
+    # and on shuffled, renamed copies
+    rng = random.Random(3)
+    inputs = [
+        copy for pair in golden_pairs().values()
+        for copy in (pair, *(relabelled_copy(rng, pair, p) for p in "qr"))
+    ]
+    paths = []
+    for i, pair in enumerate(inputs):
+        paths.append(str(tmp_path / f"{i}.pair"))
+        save_pair(pair, paths[-1])
+    counts = dict.fromkeys(_KINDS, 0)
+    for kind in _KINDS:
+        for first in paths:
+            for second in paths:
+                argv = ["relate", "--kind", kind, first, second]
+                _, payload, _ = cli.cmd_relate(build_parser().parse_args(argv))
+                if not payload["related"]:
+                    continue
+                p1, p2 = payload["first"], payload["second"]
+                witness = payload["witness"]
+                printed = json.loads(render_machine(payload))
+                assert pair_from_dict(printed["first"]) == p1
+                assert pair_from_dict(printed["second"]) == p2
+                if kind == "L":
+                    assert certify.verify_l_witness(p1, p2, witness)
+                elif isinstance(witness, SWitness):
+                    assert certify.verify_s_witness(p1, p2, witness)
+                else:
+                    durbin = kind == "DURBIN"
+                    assert certify.verify_c_witness(p1, p2, witness, durbin)
+                counts[kind] += 1
+    assert counts == {"S": 90, "C": 72, "L": 108, "SC": 90, "DURBIN": 54}
 
 
 def test_missing_file_is_usage_error(files, capsys):

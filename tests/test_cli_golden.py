@@ -71,9 +71,9 @@ GOLDEN = {
     ('validate-model', 'decimal'): (0, 'a8e0d1f9d344a0f2986175596a884aa54b21aabe64a4097f853ddad6b29daa64'),
     ('reduce', 'machine'): (0, '54d37bd2c0a97d16d11fe508ebfe9689ccefafdad87b20aecec3dadfce1ee024'),
     ('reduce', 'decimal'): (0, 'f1303946a54f6760bfe135a5ba6b4786c3ad478a878b7120af48d38571bb8ba0'),
-    ('relate-S', 'machine'): (0, '058f681339259f116b44cae7b7a0ec49f2d22aa0b39a559eb8851e22a7b4f967'),
+    ('relate-S', 'machine'): (0, 'aa68c1d511784eb494254b2e58a5a2d689ff2ed0f31f71ee4e5455c938fb375a'),
     ('relate-S', 'decimal'): (0, '845e3c4de27408dfb763fbdc65b722ec034e145d348426082d09e1b9280597a6'),
-    ('relate-C', 'machine'): (0, '87afb51b745d52d0fdea1262c0ee90e4064854e2bf21f5cbc958b361a7d315d9'),
+    ('relate-C', 'machine'): (0, 'c34f26e74516ff9c7532fe4cddd2c0ce7a69490946ef9cb7fd71a589ffac3c28'),
     ('relate-C', 'decimal'): (0, '2a58ba19da575690c43142181b8684d108d3b99b8be3304c99bcf75e98346373'),
     ('relate-L', 'machine'): (0, '9011d6586056c93792e629ac0f50c705b0090e8e80b38e9b935ed4451ca4c6a5'),
     ('relate-L', 'decimal'): (0, '665800517a749102f7f0178b0b96abb894244f43ba6570580b41387d677f62f8'),
@@ -130,13 +130,12 @@ GOLDEN = {
 }
 
 
-def write_files(directory: Path) -> dict:
-    """Save the FIX fixtures (and a conditional of FIX-D) under directory."""
+def golden_pairs() -> dict:
+    """The pairs the command lines read: FIX pairs and a conditional of
+    FIX-D."""
     fb, fd = fixtures.fix_b(), fixtures.fix_d()
     d1 = pair_at(fd, "1")
-    closure_dir = directory / "universe"
-    closure_dir.mkdir()
-    saved = {
+    return {
         "a1": pair_at(fixtures.fix_a(), "x1"),
         "b1": pair_at(fb, "y1"),
         "b2": pair_at(fb, "y2"),
@@ -144,8 +143,15 @@ def write_files(directory: Path) -> dict:
         "d1": d1,
         "dc": condition_on_block(d1, Partition.of(4, [[0, 1], [2, 3]])),
     }
+
+
+def write_files(directory: Path) -> dict:
+    """Save the golden pairs, FIX-D and FIX-E under directory."""
+    fd = fixtures.fix_d()
+    closure_dir = directory / "universe"
+    closure_dir.mkdir()
     paths = {"dir": str(closure_dir)}
-    for name, pair in saved.items():
+    for name, pair in golden_pairs().items():
         paths[name] = str(directory / f"{name}.pair")
         save_pair(pair, paths[name])
         if name in ("a1", "b1", "b2", "c1"):

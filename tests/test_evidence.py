@@ -30,7 +30,14 @@ from lp_lab.evidence import (
 )
 from lp_lab.model import FiniteModel, ModelDataPair, validate_model
 from lp_lab.partition import Partition
-from lp_lab.relations import RelationKind, Universe, l_class_pairs, related
+from lp_lab.relations import (
+    RelationKind,
+    Universe,
+    birnbaum_chain,
+    efm_parent,
+    l_class_pairs,
+    related,
+)
 from lp_lab.search import enumerate_pairs
 from evidence_reference import uniform_prior
 from model_reference import likelihood_vector
@@ -299,4 +306,54 @@ def test_which_checks_respect_which_relation_on_the_2_3_3_grid():
         "C": (20, 10, 19),
         "DURBIN": (15, 5, 15),
         "L": (299, 91, 260),
+    }
+
+
+def test_which_link_of_birnbaums_chain_breaks_which_check():
+    """Mayo's objection, link by link, over the 299 L-related pairs i < j
+    of the (2,3,3) grid with the prior (1/3, 2/3): in how many links each
+    value changes, as (prior-conflict p-value, MSS model-check p-value,
+    posterior).
+
+    The prior-conflict check changes only at C links, since it is
+    S-invariant; the MSS model check changes at Birnbaum's S link too,
+    between two observations of one mixture that share their reduction;
+    the posterior never changes along a chain, as L says it must not. The
+    counts are facts of this grid only.
+    """
+    grid = Universe.of(enumerate_pairs(2, 3, 3)).members
+    prior = Prior.of(["t1", "t2"], ["1/3", "2/3"])
+
+    def values(pair):
+        return (
+            check_prior_conflict(pair, prior),
+            check_model_mss(pair),
+            posterior(pair, prior),
+        )
+
+    links = {
+        "birnbaum C to (1,x1)": [0, 0, 0],
+        "birnbaum S": [0, 0, 0],
+        "birnbaum C from (2,x2)": [0, 0, 0],
+        "efm p1 to parent": [0, 0, 0],
+        "efm parent to p2": [0, 0, 0],
+        "chain ends": [0, 0, 0],
+    }
+    pairs = list(l_class_pairs(grid))
+    for i, j in pairs:
+        p1, p2 = grid[i], grid[j]
+        birnbaum = birnbaum_chain(p1, p2).nodes
+        efm = efm_parent(p1, p2).chain.nodes
+        steps = [*zip(birnbaum, birnbaum[1:]), *zip(efm, efm[1:]), (p1, p2)]
+        for name, (a, b) in zip(links, steps):
+            for k, (u, v) in enumerate(zip(values(a), values(b))):
+                links[name][k] += u != v
+    assert len(pairs) == 299
+    assert links == {
+        "birnbaum C to (1,x1)": [174, 100, 0],
+        "birnbaum S": [0, 225, 0],
+        "birnbaum C from (2,x2)": [177, 158, 0],
+        "efm p1 to parent": [178, 39, 0],
+        "efm parent to p2": [186, 39, 0],
+        "chain ends": [208, 39, 0],
     }

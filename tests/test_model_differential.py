@@ -24,11 +24,11 @@ from hypothesis import strategies as st
 
 import model_reference as ref
 from ancillary_reference import conditional_pairs
+from lp_lab.certify import verify_s_witness
 from lp_lab.model import (
     FiniteModel,
     ModelDataPair,
     canonical_form,
-    canonical_model,
     pairs_isomorphic,
     validate_model,
 )
@@ -38,8 +38,10 @@ from lp_lab.relations import (
     l_class_key,
     l_related,
 )
+from lp_lab.partition import Partition
 from lp_lab.search import enumerate_models, enumerate_pairs
-from lp_lab.sufficiency import likelihood_partition, reduce_to_mss
+from lp_lab.sufficiency import likelihood_partition, reduce_to_mss, s_related
+from random_models import random_l_related_pair, relabelled_copy
 
 MIXED_L_PAIRS = 12
 
@@ -364,7 +366,7 @@ def test_canonical_forms_match_reference(pairs):
         got, want = canonical_form(pair), ref.canonical_form(pair)
         assert got.observed == want.observed
         _same_model(got.model, want.model)
-        _same_model(canonical_model(pair.model), ref.canonical_model(pair.model))
+        _same_model(got.model, ref.canonical_model(pair.model))
 
 
 def test_pairs_isomorphic_matches_reference(pairs):
@@ -375,6 +377,42 @@ def test_pairs_isomorphic_matches_reference(pairs):
             assert phi == ref.pairs_isomorphic(a, b)
             positive += phi is not None
     assert len(pairs) < positive < len(pairs) ** 2
+
+
+def _l_classes(members: list[ModelDataPair]) -> list[list[ModelDataPair]]:
+    keys = [(p.model.theta_labels, l_class_key(p)) for p in members]
+    classes = Partition.from_labels(keys)
+    return [[members[x] for x in block] for block in classes.blocks]
+
+
+def test_pairs_isomorphic_matches_reference_within_l_classes():
+    """One isomorphism decision, by canonical forms, against the Fraction
+    column match of ``model_reference``: every ordered pair within an L
+    class of the (2,3,3) and (2,4,4) grids, of their MSS reductions and of
+    random L-related pairs, each member also as a shuffled, relabelled
+    copy. Every S witness among them re-checks."""
+    rng = random.Random(5)
+    universes = []
+    for bounds in [(2, 3, 3), (2, 4, 4)]:
+        grid = list(enumerate_pairs(*bounds))
+        universes += [grid, [reduce_to_mss(p).reduced for p in grid]]
+    drawn = [random_l_related_pair(random.Random(seed)) for seed in range(60)]
+    universes.append([p for pair in drawn for p in pair])
+    positive = moved = related = 0
+    for members in universes:
+        members = members + [relabelled_copy(rng, p, "p") for p in members]
+        for block in _l_classes(members):
+            for a in block:
+                for b in block:
+                    phi = pairs_isomorphic(a, b)
+                    assert phi == ref.pairs_isomorphic(a, b)
+                    positive += phi is not None
+                    moved += phi is not None and phi != tuple(range(len(phi)))
+                    witness = s_related(a, b)
+                    if witness is not None:
+                        assert verify_s_witness(a, b, witness)
+                        related += 1
+    assert 0 < moved < positive < related
 
 
 @pytest.mark.parametrize("bounds", [(1, 3, 3), (2, 3, 4), (2, 4, 4), (3, 3, 3)])

@@ -15,10 +15,11 @@ from lp_lab.errors import NotLRelated, ParameterSpaceMismatch
 from lp_lab.model import (
     FiniteModel,
     ModelDataPair,
+    canonical_form,
     pairs_isomorphic,
     validate_model,
 )
-from lp_lab.partition import Partition
+from lp_lab.partition import Partition, is_function_of
 from lp_lab.relations import (
     ChainStep,
     DurbinChainAttempt,
@@ -32,12 +33,13 @@ from lp_lab.relations import (
     closure,
     component_indicator,
     efm_parent,
+    l_class_pairs,
     l_related,
     relation_properties_report,
     verify_chain,
 )
 from lp_lab.search import enumerate_pairs
-from lp_lab.sufficiency import s_related
+from lp_lab.sufficiency import likelihood_partition, reduce_to_mss, s_related
 from model_reference import column, columns
 from random_models import random_l_related_pair, random_pair
 
@@ -381,6 +383,47 @@ def test_durbin_steps_fail_on_every_l_related_grid_pair():
     for attempt in attempts:
         assert not attempt.indicator_is_function_of_mss
         assert attempt.first_step is None and attempt.last_step is None
+
+
+def _l_related_grid_and_random_pairs() -> list[tuple[ModelDataPair, ModelDataPair]]:
+    grid = Universe.of(enumerate_pairs(2, 3, 3)).members
+    pairs = [(grid[i], grid[j]) for i, j in l_class_pairs(grid)]
+    assert len(pairs) == 299
+    rng = random.Random(11)
+    return pairs + [random_l_related_pair(rng, max_space=4) for _ in range(60)]
+
+
+def test_every_mixture_c_step_cuts_a_likelihood_class_of_its_parent():
+    """Lemma: each C step of ``birnbaum_chain`` and of ``efm_parent``
+    conditions on an ancillary that is not a function of its parent's
+    minimal sufficient partition. The two embedded observations have
+    proportional columns, so one likelihood class holds both, and the
+    construction's ancillary separates them. That is why Durbin's
+    restriction blocks both constructions."""
+    steps = 0
+    for p1, p2 in _l_related_grid_and_random_pairs():
+        for chain in (birnbaum_chain(p1, p2), efm_parent(p1, p2).chain):
+            for k, step in enumerate(chain.steps):
+                if step.kind is not RelationKind.C:
+                    continue
+                parent = chain.nodes[k + (step.witness.parent == "second")]
+                mss = likelihood_partition(parent.model)
+                assert not is_function_of(step.witness.ancillary, mss)
+                steps += 1
+    assert steps == 4 * (299 + 60)
+
+
+def test_birnbaum_mixture_reduction_depends_only_on_the_reductions():
+    """Lemma: the Birnbaum mixture of two L-related pairs and the mixture of
+    their MSS reductions have one canonical reduction at the first embedded
+    observation. Summing within each component's likelihood classes first
+    and merging proportional classes across components afterwards gives
+    the same quotient."""
+    for p1, p2 in _l_related_grid_and_random_pairs():
+        r1, r2 = reduce_to_mss(p1).reduced, reduce_to_mss(p2).reduced
+        whole = reduce_to_mss(birnbaumize(p1, p2)[1]).reduced
+        reduced = reduce_to_mss(birnbaumize(r1, r2)[1]).reduced
+        assert canonical_form(whole) == canonical_form(reduced)
 
 
 def test_closure_single_member(fb, at):

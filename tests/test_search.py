@@ -11,12 +11,7 @@ from lp_lab.ancillarity import (
     verify_c_witness,
 )
 from lp_lab.errors import LpLabError, SpaceTooLarge
-from lp_lab.model import (
-    ModelDataPair,
-    canonical_form,
-    canonical_model,
-    validate_model,
-)
+from lp_lab.model import ModelDataPair, canonical_form, validate_model
 from lp_lab.relations import l_related
 from lp_lab.search import (
     SearchBounds,
@@ -28,6 +23,7 @@ from lp_lab.search import (
 )
 from lp_lab.sufficiency import s_related
 from ancillary_reference import conditional_pairs
+from model_reference import canonical_model
 
 F = Fraction
 
