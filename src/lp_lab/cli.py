@@ -5,11 +5,15 @@ search came back empty, 2 = input or usage error. `--machine` switches to
 deterministic JSON output; `--decimal K` annotates rationals with a K-digit
 decimal rendering (annotation only, the exact value is always printed).
 
-Global options go before the command. A command line of the form
-``COMMAND ...`` or ``--machine COMMAND ...`` is parsed by that command's
-own parser alone; every other one, and any line that parser leaves
-arguments over from or that holds an "=", by the whole lp-lab parser, so
-usage, help and error text is the same either way.
+Global options go before the command. Each command's arguments are
+declared once, in ``_COMMANDS``. A line ``COMMAND ...`` or ``--machine
+COMMAND ...`` made of the command's exact option strings, their values and
+its positionals is read from that table directly (``_read``), with no
+argparse parser built. Every other line, such as one with an abbreviation,
+"--", "-h", an "--option=value" word, a value argparse refuses or another
+global option, goes to the whole lp-lab parser, built from the same table
+on first use. So every line gives argparse's Namespace, and argparse alone
+writes usage, help and error text.
 
 Each ``cmd_*`` handler takes the parsed ``args`` alone, prints nothing and
 returns ``(exit code, payload, lines)``. `run` is the only writer: it prints
@@ -406,9 +410,73 @@ def _digits(text: str) -> int:
     return digits
 
 
+# a required option or positional that _read has not met yet
+_MISSING = object()
+
+# name -> (help, handler, arguments): each argument is the name and the
+# keyword arguments of one add_argument call, in the order of the usage line
+_COMMANDS = {
+    "validate": ("validate a .model or .pair file", cmd_validate, (
+        ("file", {}),
+    )),
+    "reduce": ("minimal sufficient reduction", cmd_reduce, (
+        ("file", {}),
+    )),
+    "relate": ("one-step relation oracle", cmd_relate, (
+        ("--kind", {"choices": _KINDS, "required": True}),
+        ("first", {}),
+        ("second", {}),
+    )),
+    "ancillaries": ("enumerate ancillary partitions", cmd_ancillaries, (
+        ("file", {}),
+        ("--maximal", {"action": "store_true"}),
+        ("--laminal", {"action": "store_true"}),
+    )),
+    "birnbaumize": ("equal-weight mixture", cmd_birnbaumize, (
+        ("first", {}),
+        ("second", {}),
+    )),
+    "efm": ("unequal-weight mixture with C-only chain", cmd_efm, (
+        ("first", {}),
+        ("second", {}),
+    )),
+    "chain": ("emit a verified witness chain", cmd_chain, (
+        ("--kind", {"choices": ["SC", "C"], "required": True}),
+        ("first", {}),
+        ("second", {}),
+    )),
+    "closure": ("equivalence closure of a universe", cmd_closure, (
+        ("--kind", {"choices": _KINDS, "required": True}),
+        ("--dir", {"required": True}),
+        ("--augment", {"choices": ["birnbaum", "efm"]}),
+    )),
+    "search": ("counterexample searches", cmd_search, (
+        ("what", {"choices": ["c-transitivity", "l-minus-sc"]}),
+        ("--theta-size", {"type": int, "default": 2}),
+        ("--max-space", {"type": int, "default": 6}),
+        ("--max-denominator", {"type": int, "default": 6}),
+    )),
+    "rb": ("relative belief inference", cmd_rb, (
+        ("what", {"choices": ["analyze", "estimate", "strength"]}),
+        ("file", {}),
+        ("--prior", {"required": True}),
+        ("--hypothesis", {"help": "comma-separated parameter labels"}),
+        ("--theta", {"help": "parameter label for rb strength"}),
+    )),
+    "check": ("model / prior checking", cmd_check, (
+        ("what", {"choices": ["model", "prior"]}),
+        ("file", {}),
+        ("--prior", {}),
+        ("--ancillary", {"help": 'ancillary partition as blocks, e.g. "x1,x2|x3"'}),
+    )),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The lp-lab parser; built on first use and shared by every run call."""
+    """The lp-lab parser, built from ``_COMMANDS`` on first use and shared
+    by every run call. It reads only the lines ``_read`` refuses, and it is
+    the one source of usage, help and error text."""
     parser = argparse.ArgumentParser(
         prog="lp-lab",
         description="Exact-arithmetic lab for the S/C/L relation algebra, "
@@ -424,114 +492,98 @@ def build_parser() -> argparse.ArgumentParser:
         help="annotate rationals with a K-digit decimal rendering",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("validate", help="validate a .model or .pair file")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("reduce", help="minimal sufficient reduction")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_reduce)
-
-    p = sub.add_parser("relate", help="one-step relation oracle")
-    p.add_argument("--kind", choices=_KINDS, required=True)
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(handler=cmd_relate)
-
-    p = sub.add_parser("ancillaries", help="enumerate ancillary partitions")
-    p.add_argument("file")
-    p.add_argument("--maximal", action="store_true")
-    p.add_argument("--laminal", action="store_true")
-    p.set_defaults(handler=cmd_ancillaries)
-
-    p = sub.add_parser("birnbaumize", help="equal-weight mixture")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(handler=cmd_birnbaumize)
-
-    p = sub.add_parser("efm", help="unequal-weight mixture with C-only chain")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(handler=cmd_efm)
-
-    p = sub.add_parser("chain", help="emit a verified witness chain")
-    p.add_argument("--kind", choices=["SC", "C"], required=True)
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(handler=cmd_chain)
-
-    p = sub.add_parser("closure", help="equivalence closure of a universe")
-    p.add_argument("--kind", choices=_KINDS, required=True)
-    p.add_argument("--dir", required=True)
-    p.add_argument("--augment", choices=["birnbaum", "efm"])
-    p.set_defaults(handler=cmd_closure)
-
-    p = sub.add_parser("search", help="counterexample searches")
-    p.add_argument("what", choices=["c-transitivity", "l-minus-sc"])
-    p.add_argument("--theta-size", type=int, default=2)
-    p.add_argument("--max-space", type=int, default=6)
-    p.add_argument("--max-denominator", type=int, default=6)
-    p.set_defaults(handler=cmd_search)
-
-    p = sub.add_parser("rb", help="relative belief inference")
-    p.add_argument("what", choices=["analyze", "estimate", "strength"])
-    p.add_argument("file")
-    p.add_argument("--prior", required=True)
-    p.add_argument("--hypothesis", help="comma-separated parameter labels")
-    p.add_argument("--theta", help="parameter label for rb strength")
-    p.set_defaults(handler=cmd_rb)
-
-    p = sub.add_parser("check", help="model / prior checking")
-    p.add_argument("what", choices=["model", "prior"])
-    p.add_argument("file")
-    p.add_argument("--prior")
-    p.add_argument(
-        "--ancillary",
-        help='ancillary partition as blocks, e.g. "x1,x2|x3"',
-    )
-    p.set_defaults(handler=cmd_check)
-    # name -> that command's parser, for _parse_args
-    parser.commands = sub.choices
+    for name, (text, handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
+        p.set_defaults(handler=handler)
     return parser
+
+
+def _read(name: str, words: list[str]) -> argparse.Namespace | None:
+    """The Namespace ``build_parser().parse_args([name, *words])`` returns,
+    read from the command's ``_COMMANDS`` entry with no parser built.
+
+    Every word must be an exact option string of the command, the one
+    value after a valued option, or the next positional. A value or
+    positional that starts with "-" (so "--", "-h" and "-5" too), an
+    abbreviation or an "--opt=value" word, a value its ``type`` or
+    ``choices`` refuses, a missing required option, a missing or extra
+    positional, and an unknown command give None: the line is argparse's.
+    """
+    command = _COMMANDS.get(name)
+    if command is None:
+        return None
+    _, handler, arguments = command
+    values = {"machine": False, "decimal": None, "subcommand": name}
+    options, positionals = {}, []
+    for flag, spec in arguments:
+        if flag[0] != "-":
+            positionals.append((flag, spec))
+            values[flag] = _MISSING
+            continue
+        dest = flag[2:].replace("-", "_")
+        options[flag] = dest, spec
+        if spec.get("required"):
+            values[dest] = _MISSING
+        else:
+            values[dest] = spec.get("default", False if "action" in spec else None)
+    positionals = iter(positionals)
+    words = iter(words)
+    for word in words:
+        if word[:1] != "-":
+            dest, spec = next(positionals, (None, None))
+            if dest is None:
+                return None
+        else:
+            dest, spec = options.get(word, (None, None))
+            if dest is None:
+                return None
+            if "action" in spec:  # store_true
+                values[dest] = True
+                continue
+            word = next(words, "-")
+            if word[:1] == "-":
+                return None
+        if "type" in spec:
+            try:
+                word = spec["type"](word)
+            except ValueError:
+                return None
+        if "choices" in spec and word not in spec["choices"]:
+            return None
+        values[dest] = word
+    if _MISSING in values.values():
+        return None
+    return argparse.Namespace(handler=handler, **values)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse a command line as ``build_parser().parse_args`` does.
 
-    The whole parser reads only the global options before the command,
-    hands every later argument to the command's parser and then refuses
-    what that parser leaves over. So ``COMMAND ...`` and ``--machine
-    COMMAND ...`` go to the command's parser alone, and the global options
-    are set as the whole parser sets them. Anything else goes to the
-    whole parser: other global options, a missing or unknown command,
-    leftovers (for the whole parser's "unrecognized arguments" line) and
-    any line with an "=" in it, since the whole parser can read an option
-    written with "=" differently (it finds "--=x" ambiguous among its own
-    options).
+    ``COMMAND ...`` and ``--machine COMMAND ...`` are read by ``_read``,
+    with no parser built. The lines it refuses, those with any other
+    global option and those with a missing or unknown command go to the
+    whole parser, which returns their Namespace or exits with its usage,
+    help or error text.
     """
-    parser = build_parser()
     machine = argv[:1] == ["--machine"]
     words = argv[machine:]
-    command = parser.commands.get(words[0]) if words else None
-    if command is not None and "=" not in "".join(words):
-        args, extra = command.parse_known_args(words[1:])
-        if not extra:
-            args.machine, args.decimal = machine, None
-            args.subcommand = words[0]
-            return args
-    return parser.parse_args(argv)
+    args = _read(words[0], words[1:]) if words else None
+    if args is None:
+        return build_parser().parse_args(argv)
+    args.machine = machine
+    return args
 
 
 def run(argv: list[str]) -> int:
     """Run one lp-lab command line, print its answer, return its exit code.
 
-    Global options go before the command: ``COMMAND ...`` and ``--machine
-    COMMAND ...`` are parsed by the command's own parser, every other
-    line by the whole parser (``_parse_args``), with the same result and
-    the same usage and error text. The parsers are built once per
-    process, on the first call, and hold no per-call state: every call
-    parses into a fresh Namespace.
+    Global options go before the command. A well-formed ``COMMAND ...`` or
+    ``--machine COMMAND ...`` is read with no parser built; only the lines
+    ``_read`` refuses build the whole parser (``_parse_args``), once per
+    process, and it holds no per-call state: every call parses into a
+    fresh Namespace.
     """
     try:
         args = _parse_args(argv)

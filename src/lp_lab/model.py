@@ -5,8 +5,9 @@ model is ``(theta_labels, sample_labels, den, rows)``: its probabilities
 held once, as integer rows over their least common denominator ``den``.
 Parsing, equality, hashing and canonical forms work on those integers, and
 every derived model is built from its parent's. Isomorphism has one
-decision: two pairs are isomorphic iff their canonical forms are equal, and
-the bijection is read from the permutation that builds each form.
+decision: two pairs are isomorphic iff their canonical forms are equal,
+which is decided, and the bijection read, from the permutation that builds
+each form, without building either.
 ``FiniteModel.likelihoods`` splits each column into ``(g, k)``, its gcd and
 primitive vector: the one likelihood decomposition that L, the minimal
 sufficient partition and factorization, the C column match and the
@@ -313,14 +314,24 @@ def pairs_isomorphic(
     f1[theta][x] = f2[theta][phi[x]] for all theta, x and phi(observed1) =
     observed2, or None if no such map exists: the pairs are isomorphic iff
     their canonical forms are equal, and phi matches their canonical
-    indices. Different sizes or common denominators are rejected first.
+    indices. Different sizes or common denominators are rejected first;
+    then the forms are compared without building either: the same theta
+    labels, the same columns in ``canonical_order`` and the observed
+    point at the same canonical index.
     """
-    if p1.model.n_points != p2.model.n_points or p1.model.den != p2.model.den:
+    m1, m2 = p1.model, p2.model
+    if m1.n_points != m2.n_points or m1.den != m2.den:
         return None
-    if p1.canonical != p2.canonical:
+    order1, order2 = p1.canonical_order, p2.canonical_order
+    c1, c2 = m1.scaled_columns, m2.scaled_columns
+    if (
+        m1.theta_labels != m2.theta_labels
+        or order1.index(p1.observed) != order2.index(p2.observed)
+        or any(c1[x] != c2[y] for x, y in zip(order1, order2))
+    ):
         return None
-    phi = [0] * p1.model.n_points
-    for x, y in zip(p1.canonical_order, p2.canonical_order):
+    phi = [0] * m1.n_points
+    for x, y in zip(order1, order2):
         phi[x] = y
     return tuple(phi)
 
@@ -335,6 +346,7 @@ def canonical_form(pair: ModelDataPair) -> ModelDataPair:
     ``canonical`` property: built on the first call, then shared.
 
     canonical_form(p1) == canonical_form(p2) iff pairs_isomorphic(p1, p2)
-    is present: the one isomorphism decision, which reads this form.
+    is present: the one isomorphism decision, which compares what this
+    form is built from.
     """
     return pair.canonical

@@ -170,7 +170,7 @@ _FROM_DICT = {"model": model_from_dict, "pair": pair_from_dict, "prior": prior_f
 # validate's kind cache, one per distinct text, and by the render cache, one
 # per distinct (model, indent, observed label). One closure pass of the
 # benchmark peaks at 296 texts (the distinct texts of its 311 files) and 241
-# renderings, one evidence pass at 195 texts (of 200) and 280 renderings,
+# renderings, one evidence pass at 195 texts (of 200) and 267 renderings,
 # and one catalog pass at 103 of each, so no workload evicts.
 LOAD_CACHE_SIZE = 1024
 

@@ -94,7 +94,7 @@ def statistic_induced_model(model: FiniteModel, partition: Partition) -> FiniteM
 # Entries kept by each of the two reduction caches: reduce_to_mss, by
 # pair, and _quotient, by model. One pass of the benchmark at seed 7 peaks
 # at 78 pairs and 39 distinct models (chains), 177 and 116 (closure), and
-# 150 and 150 (evidence), so no workload evicts.
+# 137 and 137 (evidence), so no workload evicts.
 MSS_CACHE_SIZE = 1024
 
 

@@ -6,6 +6,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lp_lab import ancillarity, certify, cli, evidence, relations
 from lp_lab.cli import _KINDS, build_parser, run
@@ -509,15 +511,16 @@ def test_cached_parser_keeps_no_state_between_calls(files, capsys):
 def _parser_corpus(files, golden, pair_d):
     """Command lines for the parser tests: every golden and request line,
     and for each command help, missing and unknown options and an extra
-    positional, abbreviations, global options in every place, "--" and
-    options written with "="."""
+    positional, abbreviations, global options in every place, "--",
+    options written with "=", values that start with "-" or that type and
+    choices refuse, and repeated options and options after positionals."""
     lines = [[arg.format(**golden) for arg in line] for line in COMMANDS.values()]
     argvs = [FORMS[form] + line for line in lines for form in FORMS]
     argvs += _request_argvs(files, pair_d)
     valid = {}
     for line in lines:
         valid.setdefault(line[0], line)
-    assert valid.keys() == build_parser().commands.keys()
+    assert valid.keys() == cli._COMMANDS.keys()
     b1, b2, c1 = files["pairB1"], files["pairB2"], files["pairC1"]
     for name, argv in valid.items():
         argvs += [
@@ -557,6 +560,16 @@ def _parser_corpus(files, golden, pair_d):
         ["relate", "--=x", "--kind", "L", b2, c1],
         ["validate", b1, "--machine=1"],
         ["rb", "estimate", b1, *prior, "--theta=t1"],
+        ["rb", "analyze", b1, "--prior"],  # no value
+        ["rb", "analyze", b1, "--prior", "-x"],
+        ["relate", "--kind", "-h", b2, c1],
+        ["relate", "--kind", "Q", b2, c1],
+        ["relate", b2, c1, "--kind", "L"],
+        ["relate", "--kind", "S", "--kind", "L", b2, c1],
+        ["search", "l-minus-sc", "--max-space", "x"],
+        ["search", "l-minus-sc", "--max-space", "-5"],
+        ["validate", "-5"],
+        ["validate", ""],
         ["validate", "-"],
         [],
         ["--machine"],
@@ -570,9 +583,27 @@ def _parser_corpus(files, golden, pair_d):
     return argvs
 
 
-def test_command_parser_agrees_with_the_whole_parser(files, tmp_path, fd, monkeypatch, capsys):
-    # each line's Namespace, exit code, stdout and stderr are those of the
-    # whole parser, build_parser().parse_args, which is still built once
+def _reader_namespace(argv):
+    """What ``_parse_args`` takes from ``_read`` for ``argv``, or None."""
+    machine = argv[:1] == ["--machine"]
+    words = argv[machine:]
+    args = cli._read(words[0], words[1:]) if words else None
+    if args is not None:
+        args.machine = machine
+    return args
+
+
+def _whole_parser_outcome(argv, capsys):
+    try:
+        return build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+def test_reader_agrees_with_the_whole_parser(files, tmp_path, fd, monkeypatch, capsys):
+    # each line the reader reads gives the whole parser's Namespace, and
+    # every line's exit code, stdout and stderr are those of the whole
+    # parser, build_parser().parse_args, which is still built once
     (tmp_path / "golden").mkdir()
     golden = write_files(tmp_path / "golden")
     (tmp_path / "d").mkdir()
@@ -589,16 +620,14 @@ def test_command_parser_agrees_with_the_whole_parser(files, tmp_path, fd, monkey
             out.append((argv, code, captured.out, captured.err))
         return out
 
-    parsed = 0
+    read = []
     for argv in corpus:
-        try:
-            expected = build_parser().parse_args(argv)
-        except SystemExit:
-            capsys.readouterr()
-            continue
-        assert cli._parse_args(argv) == expected, argv
-        parsed += 1
-    assert parsed > len(corpus) // 2
+        args = _reader_namespace(argv)
+        if args is not None:
+            assert args == _whole_parser_outcome(argv, capsys), argv
+            read.append(argv)
+    # every request line is read, plain and under --machine
+    assert all(argv in read for argv in _request_argvs(files, pair_d))
     commands = outcomes()
     monkeypatch.setattr(cli, "_parse_args", build_parser().parse_args)
     assert commands == outcomes()
@@ -606,16 +635,106 @@ def test_command_parser_agrees_with_the_whole_parser(files, tmp_path, fd, monkey
     assert build_parser.cache_info().misses == 1
 
 
-def test_command_lines_go_to_their_command_parser(files, monkeypatch, capsys):
+# "--", help, a negative number, an empty and a lone-dash word, an
+# abbreviation, an option written with "=" and global options after the
+# command
+HOSTILE = ["--", "-h", "-5", "", "-", "--ki", "--kind=L", "--machine", "--decimal"]
+PREFIXES = [[], ["--machine"], ["--decimal", "3"], ["--mach"], ["--machine", "--machine"]]
+
+
+@st.composite
+def command_lines(draw, values):
+    """A command line built from one command's own arguments, in any order
+    the grammar allows, with at most two words dropped or inserted, some of
+    them hostile, repeated options or options after positionals."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, _, arguments = cli._COMMANDS[name]
+    units, positionals, extra = [], [], list(HOSTILE)
+    for flag, spec in arguments:
+        choices = spec.get("choices", [])
+        value = st.sampled_from(choices or values)
+        extra += choices
+        if flag[0] != "-":
+            positionals.append(draw(value))
+            continue
+        extra += [flag, flag[:5]]  # repeated or abbreviated
+        if spec.get("required") or draw(st.booleans()):
+            units.append([flag] if "action" in spec else [flag, draw(value)])
+    units = draw(st.permutations(units))
+    cuts = sorted(draw(st.lists(
+        st.integers(0, len(units)), min_size=len(positionals), max_size=len(positionals)
+    )))
+    for cut, word in reversed(list(zip(cuts, positionals))):
+        units.insert(cut, [word])
+    words = [word for unit in units for word in unit]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(words)))
+        if words and draw(st.booleans()):
+            del words[min(at, len(words) - 1)]
+        else:
+            words.insert(at, draw(st.sampled_from(extra + values)))
+    return draw(st.sampled_from(PREFIXES)) + [name] + words
+
+
+def test_reader_agrees_with_the_whole_parser_on_drawn_lines(files, monkeypatch, capsys):
+    # files for the positionals and values, words that int and choices
+    # refuse, and bounds small enough for a search to end at once
+    values = [files["pairB2"], files["pairC1"], files["prior"], files["dir"]]
+    values += ["t1", "1,2|3", "1", "3", "x"]
+    seen = {"read": 0, "refused": 0}
+
+    def outcome(argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @settings(max_examples=300, deadline=None)
+    @given(command_lines(values))
+    def check(argv):
+        args = _reader_namespace(argv)
+        capsys.readouterr()
+        if args is not None:
+            seen["read"] += 1
+            assert args == _whole_parser_outcome(argv, capsys), argv
+        else:
+            seen["refused"] += 1
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse_args", build_parser().parse_args)
+            expected = outcome(argv)
+        assert outcome(argv) == expected, argv
+
+    check()
+    assert seen["read"] > 30 and seen["refused"] > 30, seen
+
+
+def test_evidence_lines_build_no_parser(files, tmp_path, fd, capsys):
+    (tmp_path / "d").mkdir()
+    pair_d = str(tmp_path / "d" / "d1.pair")
+    save_pair(pair_at(fd, "1"), pair_d)
+    evidence = ("validate", "reduce", "relate", "rb", "check")
+    argvs = [argv for argv in _request_argvs(files, pair_d) if argv[0] == "--machine"]
+    argvs = [argv for argv in argvs if argv[1] in evidence]
+    build_parser.cache_clear()
+    assert {run(argv) for argv in argvs} == {0, 1, 2}
+    capsys.readouterr()
+    assert build_parser.cache_info().currsize == 0
+
+
+def test_only_refused_lines_reach_the_whole_parser(files, monkeypatch, capsys):
     parser = build_parser()
-    whole = []
+    built, whole = [], []
     parse_args = parser.parse_args
 
     def spy(argv):
         whole.append(argv)
         return parse_args(argv)
 
+    def build():
+        built.append(True)
+        return parser
+
     monkeypatch.setattr(parser, "parse_args", spy)
+    monkeypatch.setattr(cli, "build_parser", build)
     b1, b2, c1 = files["pairB1"], files["pairB2"], files["pairC1"]
     relate = ["relate", "--kind", "L", b2, c1]
     rb = ["rb", "analyze", b1, "--prior", files["prior"], "--hypothesis", "t1"]
@@ -624,16 +743,23 @@ def test_command_lines_go_to_their_command_parser(files, monkeypatch, capsys):
         ["--machine", "validate", b1],
         relate,
         ["--machine", *relate],
+        ["relate", b2, c1, "--kind", "L"],
         rb,
         ["--machine", *rb],
-        ["relate", "--ki", "L", b2, c1],
-        ["relate", "--kind", "L", "--", b2, c1],
-        ["relate", b2, c1],  # the command's parser reports --kind missing
-        ["validate", "-h"],
+        ["ancillaries", files["modelD"], "--maximal", "--maximal"],
+        ["search", "l-minus-sc", "--max-space", "2", "--max-space", "1"],
     ):
         run(argv)
-        assert whole == [], argv
+        assert built == [] and whole == [], argv
     for argv in (
+        ["relate", "--ki", "L", b2, c1],
+        ["relate", "--kind", "L", "--", b2, c1],
+        ["relate", b2, c1],  # --kind missing
+        ["relate", "--kind", "Q", b2, c1],
+        ["relate", "--kind", "L", b2, c1, "extra"],
+        ["search", "l-minus-sc", "--max-space", "x"],
+        ["search", "l-minus-sc", "--max-space", "-5"],
+        ["validate", "-h"],
         ["--decimal", "3", *relate],
         ["--mach", *relate],
         ["--machine", "--machine", *relate],

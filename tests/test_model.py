@@ -26,6 +26,7 @@ from lp_lab.model import (
     validate_model,
 )
 from lp_lab.search import enumerate_models
+from lp_lab.sufficiency import reduce_to_mss, s_related
 import model_reference
 from model_reference import column, likelihood_vector, proportional
 from random_models import random_pair
@@ -197,14 +198,16 @@ def test_canonical_order_puts_the_observed_point_first_among_equal_columns():
 
 
 def test_isomorphism_refuses_other_sizes_and_denominators_first(fb):
-    # no canonical form is built when the sizes or denominators differ
+    # no canonical order or form is built when the sizes or denominators
+    # differ
     p = pair_at(fb, "y1")
     thetas = fb.theta_labels
     three = FiniteModel(thetas, ("a", "b", "c"), 4, ((1, 1, 2), (1, 2, 1)))
     over_eight = FiniteModel(thetas, ("a", "b"), 8, ((3, 5), (1, 7)))
     for other in (ModelDataPair(three, 0), ModelDataPair(over_eight, 0)):
         assert pairs_isomorphic(p, other) is None
-        assert "canonical" not in vars(p) and "canonical" not in vars(other)
+        for built in ("canonical_order", "canonical"):
+            assert built not in vars(p) and built not in vars(other)
 
 
 def test_canonical_form_orders_columns(fb):
@@ -233,6 +236,30 @@ def test_canonical_form_is_built_once(fb, monkeypatch):
     assert built == [fb.n_points]
     # an equal pair built apart holds an equal canonical form of its own
     assert canonical_form(pair_at(fb, "y2")) == first
+
+
+def test_s_related_builds_no_canonical_form(monkeypatch):
+    # equal-sized reductions over one denominator are compared by their
+    # columns in canonical order: neither canonical model is built, whether
+    # they are isomorphic or not
+    built = []
+    original = model_module._generic_labels
+    monkeypatch.setattr(
+        model_module, "_generic_labels", lambda n: built.append(n) or original(n)
+    )
+    a = validate_model(["t1", "t2"], ["a", "b", "c"], [["1/4", "1/4", "1/2"], ["1/2", "1/4", "1/4"]])
+    b = validate_model(["t1", "t2"], ["a", "b", "c"], [["1/4", "1/4", "1/2"], ["1/4", "1/2", "1/4"]])
+    c = validate_model(["t1", "t2"], ["a", "b", "c"], [["1/2", "1/4", "1/4"], ["0", "1/4", "3/4"]])
+    moved = validate_model(["t1", "t2"], ["u", "v", "w"], [["1/2", "1/4", "1/4"], ["1/4", "1/2", "1/4"]])
+    # the observed point at another canonical index, then other columns
+    for p1, p2 in [(pair_at(a, "a"), pair_at(b, "a")), (pair_at(a, "a"), pair_at(c, "c"))]:
+        r1, r2 = reduce_to_mss(p1).reduced.model, reduce_to_mss(p2).reduced.model
+        assert (r1.n_points, r1.den) == (r2.n_points, r2.den) == (3, 4)
+        assert s_related(p1, p2) is None
+    witness = s_related(pair_at(b, "c"), pair_at(moved, "u"))
+    assert witness is not None and witness.bijection == (2, 1, 0)
+    assert s_related(pair_at(b, "a"), pair_at(moved, "w")) is not None
+    assert built == []
 
 
 def _fields_hash(model):
