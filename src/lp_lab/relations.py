@@ -212,11 +212,10 @@ def birnbaum_chain(p1: ModelDataPair, p2: ModelDataPair) -> WitnessChain:
     construction holds, with no oracle call. Both C steps carry Birnbaum's
     own ancillary, the component indicator: it conditions (M*,(1,x1)) to
     p1 by the identity and (M*,(2,x2)) to p2 by x -> x - |X1|, by
-    ``_c_step``. The S step reduces the one mixture twice, and both
-    reductions share its one quotient: the two observations fall in one
-    likelihood class of M*, so the reduced pairs are equal and the
-    identity carries one onto the other. Nothing here re-checks the
-    chain; callers do, with :func:`verify_chain`.
+    ``_c_step``. The S step reduces the one mixture at both observations.
+    They fall in one likelihood class of M*, so the two reductions are one
+    ReductionResult, and the identity carries it onto itself. Nothing here
+    re-checks the chain; callers do, with :func:`verify_chain`.
     """
     if l_related(p1, p2) is None:
         raise NotLRelated("inputs do not have proportional likelihoods")

@@ -22,8 +22,8 @@ of other types, such as 1, True and Fraction(1), print differently.
 held for that text and kind in one ``functools.lru_cache`` of
 LOAD_CACHE_SIZE entries. Text not seen before is parsed, shape-checked and
 validated; errors are never cached, so a bad file fails the same way on
-every load. ``validate``'s kind is decoded once per distinct text and held
-in a cache of its own, so a text seen before is not decoded again.
+every load. ``validate``'s kind is held in that cache as the text's entry of
+kind None, so a text seen before is decoded by no load, validate included.
 Repeated commands in one process (``cli.run`` called from Python) share
 one value per distinct file, and with it its canonical form and
 likelihoods.
@@ -166,23 +166,27 @@ def _decode(text: str) -> dict:
 
 _FROM_DICT = {"model": model_from_dict, "pair": pair_from_dict, "prior": prior_from_dict}
 
-# Entries kept by the load cache, one per distinct (file text, kind), by
-# validate's kind cache, one per distinct text, and by the render cache, one
-# per distinct (model, indent, observed label). One closure pass of the
-# benchmark peaks at 296 texts (the distinct texts of its 311 files) and 241
-# renderings, one evidence pass at 195 texts (of 200) and 267 renderings,
-# and one catalog pass at 103 of each, so no workload evicts.
+# Entries kept by the load cache, one per distinct (file text, kind), and
+# by the render cache, one per distinct (model, indent, observed label).
+# One pass of the benchmark at seed 7 peaks at 296 texts (the distinct texts
+# of its 311 files) and 241 renderings (closure), 245 entries (195 texts of
+# 200 files, and validate's kind None for 50 of them) and 267 renderings
+# (evidence), and 103 of each (catalog), so no workload evicts.
 LOAD_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=LOAD_CACHE_SIZE)
-def _value(text: str, kind: str) -> FiniteModel | ModelDataPair | Prior:
-    """The validated ``kind`` described by a file's ``text``."""
-    return _FROM_DICT[kind](_decode(text))
+def _value(text: str, kind: str | None) -> FiniteModel | ModelDataPair | Prior | str:
+    """The validated ``kind`` that ``text`` describes; for None, only the text's
+    kind, so a value has one entry: "pair" if "observed" is a field, else "model"."""
+    data = _decode(text)
+    if kind is None:
+        return "pair" if "observed" in data else "model"
+    return _FROM_DICT[kind](data)
 
 
-def _load(path: str | Path, parse, *args):
-    """``parse(text, *args)`` of the file's text; every error names the
+def _load(path: str | Path, kind: str | None):
+    """The ``kind`` the file holds (its own kind if None); every error names the
     file. The read is unbuffered: the ``FileIO`` under any buffer raises
     every open error, and a buffer adds an isatty and a second fstat."""
     try:
@@ -193,37 +197,27 @@ def _load(path: str | Path, parse, *args):
     except UnicodeDecodeError as exc:
         raise LpLabError(f"{path} is not UTF-8 text: {exc}") from None
     try:
-        return parse(text, *args)
+        return _value(text, kind or _value(text, None))
     except _NotAnObject as exc:
         raise LpLabError(f"{path} {exc}") from None
-
-
-@functools.lru_cache(maxsize=LOAD_CACHE_SIZE)
-def _kind(text: str) -> str:
-    """"pair" if the text's object has an "observed" field, else "model"."""
-    return "pair" if "observed" in _decode(text) else "model"
-
-
-def _pair_or_model(text: str) -> ModelDataPair | FiniteModel:
-    return _value(text, _kind(text))
 
 
 def load_pair_or_model(path: str | Path) -> ModelDataPair | FiniteModel:
     """A pair if the file's object has an "observed" field, else a model:
     the value load_pair or load_model returns for the same text."""
-    return _load(path, _pair_or_model)
+    return _load(path, None)
 
 
 def load_model(path: str | Path) -> FiniteModel:
-    return _load(path, _value, "model")
+    return _load(path, "model")
 
 
 def load_pair(path: str | Path) -> ModelDataPair:
-    return _load(path, _value, "pair")
+    return _load(path, "pair")
 
 
 def load_prior(path: str | Path) -> Prior:
-    return _load(path, _value, "prior")
+    return _load(path, "prior")
 
 
 def _dump(value: Any, path: str | Path) -> None:

@@ -2,9 +2,9 @@
 reduction with exact factorization, and the relation S.
 
 The quotient by the minimal sufficient partition belongs to the model,
-not to the observed point, so it is computed once per distinct model:
-every pair of one model shares one reduced model, one ``block_map`` and
-one tuple of theta-free factors."""
+not to the observed point, so it is held in one cache, by model: the pairs
+of one model share one reduced model, ``block_map`` and tuple of theta-free
+factors, and the pairs of one block one ReductionResult."""
 
 from __future__ import annotations
 
@@ -91,28 +91,25 @@ def statistic_induced_model(model: FiniteModel, partition: Partition) -> FiniteM
     return FiniteModel(model.theta_labels, labels, model.den, rows)
 
 
-# Entries kept by each of the two reduction caches: reduce_to_mss, by
-# pair, and _quotient, by model. One pass of the benchmark at seed 7 peaks
-# at 78 pairs and 39 distinct models (chains), 177 and 116 (closure), and
-# 137 and 137 (evidence), so no workload evicts.
+# Models kept by the reduction cache. One pass of the benchmark at seed 7
+# reduces 39 distinct models (chains), 116 (closure) and 137 (evidence), so
+# no workload evicts.
 MSS_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=MSS_CACHE_SIZE)
-def _quotient(
-    model: FiniteModel,
-) -> tuple[FiniteModel, tuple[int, ...], tuple[Fraction, ...]]:
-    """The model's reduced model, block_map and theta-free factors."""
+def _quotient(model: FiniteModel) -> tuple:
+    """The model's reduced model, block_map and theta-free factors, and each
+    block's ReductionResult, held once a pair in that block asks for it."""
     partition = likelihood_partition(model)
     reduced = statistic_induced_model(model, partition)
     gcds = [g for g, _ in model.likelihoods]
     totals = [sum(gcds[x] for x in block) for block in partition.blocks]
     block_map = partition.labels
     factors = tuple(Fraction(g, totals[b]) for g, b in zip(gcds, block_map))
-    return reduced, block_map, factors
+    return reduced, block_map, factors, {}
 
 
-@functools.lru_cache(maxsize=MSS_CACHE_SIZE)
 def reduce_to_mss(pair: ModelDataPair) -> ReductionResult:
     """Quotient the pair by its minimal sufficient partition.
 
@@ -123,14 +120,23 @@ def reduce_to_mss(pair: ModelDataPair) -> ReductionResult:
     parameter value at once. A block no parameter reaches raises
     UnreachablePoint when the reduced model is built.
 
-    The quotient is computed once per distinct model, in a cache of
-    MSS_CACHE_SIZE models, so the pairs of one model (such as the two
-    observations of a Birnbaum mixture) share its reduced model,
-    ``block_map`` and factors; only the observed block is the pair's own.
+    It is read from the model's entry in the one reduction cache, of
+    MSS_CACHE_SIZE models: the pairs of one model share its reduced model,
+    ``block_map`` and factors, and the pairs of one block, such as the two
+    observations of a Birnbaum mixture, share one ReductionResult.
     """
-    reduced, block_map, factors = _quotient(pair.model)
-    reduced_pair = ModelDataPair(reduced, block_map[pair.observed])
-    return ReductionResult(reduced_pair, block_map, factors)
+    reduced, block_map, factors, results = _quotient(pair.model)
+    block = block_map[pair.observed]
+    if block not in results:
+        # setdefault: if threads race here, all share the first one stored
+        reduced_pair = ModelDataPair(reduced, block)
+        results.setdefault(block, ReductionResult(reduced_pair, block_map, factors))
+    return results[block]
+
+
+# bench/tracer.py reads the reduction cache's counters from reduce_to_mss
+reduce_to_mss.cache_info = _quotient.cache_info
+reduce_to_mss.cache_clear = _quotient.cache_clear
 
 
 def s_related(p1: ModelDataPair, p2: ModelDataPair) -> Optional[SWitness]:

@@ -13,9 +13,9 @@ import importlib.util
 from pathlib import Path
 
 import lp_lab
-from lp_lab import ancillarity, model
+from lp_lab import ancillarity, fixtures, model, sufficiency
 from lp_lab.evidence import Prior
-from lp_lab.model import FiniteModel
+from lp_lab.model import FiniteModel, ModelDataPair
 from lp_lab.partition import Partition
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -62,3 +62,17 @@ def test_test_only_helpers_are_not_in_the_package():
         (Prior, "uniform"),
     ]:
         assert not hasattr(owner, name), name
+
+
+def test_the_traced_mss_counters_count_models():
+    # the tracer reads sufficiency.mss_cache.* from reduce_to_mss.cache_info,
+    # which reports the one reduction cache: by model, not by pair
+    reduce = sufficiency.reduce_to_mss
+    reduce.cache_clear()
+    assert sufficiency._quotient.cache_info().currsize == 0
+    fd = fixtures.fix_d()
+    for x in range(fd.n_points):
+        reduce(ModelDataPair(fd, x))
+    info = reduce.cache_info()
+    assert info == sufficiency._quotient.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)

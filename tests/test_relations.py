@@ -99,6 +99,9 @@ def test_birnbaum_chain_fixture(fb, fc, at):
     mixture = e1.model
     assert column(mixture, e1.observed) == (F(1, 4), F(3, 8))
     assert column(mixture, e2.observed) == (F(1, 6), F(1, 4))
+    # so its two reductions are one object
+    witness = chain.steps[1].witness
+    assert witness.left is witness.right
 
 
 def test_birnbaum_chain_degenerate(fb, at):

@@ -216,7 +216,7 @@ def test_validate_decodes_each_text_once(fa, fd, tmp_path, validations, monkeypa
         decodes.append(text)
         return decode(text)
 
-    serialization._kind.cache_clear()
+    serialization._value.cache_clear()
     monkeypatch.setattr(serialization, "_decode", counting)
     pair, model = tmp_path / "p.pair", tmp_path / "m.model"
     save_pair(pair_at(fa, "x2"), pair)
@@ -293,15 +293,20 @@ def test_kind_is_part_of_the_key(fa, tmp_path, validations):
     assert load_prior(prior) is load_prior(prior)
 
 
-def test_load_cache_evicts(tmp_path, validations):
-    # one-parameter two-point models k/n, (n-k)/n are pairwise distinct
-    path = tmp_path / "m.model"
-    texts = [
+def _two_point_texts() -> list[str]:
+    """More than LOAD_CACHE_SIZE texts of pairwise distinct models: the
+    one-parameter two-point models k/n, (n-k)/n."""
+    return [
         json.dumps({"theta": ["t1"], "space": ["a", "b"], "probs": [[f"{k}/{n}", f"{n - k}/{n}"]]})
         for n in range(2, 60)
         for k in range(1, n)
         if math.gcd(k, n) == 1
     ]
+
+
+def test_load_cache_evicts(tmp_path, validations):
+    path = tmp_path / "m.model"
+    texts = _two_point_texts()
     assert len(texts) > LOAD_CACHE_SIZE
     for text in texts:
         path.write_text(text)
@@ -316,6 +321,23 @@ def test_load_cache_evicts(tmp_path, validations):
     load_model(path)  # still held
     assert len(validations) == len(texts) + 1
     assert serialization._value.cache_info().hits == info.hits + 1
+
+
+def test_a_hot_validate_keeps_the_value_load_pair_returns(fa, tmp_path, validations):
+    # validate reads its kind, then that kind's one entry, so reading the
+    # pair again after each other text keeps the entry load_pair reads hot
+    pair = tmp_path / "p.pair"
+    save_pair(pair_at(fa, "x2"), pair)
+    value = load_pair_or_model(pair)
+    others = _two_point_texts()[: LOAD_CACHE_SIZE + 5]
+    assert len(others) == LOAD_CACHE_SIZE + 5
+    path = tmp_path / "m.model"
+    for text in others:
+        path.write_text(text)
+        load_model(path)
+        assert load_pair_or_model(pair) is value
+    assert load_pair(pair) is value
+    assert len(validations) == len(others) + 1
 
 
 # -- the render cache ------------------------------------------------------

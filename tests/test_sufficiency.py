@@ -136,9 +136,10 @@ def test_s_implies_l_random():
                 assert l_related(p1, p2) is not None
 
 
-def test_reduce_to_mss_cache_evicts():
-    # one-parameter two-point models k/n, (n-k)/n are pairwise distinct
-    pairs = [
+def _two_point_pairs() -> list[ModelDataPair]:
+    """More than MSS_CACHE_SIZE pairs of pairwise distinct models: the
+    one-parameter two-point models k/n, (n-k)/n."""
+    return [
         ModelDataPair(
             validate_model(["t1"], ["a", "b"], [[f"{k}/{n}", f"{n - k}/{n}"]]),
             0,
@@ -147,29 +148,49 @@ def test_reduce_to_mss_cache_evicts():
         for k in range(1, n)
         if math.gcd(k, n) == 1
     ]
+
+
+def test_reduce_to_mss_cache_evicts():
+    pairs = _two_point_pairs()
     assert len(pairs) > MSS_CACHE_SIZE
     reduce_to_mss.cache_clear()
-    sufficiency._quotient.cache_clear()
     for pair in pairs:
         reduce_to_mss(pair)
-    info = reduce_to_mss.cache_info()
+    # each pair is of its own model, so each is a miss of the model cache
+    info = sufficiency._quotient.cache_info()
     assert info.maxsize == info.currsize == MSS_CACHE_SIZE
-    assert info.misses == len(pairs)
-    # each pair is of its own model, so the model cache is bounded alike
-    by_model = sufficiency._quotient.cache_info()
-    assert by_model.maxsize == by_model.currsize == MSS_CACHE_SIZE
-    assert (by_model.hits, by_model.misses) == (0, len(pairs))
+    assert (info.hits, info.misses) == (0, len(pairs))
+    held = reduce_to_mss(pairs[-1])  # still held
+    assert sufficiency._quotient.cache_info().hits == 1
+    assert reduce_to_mss(pairs[-1]) is held
     reduce_to_mss(pairs[0])  # evicted, so computed again
-    assert reduce_to_mss.cache_info().misses == len(pairs) + 1
     assert sufficiency._quotient.cache_info().misses == len(pairs) + 1
-    reduce_to_mss(pairs[-1])  # still held
-    assert reduce_to_mss.cache_info().hits == info.hits + 1
-    assert sufficiency._quotient.cache_info().misses == len(pairs) + 1
+    assert sufficiency._quotient.cache_info().hits == 2
+
+
+def test_a_hot_pair_keeps_its_siblings_quotient(fd):
+    # reducing P again after each other model keeps P's model entry hot, so
+    # a pair of that model in another block finds the same quotient
+    first = ModelDataPair(fd, 0)
+    reduce_to_mss.cache_clear()
+    reduction = reduce_to_mss(first)
+    others = _two_point_pairs()[: MSS_CACHE_SIZE + 5]
+    assert len(others) == MSS_CACHE_SIZE + 5
+    for pair in others:
+        reduce_to_mss(pair)
+        assert reduce_to_mss(first) is reduction
+    sibling = reduce_to_mss(ModelDataPair(fd, 1))
+    assert sibling.reduced.observed != reduction.reduced.observed
+    assert sibling.reduced.model is reduction.reduced.model
+    assert sibling.block_map is reduction.block_map
+    assert sibling.theta_free_factor is reduction.theta_free_factor
 
 
 def test_pairs_of_one_model_share_its_quotient(fd):
     reductions = [reduce_to_mss(ModelDataPair(fd, x)) for x in range(4)]
     assert [r.reduced.observed for r in reductions] == [0, 1, 0, 1]
+    # the pairs of one block share one result
+    assert reductions[2] is reductions[0] and reductions[3] is reductions[1]
     first = reductions[0]
     for reduction in reductions[1:]:
         assert reduction.reduced.model is first.reduced.model
@@ -188,7 +209,6 @@ def test_equal_models_built_apart_share_one_quotient():
     first, second = build(), build()
     assert first == second and first is not second
     reduce_to_mss.cache_clear()
-    sufficiency._quotient.cache_clear()
     reductions = [
         reduce_to_mss(ModelDataPair(model, x))
         for model in (first, second)
@@ -196,7 +216,8 @@ def test_equal_models_built_apart_share_one_quotient():
     ]
     assert len({id(r.reduced.model) for r in reductions}) == 1
     by_model = sufficiency._quotient.cache_info()
-    assert (by_model.misses, by_model.hits, by_model.currsize) == (1, 3, 1)
-    # a pair of the second model equals the first model's pair at x
-    by_pair = reduce_to_mss.cache_info()
-    assert (by_pair.misses, by_pair.hits, by_pair.currsize) == (4, 4, 4)
+    assert (by_model.misses, by_model.hits, by_model.currsize) == (1, 7, 1)
+    # one result per block {a, b}, {c}, {d}: the second model's pair at x
+    # gets the very result of the first model's pair at x
+    assert len({id(r) for r in reductions}) == 3
+    assert all(a is b for a, b in zip(reductions[4:], reductions[:4]))
